@@ -13,35 +13,40 @@ OfflineAnalyzer::configFor(double target_dilation, DvfsKind model,
     return c;
 }
 
+ShakenTrace
+OfflineAnalyzer::shakeTrace(const std::vector<InstTrace> &trace) const
+{
+    ShakenTrace out;
+    IntervalGraphStream stream(trace, config.graph);
+    IntervalGraph g;
+    while (stream.next(g)) {
+        out.eventsTotal += g.size();
+        ShakeResult sr = shake(g, config.shaker, config.clustering.fmax,
+                               config.clustering.fmin);
+        out.slackConsumed += sr.slackConsumed;
+        out.intervals.push_back({g.intervalStart, g.intervalEnd,
+                                 sr.histogram});
+    }
+    return out;
+}
+
 AnalysisResult
-OfflineAnalyzer::analyze(const std::vector<InstTrace> &trace) const
+OfflineAnalyzer::cluster(const ShakenTrace &shaken) const
 {
     AnalysisResult result;
-
-    std::vector<IntervalGraph> graphs =
-        buildIntervalGraphs(trace, config.graph);
-    result.intervals = graphs.size();
-
-    std::vector<IntervalHistos> histos;
-    histos.reserve(graphs.size());
-    for (IntervalGraph &g : graphs) {
-        result.eventsTotal += g.size();
-        ShakeResult sr = shake(g, config.shaker,
-                               config.clustering.fmax,
-                               config.clustering.fmin);
-        result.slackConsumed += sr.slackConsumed;
-        IntervalHistos ih;
-        ih.start = g.intervalStart;
-        ih.end = g.intervalEnd;
-        ih.hist = sr.histogram;
-        histos.push_back(std::move(ih));
-    }
-
-    ClusterPhase cluster(config.clustering);
-    ClusterResult cr = cluster.run(histos);
+    result.intervals = shaken.intervals.size();
+    result.eventsTotal = shaken.eventsTotal;
+    result.slackConsumed = shaken.slackConsumed;
+    ClusterResult cr = ClusterPhase(config.clustering).run(shaken.intervals);
     result.schedule = std::move(cr.schedule);
     result.plans = std::move(cr.plans);
     return result;
+}
+
+AnalysisResult
+OfflineAnalyzer::analyze(const std::vector<InstTrace> &trace) const
+{
+    return cluster(shakeTrace(trace));
 }
 
 } // namespace mcd

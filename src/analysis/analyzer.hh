@@ -27,6 +27,19 @@ struct AnalyzerConfig
     ClusteringConfig clustering;
 };
 
+/**
+ * The target-independent half of the offline tool: every interval's
+ * shaken frequency histograms. The DAGs, the shaker and the histograms
+ * depend only on the trace and the graph/shaker configuration, never
+ * on the dilation target, so one ShakenTrace serves every target.
+ */
+struct ShakenTrace
+{
+    std::vector<IntervalHistos> intervals;  //!< in interval order
+    std::size_t eventsTotal = 0;
+    double slackConsumed = 0.0;
+};
+
 /** Everything the offline tool produced (schedule + diagnostics). */
 struct AnalysisResult
 {
@@ -51,7 +64,18 @@ class OfflineAnalyzer
     configFor(double target_dilation, DvfsKind model,
               double dvfs_time_scale = 1.0);
 
-    /** Run the full analysis over a profiling trace. */
+    /**
+     * Build and shake each interval's DAG, one interval at a time, and
+     * keep only the histograms. Reads the graph and shaker settings
+     * and the clustering fmin/fmax, but not the dilation target.
+     */
+    ShakenTrace shakeTrace(const std::vector<InstTrace> &trace) const;
+
+    /** Cluster a shaken trace into this target's schedule. */
+    AnalysisResult cluster(const ShakenTrace &shaken) const;
+
+    /** Run the full analysis over a profiling trace:
+     *  cluster(shakeTrace(trace)). */
     AnalysisResult analyze(const std::vector<InstTrace> &trace) const;
 
     const AnalyzerConfig &cfg() const { return config; }

@@ -126,7 +126,34 @@ struct DepGraphConfig
 };
 
 /**
- * Slice a trace into intervals and build one DAG per interval.
+ * Slice a trace into intervals and build their DAGs one at a time, in
+ * interval order. A consumer that shakes each graph before asking for
+ * the next holds a single interval's graph at once instead of the
+ * whole trace's.
+ */
+class IntervalGraphStream
+{
+  public:
+    /** @p trace must outlive the stream. */
+    IntervalGraphStream(const std::vector<InstTrace> &trace,
+                        const DepGraphConfig &cfg);
+
+    /**
+     * Build the next interval's graph into @p g (replacing whatever
+     * it held). Returns false, leaving @p g untouched, once the trace
+     * is exhausted.
+     */
+    bool next(IntervalGraph &g);
+
+  private:
+    const std::vector<InstTrace> &trace;
+    DepGraphConfig cfg;
+    std::size_t pos = 0;
+};
+
+/**
+ * Slice a trace into intervals and build one DAG per interval (the
+ * whole IntervalGraphStream, materialized).
  */
 std::vector<IntervalGraph>
 buildIntervalGraphs(const std::vector<InstTrace> &trace,

@@ -6,12 +6,18 @@
  * interval DAG with a decaying power threshold, until all slack is
  * consumed or every event adjacent to slack has been scaled to one
  * quarter of its original frequency.
+ *
+ * Each pass visits the events in time order (latest end first going
+ * backward, earliest start first going forward); that order comes
+ * from a stable radix sort, and the passes walk a flat working copy
+ * of the event times and adjacency rather than the graph itself.
  */
 
 #ifndef MCD_ANALYSIS_SHAKER_HH
 #define MCD_ANALYSIS_SHAKER_HH
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/dep_graph.hh"
@@ -59,6 +65,24 @@ struct ShakeResult
     int passesRun = 0;
     double slackConsumed = 0.0;     //!< ps of slack absorbed by scaling
 };
+
+/** One record for stableRadixSort: a key and the index it orders. */
+struct KeyedIndex
+{
+    std::uint64_t key = 0;
+    std::int32_t idx = 0;
+};
+
+/**
+ * Stable LSD radix sort of @p items by key, ascending or descending.
+ * Equal keys keep their input order, so the permutation is exactly
+ * the one std::stable_sort gives with < (or >) on the keys. Digits
+ * are taken from key - min(key), and a pass whose digit is the same
+ * for every item is skipped. @p scratch is resized as needed; reuse
+ * it across calls to avoid reallocation.
+ */
+void stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
+                     std::vector<KeyedIndex> &scratch);
 
 /**
  * Run the shaker on one interval graph (mutates event times,

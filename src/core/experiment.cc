@@ -1319,19 +1319,20 @@ ExperimentRunner::storeCache(const BenchmarkResults &r) const
 
 RunResult
 ExperimentRunner::profileLeg(const Program &prog,
-                             std::vector<InstTrace> &trace_out,
+                             std::vector<InstTrace> *trace_out,
                              const std::string &site) const
 {
     // Baseline MCD (all domains statically at 1 GHz); doubles as the
-    // profiling run for the offline tool.
+    // profiling run for the offline tool when a trace is wanted.
     SimConfig profCfg = makeSimConfig(ClockingStyle::Mcd, site);
-    profCfg.collectTrace = true;
+    profCfg.collectTrace = trace_out != nullptr;
     // The offline tool needs every instruction's timestamps: the
     // profiling run always executes in full detail.
     profCfg.sampling.reset();
     McdProcessor prof(profCfg, prog);
     RunResult r = prof.run();
-    trace_out = prof.takeTrace();
+    if (trace_out)
+        *trace_out = prof.takeTrace();
     return r;
 }
 
@@ -1353,18 +1354,23 @@ ExperimentRunner::controllerLeg(const Program &prog, const LegSpec &leg,
     return runOnce(prog, sc);
 }
 
+OfflineAnalyzer
+ExperimentRunner::analyzerFor(double target_dilation) const
+{
+    return OfflineAnalyzer(OfflineAnalyzer::configFor(
+        target_dilation, config.model, config.dvfsTimeScale));
+}
+
 ExperimentRunner::DynLeg
 ExperimentRunner::dynamicLeg(const Program &prog,
-                             const std::vector<InstTrace> &trace,
+                             const ShakenTrace &shaken,
                              double target_dilation,
                              const std::string &site) const
 {
-    OfflineAnalyzer analyzer(OfflineAnalyzer::configFor(
-        target_dilation, config.model, config.dvfsTimeScale));
     AnalysisResult analysis = [&] {
         obs::HostProfiler::Scope prof =
             obs::HostProfiler::instance().phase("analyze", site);
-        return analyzer.analyze(trace);
+        return analyzerFor(target_dilation).cluster(shaken);
     }();
     SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd, site);
     dynCfg.dvfs = config.model;
@@ -1428,9 +1434,8 @@ ExperimentRunner::runDynamic(const std::string &name,
     McdProcessor prof(profCfg, prog);
     prof.run();
 
-    OfflineAnalyzer analyzer(OfflineAnalyzer::configFor(
-        target_dilation, config.model, config.dvfsTimeScale));
-    AnalysisResult analysis = analyzer.analyze(prof.trace().trace());
+    AnalysisResult analysis =
+        analyzerFor(target_dilation).analyze(prof.trace().trace());
 
     SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd);
     dynCfg.dvfs = config.model;
@@ -1585,19 +1590,47 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         }
     };
 
-    // Baseline MCD / profiling run (produces the trace).
+    // Baseline MCD / profiling run. It collects the trace only when a
+    // schedule-replay leg will read it.
+    const bool wantTrace = std::any_of(
+        r.legs.begin(), r.legs.end(), [](const ControllerLeg &l) {
+            return l.spec.kind == LegSpec::Kind::ScheduleReplay;
+        });
     std::vector<InstTrace> trace;
-    auto profFut = pool.submit([this, &name, &prog, &trace] {
+    auto profFut = pool.submit([this, &name, &prog, &trace, wantTrace] {
         return runGuarded(name, "mcdBaseline", [&] {
-            return profileLeg(prog, trace, name + "/mcdBaseline");
+            return profileLeg(prog, wantTrace ? &trace : nullptr,
+                              name + "/mcdBaseline");
         });
     });
     r.mcdBaseline = pool.wait(profFut);
 
-    // Schedule-replay legs analyze and simulate independently off the
-    // shared (now read-only) trace. The schedule sizes ride out via
-    // the pre-sized vector, each slot written only before its lambda
-    // returns (i.e. before wait() synchronizes with it).
+    // The target-independent half of the offline tool runs once, under
+    // a leg guard of its own (site <bench>/shake), and every
+    // schedule-replay leg clusters from its result. The trace is
+    // freed as soon as it has been shaken.
+    ShakenTrace shaken;
+    std::string shakeUpstream;
+    if (r.mcdBaseline.failed()) {
+        // No profiling trace: the offline tool has nothing to chew on.
+        shakeUpstream = "mcdBaseline";
+    } else if (wantTrace) {
+        RunResult shook = runGuarded(name, "shake", [&] {
+            obs::HostProfiler::Scope prof = obs::HostProfiler::instance()
+                .phase("analyze", name + "/shake");
+            // Any target gives the same shake; clustering reads it.
+            shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
+            return RunResult{};
+        });
+        if (shook.failed())
+            shakeUpstream = "shake";
+    }
+    std::vector<InstTrace>().swap(trace);
+
+    // Schedule-replay legs cluster and simulate independently off the
+    // shared (now read-only) shaken trace. The schedule sizes ride out
+    // via the pre-sized vector, each slot written only before its
+    // lambda returns (i.e. before wait() synchronizes with it).
     std::vector<std::size_t> schedSizes(r.legs.size(), 0);
     std::vector<std::pair<std::size_t, std::future<RunResult>>>
         replayFuts;
@@ -1605,18 +1638,16 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         const LegSpec *spec = &r.legs[i].spec;
         if (spec->kind != LegSpec::Kind::ScheduleReplay)
             continue;
-        if (r.mcdBaseline.failed()) {
-            // No profiling trace: the offline tool has nothing to
-            // chew on.
+        if (!shakeUpstream.empty()) {
             r.legs[i].run = dependencyFailed(name, spec->name,
-                                             "mcdBaseline");
+                                             shakeUpstream);
             continue;
         }
         replayFuts.emplace_back(
-            i, pool.submit([this, &name, &prog, &trace, &schedSizes,
+            i, pool.submit([this, &name, &prog, &shaken, &schedSizes,
                             spec, i] {
                 return runGuarded(name, spec->name, [&] {
-                    DynLeg leg = dynamicLeg(prog, trace, spec->dilation,
+                    DynLeg leg = dynamicLeg(prog, shaken, spec->dilation,
                                             name + "/" + spec->name);
                     schedSizes[i] = leg.scheduleSize;
                     return leg.result;
@@ -1641,9 +1672,15 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         settleController(spec.reference);
         const ControllerLeg *ref = r.findLeg(spec.reference);
         if (r.baseline.failed() || !ref || ref->run.failed()) {
-            r.legs[i].run = dependencyFailed(
-                name, spec.name,
-                r.baseline.failed() ? "baseline" : spec.reference);
+            std::string upstream = spec.reference;
+            if (r.baseline.failed()) {
+                upstream = "baseline";
+            } else if (shakeUpstream == "shake" && ref &&
+                       ref->spec.kind == LegSpec::Kind::ScheduleReplay) {
+                // Name the root cause, not the replay leg it starved.
+                upstream = shakeUpstream;
+            }
+            r.legs[i].run = dependencyFailed(name, spec.name, upstream);
             continue;
         }
         r.legs[i].run = runGuarded(name, spec.name, [&] {

@@ -523,13 +523,16 @@ class ExperimentRunner
     SimConfig makeSimConfig(ClockingStyle style,
                             const std::string &site = {}) const;
     RunResult runOnce(const Program &prog, const SimConfig &sc) const;
+    /** The MCD baseline; collects the trace into @p trace_out when
+     *  it is not null. */
     RunResult profileLeg(const Program &prog,
-                         std::vector<InstTrace> &trace_out,
+                         std::vector<InstTrace> *trace_out,
                          const std::string &site) const;
     RunResult controllerLeg(const Program &prog, const LegSpec &leg,
                             const std::string &site) const;
-    DynLeg dynamicLeg(const Program &prog,
-                      const std::vector<InstTrace> &trace,
+    OfflineAnalyzer analyzerFor(double target_dilation) const;
+    /** Cluster @p shaken at @p target_dilation and replay it. */
+    DynLeg dynamicLeg(const Program &prog, const ShakenTrace &shaken,
                       double target_dilation,
                       const std::string &site) const;
     GlobalOut globalLeg(const Program &prog,

@@ -202,6 +202,56 @@ TEST_P(WorkloadGraphs, AcyclicAndWellFormed)
     EXPECT_GE(events, tr.size() - 10);
 }
 
+TEST_P(WorkloadGraphs, StreamYieldsTheMaterializedGraphs)
+{
+    // One graph object reused across next() calls (as the analyzer
+    // does) must see exactly the graphs buildIntervalGraphs keeps:
+    // nothing of one interval may leak into the next.
+    Program p = workloads::build(GetParam(), 1);
+    std::vector<InstTrace> tr = traceOf(p, 20000);
+    DepGraphConfig cfg;
+    cfg.intervalLength = 5'000'000;    // several intervals per trace
+    std::vector<IntervalGraph> all = buildIntervalGraphs(tr, cfg);
+    IntervalGraphStream stream(tr, cfg);
+    IntervalGraph g;
+    std::size_t n = 0;
+    while (stream.next(g)) {
+        ASSERT_LT(n, all.size());
+        const IntervalGraph &want = all[n++];
+        EXPECT_EQ(g.intervalStart, want.intervalStart);
+        EXPECT_EQ(g.intervalEnd, want.intervalEnd);
+        ASSERT_EQ(g.size(), want.size());
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            const DagEvent &a = g.events[i];
+            const DagEvent &b = want.events[i];
+            EXPECT_EQ(a.domain, b.domain);
+            EXPECT_EQ(a.start, b.start);
+            EXPECT_EQ(a.end, b.end);
+            EXPECT_EQ(a.origDuration, b.origDuration);
+            EXPECT_EQ(a.fixedPortion, b.fixedPortion);
+            EXPECT_EQ(a.floorStart, b.floorStart);
+            EXPECT_EQ(a.startCeiling, b.startCeiling);
+            EXPECT_EQ(a.endCeiling, b.endCeiling);
+            EXPECT_EQ(a.power, b.power);
+            EXPECT_EQ(a.fu, b.fu);
+            ASSERT_EQ(g.out[i].size(), want.out[i].size());
+            ASSERT_EQ(g.in[i].size(), want.in[i].size());
+            for (std::size_t j = 0; j < g.out[i].size(); ++j) {
+                EXPECT_EQ(g.out[i][j].to, want.out[i][j].to);
+                EXPECT_EQ(g.out[i][j].lag, want.out[i][j].lag);
+            }
+            for (std::size_t j = 0; j < g.in[i].size(); ++j) {
+                EXPECT_EQ(g.in[i][j].to, want.in[i][j].to);
+                EXPECT_EQ(g.in[i][j].lag, want.in[i][j].lag);
+            }
+        }
+    }
+    EXPECT_EQ(n, all.size());
+    EXPECT_GT(n, 1u);
+    // An exhausted stream stays exhausted.
+    EXPECT_FALSE(stream.next(g));
+}
+
 INSTANTIATE_TEST_SUITE_P(FourKinds, WorkloadGraphs,
                          ::testing::Values("g721", "mcf", "swim",
                                            "treeadd"));

@@ -80,6 +80,35 @@ TEST(Experiment, FullMatrixShapes)
     EXPECT_GT(r.scheduleSize("dyn5"), 0u);
 }
 
+TEST(Experiment, TraceSkipLeavesMcdBaselineBitIdentical)
+{
+    // A leg set with no schedule-replay leg skips trace collection in
+    // the profiling run; the MCD baseline it reports (Fig 5) must not
+    // move by a single bit.
+    ExperimentConfig full;
+    ExperimentConfig ctrlOnly;
+    ctrlOnly.legs = {LegSpec::controllerLeg("online", "online-queue")};
+    BenchmarkResults a = ExperimentRunner(full).runBenchmark("adpcm");
+    BenchmarkResults b = ExperimentRunner(ctrlOnly).runBenchmark("adpcm");
+    ASSERT_FALSE(a.mcdBaseline.failed());
+    ASSERT_FALSE(b.mcdBaseline.failed());
+    EXPECT_EQ(a.mcdBaseline.execTime, b.mcdBaseline.execTime);
+    EXPECT_EQ(a.mcdBaseline.committed, b.mcdBaseline.committed);
+    EXPECT_EQ(a.mcdBaseline.totalEnergy, b.mcdBaseline.totalEnergy);
+
+    // Every serialized field, via the cache record format.
+    auto record = [](const BenchmarkResults &r) {
+        BenchmarkResults only;
+        only.name = r.name;
+        only.mcdBaseline = r.mcdBaseline;
+        std::ostringstream os;
+        expcache::write(os, only);
+        return os.str();
+    };
+    EXPECT_EQ(record(a), record(b));
+    EXPECT_EQ(a.leg("online").totalEnergy, b.leg("online").totalEnergy);
+}
+
 TEST(Experiment, CacheRoundtrip)
 {
     std::string dir = std::filesystem::temp_directory_path() /

@@ -564,6 +564,44 @@ TEST(FaultMatrix, ProfilingFailurePropagatesAsDependencyErrors)
     EXPECT_EQ(matrixExitCode(rows), exitPartialFailure);
 }
 
+TEST(FaultMatrix, ShakeFailurePropagatesAsDependencyErrors)
+{
+    // The offline tool's shake runs once per benchmark under a leg
+    // guard of its own, at site <bench>/shake.
+    ExperimentConfig ec;
+    ec.faults = std::make_shared<const FaultPlan>(
+        FaultPlan::parse("leg:adpcm/shake=throw"));
+    std::vector<BenchmarkResults> rows;
+    ASSERT_NO_THROW(rows = runMatrix(ec, {"adpcm", "mst"}, 1));
+
+    // Every schedule-replay leg, and the global leg that references
+    // one, names the shake as its upstream; none was attempted.
+    for (const char *leg : {"dyn1", "dyn5", "global"}) {
+        SCOPED_TRACE(leg);
+        const RunResult &r = rows[0].leg(leg);
+        ASSERT_TRUE(r.failed());
+        EXPECT_EQ(r.error->kind, "dependency");
+        EXPECT_EQ(r.error->site, std::string("adpcm/") + leg);
+        EXPECT_EQ(r.error->message, "shake leg failed");
+        EXPECT_EQ(r.attempts, 0);
+    }
+
+    // The baselines and the controller leg are intact, bit for bit.
+    ExperimentConfig clean;
+    auto cleanRows = runMatrix(clean, {"adpcm"}, 1);
+    expectRunsIdentical(rows[0].baseline, cleanRows[0].baseline,
+                        "baseline");
+    expectRunsIdentical(rows[0].mcdBaseline, cleanRows[0].mcdBaseline,
+                        "mcdBaseline");
+    expectRunsIdentical(rows[0].leg("online"), cleanRows[0].leg("online"),
+                        "online");
+    EXPECT_EQ(rows[0].failedLegs(), 3u);
+
+    // The other benchmark's shake was untouched.
+    EXPECT_EQ(rows[1].failedLegs(), 0u);
+    EXPECT_EQ(matrixExitCode(rows), exitPartialFailure);
+}
+
 TEST(FaultMatrix, FailedRowsAreNeverCached)
 {
     fs::path dir = fs::temp_directory_path() / "mcd-fault-nocache";
