@@ -8,7 +8,6 @@
  *            [--plant <leg>=<action>] [--no-shrink]
  *            [--shrink-runs N] [--quiet] [--config FILE]
  *   mcd_soak --repro FILE
- *   mcd_soak --convert-repro FILE     # legacy v1 repro -> v2, stdout
  *
  * The seed/budget/jobs/out/plant knobs resolve through the unified
  * config layer (soakSeed, soakBudget, soakJobs, soakOut, soakPlant;
@@ -28,11 +27,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "fuzz/scenario.hh"
 #include "fuzz/soak.hh"
 
 #include "example_util.hh"
@@ -52,27 +49,6 @@ parseU64Arg(const char *flag, const char *value)
     return v;
 }
 
-/** One-shot converter: any readable repro (v1 or v2) -> v2, stdout. */
-int
-convertRepro(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open repro file %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::optional<mcd::fuzz::Repro> repro = mcd::fuzz::readRepro(in);
-    if (!repro) {
-        std::fprintf(stderr, "cannot parse repro file %s\n",
-                     path.c_str());
-        return 2;
-    }
-    mcd::fuzz::writeRepro(std::cout, repro->scenario,
-                          repro->signature);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -81,7 +57,6 @@ main(int argc, char **argv)
     return mcd::exutil::guardedMain([&]() -> int {
         namespace config = mcd::config;
         std::string reproPath;
-        std::string convertPath;
         bool shrink = true;
         bool progress = true;
         int shrinkRuns = -1;
@@ -123,8 +98,6 @@ main(int argc, char **argv)
                 progress = false;
             } else if (arg == "--repro") {
                 reproPath = value();
-            } else if (arg == "--convert-repro") {
-                convertPath = value();
             } else {
                 std::fprintf(stderr, "unknown argument '%s'\n",
                              arg.c_str());
@@ -144,8 +117,6 @@ main(int argc, char **argv)
         if (shrinkRuns >= 0)
             opts.shrinkRuns = shrinkRuns;
 
-        if (!convertPath.empty())
-            return convertRepro(convertPath);
         if (!reproPath.empty()) {
             mcd::fuzz::ReplayResult r =
                 mcd::fuzz::replayRepro(reproPath);

@@ -1,7 +1,8 @@
 #include "jsonlite.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 namespace mcd {
 namespace config {
@@ -75,9 +76,22 @@ struct Parser
               case 'r': out += '\r'; break;
               case 'b': out += '\b'; break;
               case 'f': out += '\f'; break;
+              case 'u': {
+                // The writer's \u00XX for control bytes. Non-ASCII
+                // code points would need UTF-16 handling no document
+                // requires; reject rather than mis-decode.
+                unsigned cp = 0;
+                const char *hex = text.data() + pos;
+                auto [stop, ec] = std::from_chars(
+                    hex, hex + std::min<std::size_t>(4, text.size() - pos),
+                    cp, 16);
+                if (ec != std::errc() || stop != hex + 4 || cp >= 0x80)
+                    return fail("unsupported \\u escape");
+                pos += 4;
+                out += static_cast<char>(cp);
+                break;
+              }
               default:
-                // \uXXXX would need UTF-16 handling no config
-                // document requires; reject rather than mis-decode.
                 return fail(std::string("unsupported escape '\\") + e +
                             "'");
             }
@@ -187,31 +201,6 @@ parse(const std::string &text, Value &out, std::string &err)
         return false;
     }
     return true;
-}
-
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace jsonlite

@@ -3,7 +3,7 @@
  * A minimal JSON reader for the configuration surfaces: objects of
  * strings, numbers, booleans, and nested objects — exactly the shape
  * of RunSpec documents (`mcd-runspec-v1`) and fuzz repro files
- * (`mcd-repro-v1` / `mcd-repro-v2`). Arrays and null are rejected:
+ * (`mcd-repro-v2`). Writing goes through common/json_writer. Arrays and null are rejected:
  * no config document uses them, and rejecting keeps the parser small
  * enough to audit.
  *
@@ -44,9 +44,6 @@ struct Value
  * Duplicate keys within an object are an error.
  */
 bool parse(const std::string &text, Value &out, std::string &err);
-
-/** Escape @p s for emission inside a JSON string literal. */
-std::string escape(const std::string &s);
 
 } // namespace jsonlite
 } // namespace config

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
-#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -337,57 +336,29 @@ provenanceFor(const RunSpec &spec, const OptionDef &opt,
     return "code";
 }
 
-namespace {
-
-/** The typed JSON token for one option value (already canonical). */
-std::string
-jsonValue(const OptionDef &opt, const std::string &canonical)
-{
-    switch (opt.type) {
-      case Type::Bool:
-      case Type::Int:
-      case Type::U64:
-      case Type::Double:
-        return canonical;
-      case Type::String:
-      case Type::Path:
-        return "\"" + jsonlite::escape(canonical) + "\"";
-    }
-    return canonical;
-}
-
-} // namespace
-
 void
 writeEffectiveConfigJson(
-    std::ostream &os, const std::string &indent, const RunSpec &spec,
+    json::Writer &w, const RunSpec &spec,
     const std::vector<std::pair<std::string, std::string>> &actual)
 {
-    os << "{\n"
-       << indent << "  \"version\": \"" << runSpecVersion << "\",\n"
-       << indent << "  \"options\": {";
-    bool first = true;
+    w.beginObject().field("version", runSpecVersion);
+    w.key("options").beginObject();
     for (const auto &[name, value] : actual) {
         const OptionDef *opt = find(name);
         if (!opt)
             panic("writeEffectiveConfigJson: unknown option " + name);
         std::string what = std::string("option '") + name + "'";
-        os << (first ? "" : ",") << "\n"
-           << indent << "    \"" << name << "\": "
-           << jsonValue(*opt, canonicalValue(*opt, what, value));
-        first = false;
+        std::string canonical = canonicalValue(*opt, what, value);
+        w.key(name);
+        if (opt->type == Type::String || opt->type == Type::Path)
+            w.value(canonical);
+        else
+            w.raw(canonical);   // already a canonical JSON token
     }
-    os << "\n" << indent << "  },\n"
-       << indent << "  \"provenance\": {";
-    first = true;
-    for (const auto &[name, value] : actual) {
-        const OptionDef *opt = find(name);
-        os << (first ? "" : ",") << "\n"
-           << indent << "    \"" << name << "\": \""
-           << provenanceFor(spec, *opt, value) << "\"";
-        first = false;
-    }
-    os << "\n" << indent << "  }\n" << indent << "}";
+    w.endObject().key("provenance").beginObject();
+    for (const auto &[name, value] : actual)
+        w.field(name, provenanceFor(spec, *find(name), value));
+    w.endObject().endObject();
 }
 
 } // namespace config

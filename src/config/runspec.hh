@@ -19,12 +19,12 @@
 #define MCD_CONFIG_RUNSPEC_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/json_writer.hh"
 #include "config/registry.hh"
 
 namespace mcd {
@@ -94,12 +94,11 @@ std::string provenanceFor(const RunSpec &spec, const OptionDef &opt,
  * Emit an effectiveConfig block: version, a typed "options" object,
  * and a parallel "provenance" object, over the given (name, actual
  * canonical value) rows — callers pass every affectsResults option in
- * registry order. @p indent prefixes every line after the first; the
- * emitted fragment starts at '{' and ends at '}' with no trailing
- * newline, so it drops into any surrounding document.
+ * registry order. The block is one object value, so it nests wherever
+ * @p w stands (a member's value, or a whole document).
  */
 void writeEffectiveConfigJson(
-    std::ostream &os, const std::string &indent, const RunSpec &spec,
+    json::Writer &w, const RunSpec &spec,
     const std::vector<std::pair<std::string, std::string>> &actual);
 
 } // namespace config

@@ -424,85 +424,77 @@ read(std::istream &is, const std::string &name)
 
 namespace {
 
+/** An invariant record's members, closing the object they fill. */
+void
+violationFields(json::Writer &w, const obs::InvariantViolation &v)
+{
+    w.field("rule", v.rule).field("domain", domainShortName(v.domain))
+        .field("tickPs", v.tick).field("observed", v.observed)
+        .field("bound", v.bound).endObject();
+}
+
 /** Emit one RunResult as a JSON object. */
 void
-jsonRun(std::ostream &os, const char *indent, const RunResult &r)
+jsonRun(json::Writer &w, const RunResult &r)
 {
+    w.beginObject();
     if (r.error) {
         // A failed leg: the numeric fields are meaningless zeros, so
         // emit the structured error instead.
         const RunError &e = *r.error;
-        os << "{\n"
-           << indent << "  \"failed\": true,\n"
-           << indent << "  \"error\": {\"site\": \""
-           << obs::jsonEscape(e.site) << "\", \"kind\": \""
-           << obs::jsonEscape(e.kind) << "\", \"message\": \""
-           << obs::jsonEscape(e.message) << "\", \"attempts\": "
-           << e.attempts << "}\n"
-           << indent << "}";
+        w.field("failed", true);
+        w.key("error").beginObject(json::Inline)
+            .field("site", e.site).field("kind", e.kind)
+            .field("message", e.message).field("attempts", e.attempts)
+            .endObject();
+        w.endObject();
         return;
     }
-    os << "{\n";
-    if (r.attempts > 1) {
-        os << indent << "  \"attempts\": " << r.attempts << ",\n";
-    }
-    os << indent << "  \"execTimePs\": " << r.execTime << ",\n"
-       << indent << "  \"committed\": " << r.committed << ",\n"
-       << indent << "  \"ipc\": " << r.ipc << ",\n"
-       << indent << "  \"totalEnergy\": " << r.totalEnergy << ",\n"
-       << indent << "  \"energyDelay\": " << r.energyDelay << ",\n"
-       << indent << "  \"domains\": [";
+    if (r.attempts > 1)
+        w.field("attempts", r.attempts);
+    w.field("execTimePs", r.execTime).field("committed", r.committed)
+        .field("ipc", r.ipc).field("totalEnergy", r.totalEnergy)
+        .field("energyDelay", r.energyDelay);
+    w.key("domains").beginArray(json::Inline);
     for (int d = 0; d < numDomains; ++d) {
         const DomainSummary &s = r.domains[d];
-        os << (d ? ", " : "") << "{\"name\": \""
-           << domainShortName(static_cast<Domain>(d)) << "\""
-           << ", \"cycles\": " << s.cycles
-           << ", \"energy\": " << s.energy
-           << ", \"avgFrequencyHz\": " << s.avgFrequency
-           << ", \"minFrequencyHz\": " << s.minFrequency
-           << ", \"maxFrequencyHz\": " << s.maxFrequency
-           << ", \"reconfigurations\": " << s.reconfigurations << "}";
+        w.beginObject(json::Inline)
+            .field("name", domainShortName(static_cast<Domain>(d)))
+            .field("cycles", s.cycles).field("energy", s.energy)
+            .field("avgFrequencyHz", s.avgFrequency)
+            .field("minFrequencyHz", s.minFrequency)
+            .field("maxFrequencyHz", s.maxFrequency)
+            .field("reconfigurations", s.reconfigurations).endObject();
     }
-    os << "]";
+    w.endArray();
     if (r.sampling) {
         const SamplingSummary &ss = *r.sampling;
-        os << ",\n" << indent << "  \"sampling\": {"
-           << "\"windows\": " << ss.windows
-           << ", \"detailedCommitted\": " << ss.detailedCommitted
-           << ", \"ffExecuted\": " << ss.ffExecuted
-           << ", \"estFfTimePs\": " << ss.estFfTimePs
-           << ", \"estFfEnergy\": " << ss.estFfEnergy
-           << ", \"haltDuringFf\": "
-           << (ss.haltDuringFf ? "true" : "false")
-           << ", \"timePerInstCv\": " << ss.timePerInstCv
-           << ", \"energyPerInstCv\": " << ss.energyPerInstCv << "}";
+        w.key("sampling").beginObject(json::Inline)
+            .field("windows", ss.windows)
+            .field("detailedCommitted", ss.detailedCommitted)
+            .field("ffExecuted", ss.ffExecuted)
+            .field("estFfTimePs", ss.estFfTimePs)
+            .field("estFfEnergy", ss.estFfEnergy)
+            .field("haltDuringFf", ss.haltDuringFf)
+            .field("timePerInstCv", ss.timePerInstCv)
+            .field("energyPerInstCv", ss.energyPerInstCv).endObject();
     }
     if (r.telemetry) {
-        os << ",\n" << indent << "  \"stats\": ";
-        std::string inner = std::string(indent) + "  ";
-        r.telemetry->stats().writeJson(os, inner.c_str());
+        r.telemetry->stats().writeJson(w.key("stats"));
         if (const obs::InvariantEngine *inv = r.telemetry->invariants()) {
-            os << ",\n" << indent << "  \"invariants\": {\"checks\": "
-               << inv->checks() << ", \"violations\": "
-               << inv->violations();
+            w.key("invariants").beginObject(json::Inline)
+                .field("checks", inv->checks())
+                .field("violations", inv->violations());
             if (!inv->records().empty()) {
-                os << ", \"records\": [";
-                bool first = true;
-                for (const obs::InvariantViolation &v : inv->records()) {
-                    os << (first ? "" : ", ") << "{\"rule\": \""
-                       << obs::jsonEscape(v.rule) << "\", \"domain\": \""
-                       << domainShortName(v.domain)
-                       << "\", \"tickPs\": " << v.tick
-                       << ", \"observed\": " << v.observed
-                       << ", \"bound\": " << v.bound << "}";
-                    first = false;
-                }
-                os << "]";
+                w.key("records").beginArray(json::Inline);
+                for (const obs::InvariantViolation &v : inv->records())
+                    violationFields(w.beginObject(json::Inline), v);
+                w.endArray();
             }
-            os << "}";
+            w.endObject();
         }
     }
-    os << "\n" << indent << "}";
+    w.endObject();
 }
 
 } // namespace
@@ -832,90 +824,58 @@ effectiveOptions(const ExperimentConfig &cfg,
     return out;
 }
 
-/** The effectiveConfig fragment, rendered for embedding at
- *  @p indent. */
-std::string
-renderEffectiveConfig(const ExperimentConfig &cfg,
-                      const std::vector<BenchmarkResults> &rows,
-                      const config::RunSpec &spec,
-                      const std::string &indent)
-{
-    std::ostringstream os;
-    config::writeEffectiveConfigJson(os, indent, spec,
-                                     effectiveOptions(cfg, rows, spec));
-    return os.str();
-}
-
 } // namespace
 
 void
 writeResultsJson(std::ostream &os, const ExperimentConfig &cfg,
                  const std::vector<BenchmarkResults> &rows)
 {
-    os << std::setprecision(17);
-    os << "{\n"
-       << "  \"config\": {\n"
-       << "    \"scale\": " << cfg.scale << ",\n"
-       << "    \"model\": \"" << dvfsKindName(cfg.model) << "\",\n"
-       << "    \"dvfsTimeScale\": " << cfg.dvfsTimeScale << ",\n"
-       << "    \"dilationLow\": " << cfg.dilationLow << ",\n"
-       << "    \"dilationHigh\": " << cfg.dilationHigh << ",\n"
-       << "    \"onlineIntervalPs\": " << cfg.online.interval << ",\n"
-       << "    \"seed\": " << cfg.seed;
+    json::Writer w(os);
+    w.beginObject().key("config").beginObject()
+        .field("scale", cfg.scale).field("model", dvfsKindName(cfg.model))
+        .field("dvfsTimeScale", cfg.dvfsTimeScale)
+        .field("dilationLow", cfg.dilationLow)
+        .field("dilationHigh", cfg.dilationHigh)
+        .field("onlineIntervalPs", cfg.online.interval)
+        .field("seed", cfg.seed);
     // Sampled matrices are clearly labeled; a full-detail document
     // stays byte-identical to pre-sampling builds.
     if (cfg.sampling)
-        os << ",\n    \"sampling\": \"" << cfg.sampling->spec() << "\"";
-    os << "\n  },\n"
-       << "  \"effectiveConfig\": "
-       << renderEffectiveConfig(cfg, rows, config::RunSpec::resolve(),
-                                "  ")
-       << ",\n"
-       << "  \"benchmarks\": [";
-    bool firstRow = true;
+        w.field("sampling", cfg.sampling->spec());
+    const config::RunSpec spec = config::RunSpec::resolve();
+    config::writeEffectiveConfigJson(w.endObject().key("effectiveConfig"),
+                                     spec, effectiveOptions(cfg, rows, spec));
+    w.key("benchmarks").beginArray();
     for (const BenchmarkResults &r : rows) {
-        os << (firstRow ? "" : ",") << "\n    {\n"
-           << "      \"name\": \"" << r.name << "\",\n"
-           << "      \"globalFrequencyHz\": " << r.globalFrequency
-           << ",\n"
         // The legacy schedule-size keys survive the leg refactor so
         // documents from the default leg set stay byte-identical.
-           << "      \"schedule1Size\": " << r.scheduleSize("dyn1")
-           << ",\n"
-           << "      \"schedule5Size\": " << r.scheduleSize("dyn5")
-           << ",\n"
-           << "      \"runs\": {\n";
-        const std::size_t total = r.totalLegs();
-        std::size_t idx = 0;
+        w.beginObject().field("name", r.name)
+            .field("globalFrequencyHz", r.globalFrequency)
+            .field("schedule1Size", r.scheduleSize("dyn1"))
+            .field("schedule5Size", r.scheduleSize("dyn5"));
+        w.key("runs").beginObject();
         forEachRun(r, [&](const std::string &tag, const RunResult &run) {
-            os << "        \"" << obs::jsonEscape(tag) << "\": ";
-            jsonRun(os, "        ", run);
-            os << (++idx < total ? ",\n" : "\n");
+            jsonRun(w.key(tag), run);
         });
-        os << "      },\n"
-           << "      \"derived\": {";
+        w.endObject().key("derived").beginObject();
         // Derived metrics are ratios against the baseline leg, so a
         // failed run (all-zero numerics) or a failed baseline would
-        // emit nonsense (inf/nan is not even valid JSON) — skip them.
-        bool firstDerived = true;
+        // emit nonsense — skip them.
         auto derived = [&](const std::string &tag, const RunResult &run) {
             if (run.failed() || r.baseline.failed())
                 return;
-            os << (firstDerived ? "" : ",") << "\n"
-               << "        \"" << obs::jsonEscape(tag) << "\": {"
-               << "\"perfDegradation\": " << r.perfDegradation(run)
-               << ", \"energySavings\": " << r.energySavings(run)
-               << ", \"edpImprovement\": " << r.edpImprovement(run)
-               << "}";
-            firstDerived = false;
+            w.key(tag).beginObject(json::Inline)
+                .field("perfDegradation", r.perfDegradation(run))
+                .field("energySavings", r.energySavings(run))
+                .field("edpImprovement", r.edpImprovement(run))
+                .endObject();
         };
         derived("mcdBaseline", r.mcdBaseline);
         for (const ControllerLeg &l : r.legs)
             derived(l.spec.name, l.run);
-        os << "\n      }\n    }";
-        firstRow = false;
+        w.endObject().endObject();
     }
-    os << "\n  ]";
+    w.endArray();
 
     // Failure surface: emitted only when something failed, so a clean
     // matrix's document stays byte-identical to earlier versions.
@@ -923,32 +883,26 @@ writeResultsJson(std::ostream &os, const ExperimentConfig &cfg,
     for (const BenchmarkResults &r : rows)
         anyFailed = anyFailed || r.anyFailed();
     if (anyFailed) {
-        os << ",\n  \"failures\": [";
-        bool first = true;
+        w.key("failures").beginArray();
         for (const BenchmarkResults &r : rows) {
             forEachRun(r, [&](const std::string &tag,
                               const RunResult &run) {
                 if (!run.failed())
                     return;
                 const RunError &e = *run.error;
-                os << (first ? "" : ",") << "\n    {"
-                   << "\"benchmark\": \"" << obs::jsonEscape(r.name)
-                   << "\", \"leg\": \"" << obs::jsonEscape(tag)
-                   << "\", \"kind\": \"" << obs::jsonEscape(e.kind)
-                   << "\", \"attempts\": " << e.attempts
-                   << ", \"message\": \"" << obs::jsonEscape(e.message)
-                   << "\"}";
-                first = false;
+                w.beginObject(json::Inline)
+                    .field("benchmark", r.name).field("leg", tag)
+                    .field("kind", e.kind).field("attempts", e.attempts)
+                    .field("message", e.message).endObject();
             });
         }
-        os << "\n  ],\n  \"exitCode\": " << matrixExitCode(rows);
+        w.endArray().field("exitCode", matrixExitCode(rows));
     }
 
     // Invariant surface: likewise emitted only when a rule tripped,
     // so invariant-free documents do not change shape.
     if (countInvariantViolations(rows)) {
-        os << ",\n  \"invariantViolations\": [";
-        bool first = true;
+        w.key("invariantViolations").beginArray();
         for (const BenchmarkResults &r : rows) {
             forEachRun(r, [&](const std::string &tag,
                               const RunResult &run) {
@@ -957,21 +911,17 @@ writeResultsJson(std::ostream &os, const ExperimentConfig &cfg,
                 const obs::InvariantEngine *inv =
                     run.telemetry->invariants();
                 for (const obs::InvariantViolation &v : inv->records()) {
-                    os << (first ? "" : ",") << "\n    {"
-                       << "\"benchmark\": \"" << obs::jsonEscape(r.name)
-                       << "\", \"leg\": \"" << obs::jsonEscape(tag)
-                       << "\", \"rule\": \"" << obs::jsonEscape(v.rule)
-                       << "\", \"domain\": \"" << domainShortName(v.domain)
-                       << "\", \"tickPs\": " << v.tick
-                       << ", \"observed\": " << v.observed
-                       << ", \"bound\": " << v.bound << "}";
-                    first = false;
+                    violationFields(w.beginObject(json::Inline)
+                                        .field("benchmark", r.name)
+                                        .field("leg", tag),
+                                    v);
                 }
             });
         }
-        os << "\n  ]";
+        w.endArray();
     }
-    os << "\n}\n";
+    w.endObject();
+    os << '\n';
 }
 
 std::vector<LeaderboardRow>
@@ -1020,32 +970,27 @@ writeLeaderboardJson(std::ostream &os, const ExperimentConfig &cfg,
                      const std::vector<BenchmarkResults> &rows)
 {
     std::vector<LeaderboardRow> board = computeLeaderboard(rows);
-    os << std::setprecision(17);
-    os << "{\n"
-       << "  \"tournament\": {\n"
-       << "    \"benchmarks\": " << rows.size() << ",\n"
-       << "    \"legs\": " << board.size() << ",\n"
-       << "    \"model\": \"" << dvfsKindName(cfg.model) << "\",\n"
-       << "    \"scale\": " << cfg.scale << ",\n"
-       << "    \"seed\": " << cfg.seed << "\n"
-       << "  },\n"
-       << "  \"leaderboard\": [";
+    json::Writer w(os);
+    w.beginObject().key("tournament").beginObject()
+        .field("benchmarks", rows.size()).field("legs", board.size())
+        .field("model", dvfsKindName(cfg.model))
+        .field("scale", cfg.scale).field("seed", cfg.seed).endObject();
+    w.key("leaderboard").beginArray();
     for (std::size_t i = 0; i < board.size(); ++i) {
         const LeaderboardRow &lr = board[i];
-        os << (i ? "," : "") << "\n    {"
-           << "\"rank\": " << i + 1
-           << ", \"name\": \"" << obs::jsonEscape(lr.spec.name)
-           << "\", \"kind\": \"" << legKindName(lr.spec.kind)
-           << "\", \"controller\": \""
-           << obs::jsonEscape(lr.spec.controller)
-           << "\", \"params\": \"" << obs::jsonEscape(lr.spec.params)
-           << "\", \"meanEdpImprovement\": " << lr.meanEdpImprovement
-           << ", \"meanEnergySavings\": " << lr.meanEnergySavings
-           << ", \"meanPerfDegradation\": " << lr.meanPerfDegradation
-           << ", \"benchmarksCompleted\": " << lr.completed
-           << ", \"benchmarksFailed\": " << lr.failed << "}";
+        w.beginObject(json::Inline)
+            .field("rank", i + 1).field("name", lr.spec.name)
+            .field("kind", legKindName(lr.spec.kind))
+            .field("controller", lr.spec.controller)
+            .field("params", lr.spec.params)
+            .field("meanEdpImprovement", lr.meanEdpImprovement)
+            .field("meanEnergySavings", lr.meanEnergySavings)
+            .field("meanPerfDegradation", lr.meanPerfDegradation)
+            .field("benchmarksCompleted", lr.completed)
+            .field("benchmarksFailed", lr.failed).endObject();
     }
-    os << "\n  ]\n}\n";
+    w.endArray().endObject();
+    os << '\n';
 }
 
 std::vector<NamedRun>
@@ -1061,38 +1006,31 @@ namedRuns(const std::vector<BenchmarkResults> &rows)
 }
 
 void
-writeTelemetryStatsJson(std::ostream &os,
-                        const std::vector<NamedRun> &runs,
-                        const obs::StatsRegistry *matrix,
-                        const obs::StatsRegistry *host,
-                        const std::string *effectiveConfig)
+writeTelemetryStatsJson(
+    std::ostream &os, const std::vector<NamedRun> &runs,
+    const obs::StatsRegistry *matrix, const obs::StatsRegistry *host,
+    const std::function<void(json::Writer &)> &effectiveConfig)
 {
     obs::StatsRegistry merged;
-    os << "{\n  \"runs\": {";
-    bool first = true;
+    json::Writer w(os);
+    w.beginObject().key("runs").beginObject();
     for (const NamedRun &nr : runs) {
         if (!nr.run || !nr.run->telemetry)
             continue;
         const obs::StatsRegistry &reg = nr.run->telemetry->stats();
         merged.merge(reg);
-        os << (first ? "" : ",") << "\n    \""
-           << obs::jsonEscape(nr.name) << "\": ";
-        reg.writeJson(os, "    ");
-        first = false;
+        reg.writeJson(w.key(nr.name));
     }
-    os << "\n  },\n  \"merged\": ";
-    merged.writeJson(os, "  ");
-    if (matrix) {
-        os << ",\n  \"matrix\": ";
-        matrix->writeJson(os, "  ");
-    }
-    if (host) {
-        os << ",\n  \"host\": ";
-        host->writeJson(os, "  ");
-    }
+    w.endObject();
+    merged.writeJson(w.key("merged"));
+    if (matrix)
+        matrix->writeJson(w.key("matrix"));
+    if (host)
+        host->writeJson(w.key("host"));
     if (effectiveConfig)
-        os << ",\n  \"effectiveConfig\": " << *effectiveConfig;
-    os << "\n}\n";
+        effectiveConfig(w.key("effectiveConfig"));
+    w.endObject();
+    os << '\n';
 }
 
 void
@@ -1771,8 +1709,11 @@ maybeWriteTelemetry(const config::RunSpec &spec,
     };
     std::vector<NamedRun> named = namedRuns(out);
     writeTo("statsOut", [&](std::ostream &os) {
-        std::string eff = renderEffectiveConfig(cfg, out, spec, "  ");
-        writeTelemetryStatsJson(os, named, matrix, host, &eff);
+        auto eff = [&](json::Writer &w) {
+            config::writeEffectiveConfigJson(
+                w, spec, effectiveOptions(cfg, out, spec));
+        };
+        writeTelemetryStatsJson(os, named, matrix, host, eff);
     });
     writeTo("traceOut", [&](std::ostream &os) {
         writeTelemetryTrace(os, named);

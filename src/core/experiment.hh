@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "analysis/analyzer.hh"
+#include "common/json_writer.hh"
 #include "common/thread_pool.hh"
 #include "config/runspec.hh"
 #include "control/online_queue.hh"
@@ -414,17 +415,16 @@ struct NamedRun
  * entries (matrix health counters: failed/retried legs, quarantined
  * cache files) are emitted as an additional "matrix" registry; when
  * @p host is non-null (the host profiler's registry) it is emitted as
- * an additional "host" registry. When @p effectiveConfig is non-null
- * (a pre-rendered provenance-annotated RunSpec fragment) it is
- * emitted as a trailing "effectiveConfig" key — runMatrix() passes
- * it, so every matrix stats document records the configuration that
- * produced it.
+ * an additional "host" registry. When @p effectiveConfig is set it
+ * writes a trailing "effectiveConfig" value (the provenance-annotated
+ * RunSpec block) — runMatrix() passes it, so every matrix stats
+ * document records the configuration that produced it.
  */
 void writeTelemetryStatsJson(
     std::ostream &os, const std::vector<NamedRun> &runs,
     const obs::StatsRegistry *matrix = nullptr,
     const obs::StatsRegistry *host = nullptr,
-    const std::string *effectiveConfig = nullptr);
+    const std::function<void(json::Writer &)> &effectiveConfig = {});
 
 /**
  * Emit one merged Chrome trace (chrome://tracing / Perfetto JSON)

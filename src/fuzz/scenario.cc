@@ -1,7 +1,6 @@
 #include "scenario.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -9,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 #include "config/jsonlite.hh"
 #include "config/runspec.hh"
@@ -127,14 +127,13 @@ Scenario::toConfig() const
 }
 
 const char *const reproVersion = "mcd-repro-v2";
-const char *const reproVersionLegacy = "mcd-repro-v1";
 
 namespace {
 
 /**
  * The configSpec k=v keys and their RunSpec option names, in the
- * canonical emission order of both serializations (configSpec order
- * for v1-era specs; writeRepro sorts by option name itself).
+ * canonical configSpec order (writeRepro sorts by option name
+ * itself).
  */
 constexpr std::pair<const char *, const char *> configSpecKeys[] = {
     {"model", "model"},           {"timescale", "dvfsTimeScale"},
@@ -195,104 +194,39 @@ writeRepro(std::ostream &os, const Scenario &s,
     opts.emplace_back("faultPlan", s.faultSpec);
     std::sort(opts.begin(), opts.end());
 
-    os << "{\n"
-       << "  \"version\": \"" << reproVersion << "\",\n"
-       << "  \"signature\": \"" << signature << "\",\n"
-       << "  \"workload\": \"" << s.workload.spec() << "\",\n"
-       << "  \"planted\": \"" << s.plantedSpec << "\",\n"
-       << "  \"jobs\": " << s.jobs << ",\n"
-       << "  \"runspec\": {\n"
-       << "    \"version\": \"" << config::runSpecVersion << "\",\n"
-       << "    \"options\": {\n";
-    for (std::size_t i = 0; i < opts.size(); ++i) {
-        os << "      \"" << opts[i].first << "\": \""
-           << config::jsonlite::escape(opts[i].second) << "\""
-           << (i + 1 < opts.size() ? "," : "") << "\n";
-    }
-    os << "    }\n"
-       << "  }\n"
-       << "}\n";
-}
-
-namespace {
-
-/** The value of "key" in flat-JSON @p text, or nullopt. */
-std::optional<std::string>
-jsonField(const std::string &text, const std::string &key)
-{
-    std::string needle = "\"" + key + "\"";
-    std::size_t at = text.find(needle);
-    if (at == std::string::npos)
-        return std::nullopt;
-    std::size_t colon = text.find(':', at + needle.size());
-    if (colon == std::string::npos)
-        return std::nullopt;
-    std::size_t pos = colon + 1;
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t'))
-        ++pos;
-    if (pos >= text.size())
-        return std::nullopt;
-    if (text[pos] == '"') {
-        std::size_t close = text.find('"', pos + 1);
-        if (close == std::string::npos)
-            return std::nullopt;
-        return text.substr(pos + 1, close - pos - 1);
-    }
-    std::size_t end = pos;
-    while (end < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[end])) ||
-            text[end] == '-'))
-        ++end;
-    if (end == pos)
-        return std::nullopt;
-    return text.substr(pos, end - pos);
-}
-
-/**
- * The legacy flat-object reader, kept so the pre-v2 regression corpus
- * (and any repro stashed in a bug report) replays forever.
- */
-std::optional<Repro>
-readReproV1(const std::string &text)
-{
-    auto signature = jsonField(text, "signature");
-    auto workload = jsonField(text, "workload");
-    auto config = jsonField(text, "config");
-    auto legs = jsonField(text, "legs");
-    auto faults = jsonField(text, "faults");
-    auto planted = jsonField(text, "planted");
-    auto jobs = jsonField(text, "jobs");
-    if (!signature || !workload || !config || !legs || !faults ||
-        !planted || !jobs)
-        return std::nullopt;
-
-    Repro r;
-    r.signature = *signature;
-    r.scenario.workload = GenParams::fromSpec(*workload);
-    r.scenario.configSpec = *config;
-    r.scenario.legsSpec = *legs;
-    r.scenario.faultSpec = *faults;
-    r.scenario.plantedSpec = *planted;
-    r.scenario.jobs = static_cast<int>(
-        std::strtol(jobs->c_str(), nullptr, 10));
-    if (r.scenario.jobs < 1)
-        r.scenario.jobs = 1;
-    return r;
+    json::Writer w(os);
+    w.beginObject()
+        .field("version", reproVersion)
+        .field("signature", signature)
+        .field("workload", s.workload.spec())
+        .field("planted", s.plantedSpec)
+        .field("jobs", s.jobs);
+    w.key("runspec").beginObject()
+        .field("version", config::runSpecVersion);
+    w.key("options").beginObject();
+    for (const auto &[name, value] : opts)
+        w.field(name, value);
+    w.endObject().endObject().endObject();
+    os << '\n';
 }
 
 std::optional<Repro>
-readReproV2(const std::string &text)
+readRepro(std::istream &is)
 {
+    std::ostringstream buf;
+    buf << is.rdbuf();
     config::jsonlite::Value doc;
     std::string err;
-    if (!config::jsonlite::parse(text, doc, err) ||
+    if (!config::jsonlite::parse(buf.str(), doc, err) ||
         doc.kind != config::jsonlite::Value::Kind::Object)
         return std::nullopt;
     auto field = [&](const char *key)
         -> const config::jsonlite::Value * {
         return doc.find(key);
     };
+    const auto *version = field("version");
+    if (!version || version->text != reproVersion)
+        return std::nullopt;
     const auto *signature = field("signature");
     const auto *workload = field("workload");
     const auto *planted = field("planted");
@@ -340,25 +274,6 @@ readReproV2(const std::string &text)
     if (const auto *v = options->find("faultPlan"))
         r.scenario.faultSpec = v->text;
     return r;
-}
-
-} // namespace
-
-std::optional<Repro>
-readRepro(std::istream &is)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    std::string text = buf.str();
-
-    auto version = jsonField(text, "version");
-    if (!version)
-        return std::nullopt;
-    if (*version == reproVersion)
-        return readReproV2(text);
-    if (*version == reproVersionLegacy)
-        return readReproV1(text);
-    return std::nullopt;
 }
 
 } // namespace fuzz

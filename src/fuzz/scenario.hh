@@ -84,9 +84,6 @@ struct Scenario
 /** Repro file format version header ("mcd-repro-v2"). */
 extern const char *const reproVersion;
 
-/** The legacy flat-object format ("mcd-repro-v1"), still readable. */
-extern const char *const reproVersionLegacy;
-
 /**
  * Write a standalone JSON repro: signature, workload, planted plan
  * and jobs count, plus the experiment dimensions as an embedded
@@ -105,8 +102,7 @@ struct Repro
 };
 
 /**
- * Parse a repro written by writeRepro() — either the current v2
- * format or the legacy v1 flat object. Returns nullopt on a version
+ * Parse a repro written by writeRepro(). Returns nullopt on a version
  * mismatch or malformed content (never throws for file-shape
  * problems; spec-grammar errors inside a well-formed file still
  * fatal() like every other parser).

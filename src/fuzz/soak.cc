@@ -7,9 +7,9 @@
 #include <map>
 #include <sstream>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
-#include "config/jsonlite.hh"
 #include "config/runspec.hh"
 #include "fuzz/config_fuzzer.hh"
 #include "fuzz/shrink.hh"
@@ -286,15 +286,17 @@ journalPath(const SoakOptions &opts)
 std::string
 journalRunspec(const SoakOptions &opts)
 {
-    using config::jsonlite::escape;
     std::ostringstream os;
-    os << "{\"version\": \"" << config::runSpecVersion
-       << "\", \"options\": {"
-       << "\"soakBudget\": \"" << opts.budget << "\", "
-       << "\"soakJobs\": \"" << opts.jobs << "\", "
-       << "\"soakOut\": \"" << escape(opts.outDir) << "\", "
-       << "\"soakPlant\": \"" << escape(opts.planted) << "\", "
-       << "\"soakSeed\": \"" << opts.rootSeed << "\"}}";
+    json::Writer w(os);
+    w.beginObject(json::Inline)
+        .field("version", config::runSpecVersion);
+    w.key("options").beginObject(json::Inline)
+        .field("soakBudget", std::to_string(opts.budget))
+        .field("soakJobs", std::to_string(opts.jobs))
+        .field("soakOut", opts.outDir)
+        .field("soakPlant", opts.planted)
+        .field("soakSeed", std::to_string(opts.rootSeed));
+    w.endObject().endObject();
     return os.str();
 }
 

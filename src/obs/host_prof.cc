@@ -1,9 +1,8 @@
 #include "host_prof.hh"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "obs/trace_export.hh"
+#include "common/json_writer.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -20,14 +19,6 @@ struct PhaseAgg
     double totalMs = 0.0;
     double maxMs = 0.0;
 };
-
-std::string
-fmt(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 } // namespace
 
@@ -218,31 +209,36 @@ HostProfiler::writeProfile(std::ostream &os) const
                          return a->lane < b->lane;
                      });
 
-    os << "{\n  \"traceEvents\": [\n";
-    os << "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-          "\"tid\": 0, \"args\": {\"name\": \"host\"}}";
+    json::Writer w(os);
+    auto metadata = [&](const char *kind, int tid,
+                        const std::string &name) {
+        w.beginObject(json::Inline)
+            .field("name", kind).field("ph", "M").field("pid", 1)
+            .field("tid", tid);
+        w.key("args").beginObject(json::Inline)
+            .field("name", name).endObject();
+        w.endObject();
+    };
+    w.beginObject().key("traceEvents").beginArray();
+    metadata("process_name", 0, "host");
     std::vector<int> laneIds;
     for (const auto &kv : lanes)
         laneIds.push_back(kv.second);
     std::sort(laneIds.begin(), laneIds.end());
-    for (int lane : laneIds) {
-        os << ",\n    {\"name\": \"thread_name\", \"ph\": \"M\", "
-              "\"pid\": 1, \"tid\": " << lane
-           << ", \"args\": {\"name\": \"host " << lane << "\"}}";
-    }
+    for (int lane : laneIds)
+        metadata("thread_name", lane, "host " + std::to_string(lane));
     for (const Slice *s : ordered) {
-        os << ",\n    {\"name\": \"" << jsonEscape(s->kind)
-           << "\", \"cat\": \"host\", \"ph\": \"X\", \"pid\": 1, "
-              "\"tid\": " << s->lane
-           << ", \"ts\": " << fmt(s->startUs)
-           << ", \"dur\": " << fmt(s->durUs);
+        w.beginObject(json::Inline)
+            .field("name", s->kind).field("cat", "host")
+            .field("ph", "X").field("pid", 1).field("tid", s->lane)
+            .field("ts", s->startUs).field("dur", s->durUs);
         if (!s->detail.empty()) {
-            os << ", \"args\": {\"detail\": \"" << jsonEscape(s->detail)
-               << "\"}";
+            w.key("args").beginObject(json::Inline)
+                .field("detail", s->detail).endObject();
         }
-        os << "}";
+        w.endObject();
     }
-    os << "\n  ],\n";
+    w.endArray();
 
     std::map<std::string, PhaseAgg> agg;
     for (const Slice &s : slices) {
@@ -252,33 +248,30 @@ HostProfiler::writeProfile(std::ostream &os) const
         a.totalMs += ms;
         a.maxMs = std::max(a.maxMs, ms);
     }
-    os << "  \"host\": {\n    \"phases\": {";
-    bool first = true;
+    w.key("host").beginObject().key("phases").beginObject();
     for (const auto &kv : agg) {
-        os << (first ? "\n" : ",\n") << "      \"" << jsonEscape(kv.first)
-           << "\": {\"count\": " << kv.second.count
-           << ", \"totalMs\": " << fmt(kv.second.totalMs)
-           << ", \"maxMs\": " << fmt(kv.second.maxMs) << "}";
-        first = false;
+        w.key(kv.first).beginObject(json::Inline)
+            .field("count", kv.second.count)
+            .field("totalMs", kv.second.totalMs)
+            .field("maxMs", kv.second.maxMs).endObject();
     }
-    os << "\n    },\n    \"legs\": [";
+    w.endObject().key("legs").beginArray();
     std::map<std::string, const LegTime *> bySite;
     for (const LegTime &l : legs)
         bySite[l.site] = &l;
-    first = true;
     for (const auto &kv : bySite) {
-        os << (first ? "\n" : ",\n") << "      {\"site\": \""
-           << jsonEscape(kv.first)
-           << "\", \"wallMs\": " << fmt(kv.second->wallMs)
-           << ", \"peakRssKb\": " << kv.second->rssKb << "}";
-        first = false;
+        w.beginObject(json::Inline)
+            .field("site", kv.first).field("wallMs", kv.second->wallMs)
+            .field("peakRssKb", kv.second->rssKb).endObject();
     }
-    os << "\n    ],\n    \"pool\": {\"workers\": " << poolWorkers
-       << ", \"tasks\": " << poolTasks
-       << ", \"busyMs\": " << fmt(static_cast<double>(poolBusyNs) / 1e6)
-       << ", \"wallMs\": " << fmt(static_cast<double>(poolWallNs) / 1e6)
-       << "},\n    \"peakRssKb\": " << peakRssKb()
-       << "\n  }\n}\n";
+    w.endArray();
+    w.key("pool").beginObject(json::Inline)
+        .field("workers", poolWorkers).field("tasks", poolTasks)
+        .field("busyMs", static_cast<double>(poolBusyNs) / 1e6)
+        .field("wallMs", static_cast<double>(poolWallNs) / 1e6)
+        .endObject();
+    w.field("peakRssKb", peakRssKb()).endObject().endObject();
+    os << '\n';
 }
 
 } // namespace obs

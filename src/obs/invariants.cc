@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 
 namespace mcd {
@@ -233,14 +234,12 @@ InvariantEngine::violate(std::size_t rule_idx, Domain d, Tick tick,
     if (breaches.size() < maxRecords)
         breaches.push_back({r.text, d, tick, observed, bound});
     if (exp && exp->enabled()) {
-        char args[160];
-        std::snprintf(args, sizeof(args),
-                      "\"rule\": \"%s\", \"observed\": %.17g, "
-                      "\"bound\": %.17g",
-                      r.text.c_str(), observed, bound);
+        std::string args = json::member("rule", json::quote(r.text)) +
+            ", " + json::member("observed", json::number(observed)) +
+            ", " + json::member("bound", json::number(bound));
         exp->instant("invariant violation: " +
                          std::string(invariantMetricName(r.metric)),
-                     "invariant", domainIndex(d), tick, args);
+                     "invariant", domainIndex(d), tick, std::move(args));
     }
 }
 

@@ -1,9 +1,7 @@
 #include "stats_registry.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <ostream>
 
 #include "common/log.hh"
 
@@ -187,63 +185,41 @@ StatsRegistry::merge(const StatsRegistry &other)
     }
 }
 
-namespace {
-
-/** JSON-safe number: finite values verbatim, NaN/inf as null. */
 void
-jsonNumber(std::ostream &os, double v)
+StatsRegistry::writeJson(json::Writer &w) const
 {
-    if (std::isfinite(v))
-        os << v;
-    else
-        os << "null";
-}
-
-} // namespace
-
-void
-StatsRegistry::writeJson(std::ostream &os, const char *indent) const
-{
-    os << "{";
-    bool first = true;
+    w.beginObject();
     for (const Entry &e : items) {
-        os << (first ? "" : ",") << "\n" << indent << "  \"" << e.name
-           << "\": ";
-        first = false;
+        w.key(e.name);
         switch (e.kind()) {
           case StatKind::Counter:
-            os << std::get<Counter>(e.stat).value();
+            w.value(std::get<Counter>(e.stat).value());
             break;
           case StatKind::Gauge:
-            jsonNumber(os, std::get<Gauge>(e.stat).value());
+            w.value(std::get<Gauge>(e.stat).value());
             break;
           case StatKind::Histogram: {
             const Histogram &h = std::get<Histogram>(e.stat);
             const RunningStat &s = h.summary();
-            os << "{\"count\": " << s.count() << ", \"sum\": ";
-            jsonNumber(os, s.sum());
-            os << ", \"min\": ";
-            jsonNumber(os, s.empty() ? 0.0 : s.min());
-            os << ", \"max\": ";
-            jsonNumber(os, s.empty() ? 0.0 : s.max());
-            os << ", \"p50\": ";
-            jsonNumber(os, h.quantile(0.50));
-            os << ", \"p90\": ";
-            jsonNumber(os, h.quantile(0.90));
-            os << ", \"p99\": ";
-            jsonNumber(os, h.quantile(0.99));
-            os << ", \"buckets\": [";
+            w.beginObject(json::Inline)
+                .field("count", s.count()).field("sum", s.sum())
+                .field("min", s.empty() ? 0.0 : s.min())
+                .field("max", s.empty() ? 0.0 : s.max())
+                .field("p50", h.quantile(0.50))
+                .field("p90", h.quantile(0.90))
+                .field("p99", h.quantile(0.99));
+            w.key("buckets").beginArray(json::Inline);
             for (std::size_t i = 0; i < h.numBuckets(); ++i) {
-                os << (i ? ", " : "") << "{\"le\": ";
-                jsonNumber(os, h.upperBound(i));
-                os << ", \"count\": " << h.bucketCount(i) << "}";
+                w.beginObject(json::Inline)
+                    .field("le", h.upperBound(i))
+                    .field("count", h.bucketCount(i)).endObject();
             }
-            os << "]}";
+            w.endArray().endObject();
             break;
           }
         }
     }
-    os << "\n" << indent << "}";
+    w.endObject();
 }
 
 } // namespace obs

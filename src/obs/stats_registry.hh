@@ -21,13 +21,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <variant>
 #include <vector>
 
+#include "common/json_writer.hh"
 #include "common/stats.hh"
 
 namespace mcd {
@@ -148,11 +148,9 @@ class StatsRegistry
      */
     void merge(const StatsRegistry &other);
 
-    /**
-     * Emit the registry as one JSON object, entries in registration
-     * order. @p indent prefixes every line after the opening brace.
-     */
-    void writeJson(std::ostream &os, const char *indent = "") const;
+    /** Emit the registry as one JSON object, entries in
+     *  registration order. */
+    void writeJson(json::Writer &w) const;
 
   private:
     Entry &getOrCreate(const std::string &name, std::string desc,

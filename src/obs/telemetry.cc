@@ -1,9 +1,10 @@
 #include "telemetry.hh"
 
 #include <cctype>
-#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "common/json_writer.hh"
 
 namespace mcd {
 namespace obs {
@@ -21,14 +22,6 @@ domainStat(const char *group, Domain d, const char *leaf)
     s += '.';
     s += leaf;
     return s;
-}
-
-std::string
-mhzArgs(Hertz f)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "\"mhz\": %.17g", f / 1e6);
-    return buf;
 }
 
 } // namespace
@@ -121,10 +114,9 @@ Telemetry::onControllerDecision(const char *controller, Domain d,
 {
     decisions[domainIndex(d)]->inc();
     if (exp.enabled()) {
-        std::string args = mhzArgs(target);
-        args += ", \"controller\": \"";
-        args += jsonEscape(controller);
-        args += "\"";
+        std::string args = json::member("mhz", json::number(target / 1e6));
+        args += ", ";
+        args += json::member("controller", json::quote(controller));
         std::string name("request ");
         name += domainShortName(d);
         exp.instant(std::move(name), "control", domainIndex(d), when,

@@ -1,7 +1,8 @@
 #include "trace_export.hh"
 
-#include <cstdio>
 #include <ostream>
+
+#include "common/json_writer.hh"
 
 namespace mcd {
 namespace obs {
@@ -45,64 +46,28 @@ TraceExporter::counter(std::string name, const char *series, int tid,
 {
     if (!on)
         return;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\"%s\": %.17g", series, value);
     TraceEvent e;
     e.phase = 'C';
     e.tid = tid;
     e.ts = ts;
     e.name = std::move(name);
-    e.args = buf;
+    e.args = json::member(series, json::number(value));
     evts.push_back(std::move(e));
-}
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 namespace {
 
-/** Picoseconds to the trace's microsecond axis, full precision. */
-std::string
-tsMicros(Tick ps)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%llu.%06llu",
-                  static_cast<unsigned long long>(ps / 1'000'000),
-                  static_cast<unsigned long long>(ps % 1'000'000));
-    return buf;
-}
-
+/** The process and thread name records Chrome uses for its lanes. */
 void
-writeMetadata(std::ostream &os, bool &first, int pid, int tid,
-              const char *kind, const std::string &value)
+writeMetadata(json::Writer &w, int pid, int tid, const char *kind,
+              const std::string &value)
 {
-    os << (first ? "" : ",") << "\n  {\"ph\": \"M\", \"pid\": " << pid
-       << ", \"tid\": " << tid << ", \"name\": \"" << kind
-       << "\", \"args\": {\"name\": \"" << jsonEscape(value) << "\"}}";
-    first = false;
+    w.beginObject(json::Inline)
+        .field("ph", "M").field("pid", pid).field("tid", tid)
+        .field("name", kind);
+    w.key("args").beginObject(json::Inline)
+        .field("name", value).endObject();
+    w.endObject();
 }
 
 } // namespace
@@ -111,36 +76,38 @@ void
 writeChromeTrace(std::ostream &os,
                  const std::vector<TraceProcess> &processes)
 {
-    os << "{\n\"traceEvents\": [";
-    bool first = true;
+    json::Writer w(os);
+    w.beginObject().key("traceEvents").beginArray();
     for (std::size_t p = 0; p < processes.size(); ++p) {
         const TraceProcess &proc = processes[p];
         int pid = static_cast<int>(p) + 1;
-        writeMetadata(os, first, pid, 0, "process_name", proc.name);
+        writeMetadata(w, pid, 0, "process_name", proc.name);
         for (int d = 0; d < numDomains; ++d) {
-            writeMetadata(os, first, pid, d, "thread_name",
+            writeMetadata(w, pid, d, "thread_name",
                           domainName(static_cast<Domain>(d)));
         }
         if (!proc.trace)
             continue;
+        // Picoseconds land on the trace's microsecond axis exactly.
         for (const TraceEvent &e : proc.trace->events()) {
-            os << (first ? "" : ",") << "\n  {\"ph\": \"" << e.phase
-               << "\", \"pid\": " << pid << ", \"tid\": " << e.tid
-               << ", \"ts\": " << tsMicros(e.ts);
-            first = false;
+            w.beginObject(json::Inline)
+                .field("ph", std::string_view(&e.phase, 1))
+                .field("pid", pid).field("tid", e.tid)
+                .key("ts").raw(json::fixedPoint(e.ts, 6));
             if (e.phase == 'X')
-                os << ", \"dur\": " << tsMicros(e.dur);
+                w.key("dur").raw(json::fixedPoint(e.dur, 6));
             if (e.phase == 'i')
-                os << ", \"s\": \"t\"";
-            os << ", \"name\": \"" << jsonEscape(e.name) << "\"";
+                w.field("s", "t");
+            w.field("name", e.name);
             if (!e.category.empty())
-                os << ", \"cat\": \"" << jsonEscape(e.category) << "\"";
+                w.field("cat", e.category);
             if (!e.args.empty())
-                os << ", \"args\": {" << e.args << "}";
-            os << "}";
+                w.key("args").raw("{" + e.args + "}");
+            w.endObject();
         }
     }
-    os << "\n],\n\"displayTimeUnit\": \"ns\"\n}\n";
+    w.endArray().field("displayTimeUnit", "ns").endObject();
+    os << '\n';
 }
 
 } // namespace obs

@@ -40,7 +40,7 @@ struct TraceEvent
     std::string category;
     /**
      * Pre-rendered JSON object body for "args" (without braces),
-     * e.g. "\"mhz\": 800". Empty = no args.
+     * e.g. "\"mhz\": 800", built with json::member. Empty = no args.
      */
     std::string args;
 };
@@ -82,9 +82,6 @@ struct TraceProcess
     std::string name;               //!< e.g. "adpcm/online"
     const TraceExporter *trace = nullptr;
 };
-
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(std::string_view s);
 
 /**
  * Write a complete Chrome trace JSON document. Each process gets

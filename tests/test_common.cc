@@ -1,13 +1,18 @@
 /**
  * @file
- * Tests for src/common: RNG, stats helpers, logging, types.
+ * Tests for src/common: RNG, stats helpers, logging, types, the JSON
+ * writer.
  */
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 #include "common/random.hh"
 #include "common/ring_buffer.hh"
@@ -396,6 +401,144 @@ TEST(InstWindow, RecycledSlotsAreReset)
     EXPECT_FALSE(b->dispatched);
     w.pop_front();
     EXPECT_TRUE(w.empty());
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes)
+{
+    EXPECT_EQ(json::quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    EXPECT_EQ(json::quote(std::string_view("\x01", 1)), "\"\\u0001\"");
+    EXPECT_EQ(json::quote(""), "\"\"");
+    for (int c = 0; c < 0x20; ++c) {
+        std::string want;
+        switch (c) {
+          case '\n': want = "\\n"; break;
+          case '\r': want = "\\r"; break;
+          case '\t': want = "\\t"; break;
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            want = buf;
+          }
+        }
+        EXPECT_EQ(json::quote(std::string(1, static_cast<char>(c))),
+                  "\"" + want + "\"")
+            << "byte " << c;
+    }
+    // Bytes from 0x20 up, UTF-8 included, pass through untouched.
+    EXPECT_EQ(json::quote(" ~\x7f\xc3\xa9"), "\" ~\x7f\xc3\xa9\"");
+    // Keys are escaped like values.
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject(json::Inline).field("k\"", "v\\").endObject();
+    EXPECT_EQ(os.str(), "{\"k\\\"\": \"v\\\\\"}");
+}
+
+TEST(JsonWriter, PrettyAndInlineNesting)
+{
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject().field("name", "adpcm").field("n", 3);
+    w.key("inner").beginObject().field("ok", true).field("off", false);
+    w.key("row").beginArray(json::Inline);
+    w.beginObject(json::Inline).field("a", 1).field("b", 2)
+        .endObject();
+    w.value(std::uint64_t{18446744073709551615ULL}).value(-4);
+    w.endArray().endObject();
+    w.key("list").beginArray().value("x").value("y").endArray();
+    w.endObject();
+    EXPECT_EQ(os.str(),
+              "{\n"
+              "  \"name\": \"adpcm\",\n"
+              "  \"n\": 3,\n"
+              "  \"inner\": {\n"
+              "    \"ok\": true,\n"
+              "    \"off\": false,\n"
+              "    \"row\": [{\"a\": 1, \"b\": 2}, "
+              "18446744073709551615, -4]\n"
+              "  },\n"
+              "  \"list\": [\n"
+              "    \"x\",\n"
+              "    \"y\"\n"
+              "  ]\n"
+              "}");
+}
+
+TEST(JsonWriter, EmptyContainers)
+{
+    // An empty pretty container closes on its own line at the
+    // container's indentation; an empty inline one stays "{}".
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject();
+    w.key("pretty").beginObject().endObject();
+    w.key("list").beginArray().endArray();
+    w.key("inline").beginObject(json::Inline).endObject();
+    w.key("row").beginArray(json::Inline).endArray();
+    w.endObject();
+    EXPECT_EQ(os.str(),
+              "{\n"
+              "  \"pretty\": {\n"
+              "  },\n"
+              "  \"list\": [\n"
+              "  ],\n"
+              "  \"inline\": {},\n"
+              "  \"row\": []\n"
+              "}");
+
+    std::ostringstream top;
+    json::Writer(top).beginObject().endObject();
+    EXPECT_EQ(top.str(), "{\n}");
+}
+
+TEST(JsonWriter, NumbersRoundTripAndNonFiniteIsNull)
+{
+    EXPECT_EQ(json::number(0.1), "0.10000000000000001");
+    EXPECT_EQ(json::number(270155160.5), "270155160.5");
+    EXPECT_EQ(json::number(1e6), "1000000");
+    EXPECT_EQ(json::number(-0.0), "-0");
+    EXPECT_EQ(json::number(1e300), "1.0000000000000001e+300");
+    EXPECT_EQ(json::number(std::nan("")), "null");
+    EXPECT_EQ(json::number(std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(json::number(-std::numeric_limits<double>::infinity()),
+              "null");
+
+    // The stream's own formatting state never leaks in.
+    std::ostringstream os;
+    os.precision(3);
+    json::Writer w(os);
+    w.beginArray(json::Inline).value(2.0 / 3.0)
+        .value(std::nan("")).endArray();
+    EXPECT_EQ(os.str(), "[0.66666666666666663, null]");
+
+    EXPECT_EQ(json::fixedPoint(10'000'837, 6), "10.000837");
+    EXPECT_EQ(json::fixedPoint(5, 6), "0.000005");
+    EXPECT_EQ(json::fixedPoint(0, 6), "0.000000");
+}
+
+TEST(JsonWriter, RawTokensAndPreRenderedMembers)
+{
+    // Already-canonical tokens (shortest round-trip config values)
+    // pass through verbatim, unlike value(double).
+    std::ostringstream os;
+    json::Writer w(os);
+    w.beginObject(json::Inline).key("dilation").raw("0.05")
+        .key("args").raw("{" + json::member("mhz", json::number(800)) +
+                         "}")
+        .field("measured", 0.05).endObject();
+    EXPECT_EQ(os.str(), "{\"dilation\": 0.05, \"args\": {\"mhz\": 800}, "
+                        "\"measured\": 0.050000000000000003}");
+    EXPECT_EQ(json::member("a\"b", "1"), "\"a\\\"b\": 1");
+}
+
+TEST(JsonWriter, UnbalancedCloseIsABug)
+{
+    std::ostringstream os;
+    json::Writer w(os);
+    EXPECT_THROW(w.endObject(), PanicError);
+    json::Writer dangling(os);
+    dangling.beginObject().key("k");
+    EXPECT_THROW(dangling.endObject(), PanicError);
 }
 
 } // namespace

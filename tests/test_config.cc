@@ -18,9 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json_writer.hh"
 #include "common/log.hh"
 #include "common/random.hh"
-#include "config/jsonlite.hh"
 #include "config/registry.hh"
 #include "config/runspec.hh"
 #include "core/experiment.hh"
@@ -106,8 +106,8 @@ std::string
 oneOptionDoc(const std::string &name, const std::string &value)
 {
     return std::string("{\"version\": \"") + config::runSpecVersion +
-        "\", \"options\": {\"" + name + "\": \"" +
-        config::jsonlite::escape(value) + "\"}}";
+        "\", \"options\": {\"" + name + "\": " + json::quote(value) +
+        "}}";
 }
 
 TEST(RunSpec, DefaultsResolveWithDefaultProvenance)
@@ -409,8 +409,9 @@ TEST(RunSpec, EffectiveConfigJsonRoundTripsExactly)
 
         ConfigSandbox sandbox;
         std::ostringstream doc1;
+        json::Writer w1(doc1);
         config::writeEffectiveConfigJson(
-            doc1, "", config::RunSpec::resolve(), actual);
+            w1, config::RunSpec::resolve(), actual);
 
         fs::path f1 = dir / "doc1.json";
         writeFile(f1, doc1.str());
@@ -434,7 +435,8 @@ TEST(RunSpec, EffectiveConfigJsonRoundTripsExactly)
         for (const auto &[name, value] : actual)
             actual2.emplace_back(name, loaded.str(name));
         std::ostringstream doc2;
-        config::writeEffectiveConfigJson(doc2, "", loaded, actual2);
+        json::Writer w2(doc2);
+        config::writeEffectiveConfigJson(w2, loaded, actual2);
         std::string a = doc1.str(), b = doc2.str();
         a.resize(a.find("\"provenance\""));
         b.resize(b.find("\"provenance\""));

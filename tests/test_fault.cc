@@ -619,5 +619,57 @@ TEST(FaultMatrix, FailedRowsAreNeverCached)
     fs::remove_all(dir);
 }
 
+/**
+ * The results-document branches the clean golden fixture never
+ * reaches — a failed leg's error object, a retried leg's attempts
+ * count, per-run invariant records, and the failures / exitCode /
+ * invariantViolations blocks — plus the leaderboard document of the
+ * same run, byte for byte against committed fixtures.
+ */
+TEST(FaultMatrix, FailureDocumentsMatchGoldenFixtures)
+{
+    fs::path dir = fs::temp_directory_path() / "mcd-fault-golden";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ::setenv("MCD_FAULT_PLAN",
+             "leg:adpcm/dyn1=throw;leg:adpcm/online=flaky:1", 1);
+    ::setenv("MCD_INVARIANTS", "dilation<=0.001", 1);
+    ::setenv("MCD_RESULTS_JSON", (dir / "results.json").c_str(), 1);
+    ::setenv("MCD_LEADERBOARD_JSON", (dir / "leaderboard.json").c_str(),
+             1);
+    // The stats document arms full telemetry, so the fixture also
+    // pins the per-run stats blocks nested in the results document.
+    ::setenv("MCD_STATS_OUT", (dir / "stats.json").c_str(), 1);
+
+    // Transmeta's PLL re-lock windows are what the dilation rule
+    // measures; XScale executes through a change and never trips it.
+    ExperimentConfig ec;    // empty cacheDir: caching disabled
+    ec.model = DvfsKind::Transmeta;
+    runMatrix(ec, {"adpcm"}, 1);
+
+    ::unsetenv("MCD_FAULT_PLAN");
+    ::unsetenv("MCD_INVARIANTS");
+    ::unsetenv("MCD_RESULTS_JSON");
+    ::unsetenv("MCD_LEADERBOARD_JSON");
+    ::unsetenv("MCD_STATS_OUT");
+
+    auto slurp = [](const fs::path &p) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const fs::path golden = fs::path(MCD_SOURCE_DIR) / "tests" / "golden";
+    for (const char *doc : {"results", "leaderboard"}) {
+        std::string got = slurp(dir / (std::string(doc) + ".json"));
+        std::string want = slurp(golden / (std::string(doc) +
+                                           "_adpcm_faults.json"));
+        ASSERT_FALSE(got.empty()) << doc;
+        ASSERT_FALSE(want.empty()) << doc;
+        EXPECT_EQ(got, want) << doc << " drifted from its fixture";
+    }
+    fs::remove_all(dir);
+}
+
 } // namespace
 } // namespace mcd

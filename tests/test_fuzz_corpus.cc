@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,42 +78,50 @@ TEST(FuzzCorpus, CommittedCorpusUsesTheUnifiedReproSchema)
     }
 }
 
-TEST(FuzzCorpus, LegacyV1ReprosStillLoadAndConvert)
+TEST(FuzzCorpus, CommittedReprosRewriteByteIdentically)
 {
-    // The pinned v1 fixture guards the legacy reader: pre-migration
-    // repro files in the wild must keep loading, and writing a loaded
-    // v1 repro back out produces an equivalent v2 document.
-    fs::path fixture = fs::path(MCD_SOURCE_DIR) / "tests" / "fixtures" /
-        "legacy-repro-v1.json";
-    std::ifstream in(fixture);
-    ASSERT_TRUE(in) << fixture;
-    std::optional<fuzz::Repro> v1 = fuzz::readRepro(in);
-    ASSERT_TRUE(v1.has_value());
-    EXPECT_EQ(v1->signature, "invariant:dilation@dyn5");
-    EXPECT_EQ(v1->scenario.jobs, 1);
-    EXPECT_NE(v1->scenario.configSpec.find("model=Transmeta"),
-              std::string::npos);
+    // readRepro -> writeRepro is a fixed point on every committed
+    // entry, so the writer and the files agree on every byte.
+    for (const fs::path &file : corpusFiles()) {
+        std::ifstream in(file, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        std::istringstream is(ss.str());
+        std::optional<fuzz::Repro> r = fuzz::readRepro(is);
+        ASSERT_TRUE(r.has_value()) << file;
+        std::ostringstream out;
+        fuzz::writeRepro(out, r->scenario, r->signature);
+        EXPECT_EQ(out.str(), ss.str()) << file;
+    }
+}
+
+TEST(FuzzCorpus, ReproStringsRoundTripThroughEscaping)
+{
+    // Signatures and planted specs are free text: quotes, backslashes
+    // and control bytes must survive writeRepro -> readRepro.
+    const std::string nasty("q\"b\\n\nc\x01", 8);
+    fuzz::Scenario s;
+    s.workload = fuzz::GenParams::fromSpec(
+        "seed=77;phase=int:120:2:64:1:50");
+    s.configSpec = "model=Transmeta;seed=11";
+    s.legsSpec = "dyn5=replay:0.05";
+    s.faultSpec = "leg:@/dyn5=flaky:1";
+    s.plantedSpec = "leg:@/dyn5=vfmisorder;" + nasty;
+    s.jobs = 2;
+    const std::string signature = "invariant:" + nasty + "@dyn5";
 
     std::ostringstream out;
-    fuzz::writeRepro(out, v1->scenario, v1->signature);
-    EXPECT_NE(out.str().find(fuzz::reproVersion), std::string::npos);
-    std::istringstream back(out.str());
-    std::optional<fuzz::Repro> v2 = fuzz::readRepro(back);
-    ASSERT_TRUE(v2.has_value());
-    EXPECT_EQ(v2->signature, v1->signature);
-    EXPECT_EQ(v2->scenario.configSpec, v1->scenario.configSpec);
-    EXPECT_EQ(v2->scenario.legsSpec, v1->scenario.legsSpec);
-    EXPECT_EQ(v2->scenario.faultSpec, v1->scenario.faultSpec);
-    EXPECT_EQ(v2->scenario.workload.spec(), v1->scenario.workload.spec());
-    EXPECT_EQ(v2->scenario.plantedSpec, v1->scenario.plantedSpec);
-    EXPECT_EQ(v2->scenario.jobs, v1->scenario.jobs);
-
-    // And the legacy entry still replays to its recorded signature.
-    fuzz::ReplayResult r = fuzz::replayRepro(fixture.string());
-    EXPECT_TRUE(r.loaded);
-    EXPECT_TRUE(r.matched)
-        << "recorded '" << r.recorded << "' but replay produced '"
-        << r.outcome.signature << "'";
+    fuzz::writeRepro(out, s, signature);
+    std::istringstream in(out.str());
+    std::optional<fuzz::Repro> r = fuzz::readRepro(in);
+    ASSERT_TRUE(r.has_value()) << out.str();
+    EXPECT_EQ(r->signature, signature);
+    EXPECT_EQ(r->scenario.plantedSpec, s.plantedSpec);
+    EXPECT_EQ(r->scenario.workload.spec(), s.workload.spec());
+    EXPECT_EQ(r->scenario.configSpec, s.configSpec);
+    EXPECT_EQ(r->scenario.legsSpec, s.legsSpec);
+    EXPECT_EQ(r->scenario.faultSpec, s.faultSpec);
+    EXPECT_EQ(r->scenario.jobs, s.jobs);
 }
 
 } // namespace

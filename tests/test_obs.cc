@@ -212,12 +212,6 @@ TEST(TraceExport, ChromeJsonIsWellFormedAndDeterministic)
     EXPECT_EQ(offExp.size(), 0u);
 }
 
-TEST(TraceExport, JsonEscape)
-{
-    EXPECT_EQ(obs::jsonEscape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
-    EXPECT_EQ(obs::jsonEscape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 TEST(StatsRegistry, JsonOutputIsWellFormed)
 {
     StatsRegistry reg;
@@ -228,7 +222,8 @@ TEST(StatsRegistry, JsonOutputIsWellFormed)
     h.add(9.0);
 
     std::ostringstream os;
-    reg.writeJson(os);
+    json::Writer w(os);
+    reg.writeJson(w);
     std::string text = os.str();
     expectBalancedJson(text);
     for (const char *key :
@@ -346,6 +341,27 @@ TEST(Telemetry, ProcessorCollectsStatsSamplesAndEvents)
 }
 
 /**
+ * The stats document owns its number format: a gauge comes out at
+ * full round-trip precision even into a freshly constructed stream
+ * (default precision 6), matching the results document.
+ */
+TEST(Telemetry, StatsDocumentWritesGaugesAtFullPrecision)
+{
+    StatsRegistry matrix;
+    matrix.gauge("run.energy_j").set(270155160.5);
+    matrix.gauge("ratio").set(0.1);
+
+    std::ostringstream os;
+    writeTelemetryStatsJson(os, {}, &matrix);
+    std::string text = os.str();
+    expectBalancedJson(text);
+    EXPECT_NE(text.find("\"run.energy_j\": 270155160.5"),
+              std::string::npos) << text;
+    EXPECT_NE(text.find("\"ratio\": 0.10000000000000001"),
+              std::string::npos) << text;
+}
+
+/**
  * Matrix integration: identical telemetry output for serial and
  * parallel execution, and across repeated runs (no wall-clock, host
  * pid, pointer, or scheduling dependence anywhere in the documents).
@@ -439,7 +455,8 @@ TEST(StatsRegistry, HistogramJsonCarriesPercentiles)
     reg.histogram("empty", {1.0});
 
     std::ostringstream os;
-    reg.writeJson(os);
+    json::Writer w(os);
+    reg.writeJson(w);
     std::string text = os.str();
     expectBalancedJson(text);
     for (const char *key : {"\"p50\"", "\"p90\"", "\"p99\""})
