@@ -10,8 +10,10 @@
  * suppresses short-term reconfiguration.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 
@@ -25,7 +27,7 @@ printTrace(const char *model_name, const RunResult &r)
     std::printf("art (%s) -- frequency changes per domain\n",
                 model_name);
     for (Domain d : scalableDomains) {
-        const auto &tr = r.freqTraces[domainIndex(d)];
+        const auto &tr = r.telemetry->sampler().frequencyTrace(d);
         std::printf("  %-3s t=0.000ms 1000 MHz", domainShortName(d));
         // Decimate the smooth XScale ramps: print a point when the
         // frequency moved >= 25 MHz since the last printed one, plus
@@ -62,28 +64,33 @@ main(int argc, char **argv)
     std::printf("Figure 8: Frequency changes for art generated by the "
                 "off-line algorithm (dynamic-1%%)\n\n");
 
+    std::vector<BenchmarkResults> rows;
     std::uint64_t changesTm = 0, changesXs = 0;
-    // runDynamic() has no per-leg guard (there is no matrix to keep
-    // alive here), so configuration and simulation errors surface as
-    // a clean usage-error exit instead of an unhandled exception.
-    try {
-        for (DvfsKind model : {DvfsKind::Transmeta, DvfsKind::XScale}) {
-            ExperimentConfig ec = benchutil::configFromEnv(model);
-            if (config::RunSpec::resolve().isDefault("scale"))
-                ec.scale = 3;   // longer run: more phase alternations
-            ec.recordFreqTrace = true;
-            ExperimentRunner runner(ec);
-            auto dyn = runner.runDynamic("art", ec.dilationLow);
-            printTrace(dvfsKindName(model), dyn.result);
-            std::uint64_t changes = 0;
-            for (int d = 1; d < numDomains; ++d)
-                changes += dyn.result.domains[d].reconfigurations;
-            (model == DvfsKind::Transmeta ? changesTm : changesXs) =
-                changes;
+    for (DvfsKind model : {DvfsKind::Transmeta, DvfsKind::XScale}) {
+        ExperimentConfig ec = benchutil::configFromEnv(model);
+        if (config::RunSpec::resolve().isDefault("scale"))
+            ec.scale = 3;   // longer run: more phase alternations
+        ec.legs = {LegSpec::scheduleReplay("dyn1", ec.dilationLow)};
+        // The trace lives only in the run's telemetry, which cached
+        // rows never carry: the leg always simulates, so there is no
+        // cache to read or fill.
+        ec.telemetry.freqSeries = true;
+        ec.cacheDir.clear();
+        BenchmarkResults r = benchutil::orUsageError([&] {
+            return runMatrix(ec, {"art"},
+                             config::RunSpec::resolve().jobs())[0];
+        });
+        const RunResult &dyn = r.leg("dyn1");
+        if (dyn.failed()) {
+            std::printf("art (%s) -- failed\n\n", dvfsKindName(model));
+        } else {
+            printTrace(dvfsKindName(model), dyn);
         }
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        return 2;
+        std::uint64_t changes = 0;
+        for (int d = 1; d < numDomains; ++d)
+            changes += dyn.domains[d].reconfigurations;
+        (model == DvfsKind::Transmeta ? changesTm : changesXs) = changes;
+        rows.push_back(std::move(r));
     }
 
     std::printf("Paper shape -- XScale makes at least as many frequency "
@@ -92,5 +99,6 @@ main(int argc, char **argv)
                 changesXs >= changesTm ? "REPRODUCED" : "NOT REPRODUCED",
                 static_cast<unsigned long long>(changesTm),
                 static_cast<unsigned long long>(changesXs));
-    return changesXs >= changesTm ? 0 : 1;
+    return std::max(benchutil::finish(rows),
+                    changesXs >= changesTm ? 0 : 1);
 }

@@ -3,7 +3,9 @@
  * Online control walk-through: run a benchmark with the queue-driven
  * attack/decay controller — no profiling pass, no offline tool — and
  * compare it against the MCD baseline and, for context, an offline
- * dynamic-5% oracle run.
+ * dynamic-5% oracle run. All three come from one experiment matrix
+ * with the leg set {online, dyn5}, so the MCD baseline doubles as the
+ * oracle's profiling run.
  *
  *   ./online_control [benchmark] [xscale|transmeta] [interval-us]
  *                    [--trace-out <path>] [--stats-out <path>]
@@ -55,23 +57,32 @@ main(int argc, char **argv)
     if (telemetry.wanted())
         ec.telemetry = obs::TelemetryConfig::full();
     telemetry.apply(ec.telemetry);
-    ExperimentRunner runner(ec);
+    ec.legs = {LegSpec::controllerLeg("online", "online-queue"),
+               LegSpec::scheduleReplay("dyn5", 0.05)};
 
-    std::printf("[1/2] MCD baseline + online attack/decay run "
-                "(%s model, %.1f us control interval)...\n",
+    std::printf("Running the MCD baseline, the online attack/decay "
+                "controller (%s model, %.1f us control interval) and "
+                "the offline dynamic-5%% oracle...\n",
                 dvfsKindName(model), ec.online.interval / 1e6);
-    ExperimentRunner::OnlineRun on = runner.runOnline(bench);
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark(bench);
+    // The leg guard has already reported any failed leg on stderr.
+    if (int code = matrixExitCode({r}))
+        return code;
+    const RunResult &base = r.mcdBaseline;
+    const RunResult &online = r.leg("online");
+    const RunResult &dyn = r.leg("dyn5");
 
-    double deg = static_cast<double>(on.online.execTime) /
-        static_cast<double>(on.mcdBaseline.execTime) - 1.0;
-    double esave = 1.0 - on.online.totalEnergy / on.mcdBaseline.totalEnergy;
-    double edp = 1.0 - on.online.energyDelay / on.mcdBaseline.energyDelay;
+    double deg = static_cast<double>(online.execTime) /
+        static_cast<double>(base.execTime) - 1.0;
+    double esave = 1.0 - online.totalEnergy / base.totalEnergy;
+    double edp = 1.0 - online.energyDelay / base.energyDelay;
+    std::printf("\nOnline attack/decay controller\n");
     std::printf("      vs MCD baseline: %s slower, %s energy saved, "
                 "EDP %s\n",
                 formatPercent(deg).c_str(), formatPercent(esave).c_str(),
                 formatPercent(edp).c_str());
     for (Domain d : scalableDomains) {
-        const DomainSummary &s = on.online.domains[domainIndex(d)];
+        const DomainSummary &s = online.domains[domainIndex(d)];
         std::printf("      %s: avg %s, range [%s, %s], %llu "
                     "reconfigurations\n",
                     domainShortName(d),
@@ -83,24 +94,22 @@ main(int argc, char **argv)
 
     // The oracle bound: what the offline tool achieves with the whole
     // trace in hand and a 5% dilation budget.
-    std::printf("\n[2/2] Offline dynamic-5%% oracle for comparison...\n");
-    ExperimentRunner::DynamicRun dyn = runner.runDynamic(bench, 0.05);
-    double odeg = static_cast<double>(dyn.result.execTime) /
-        static_cast<double>(on.mcdBaseline.execTime) - 1.0;
-    double osave =
-        1.0 - dyn.result.totalEnergy / on.mcdBaseline.totalEnergy;
+    std::printf("\nOffline dynamic-5%% oracle for comparison\n");
+    double odeg = static_cast<double>(dyn.execTime) /
+        static_cast<double>(base.execTime) - 1.0;
+    double osave = 1.0 - dyn.totalEnergy / base.totalEnergy;
     std::printf("      vs MCD baseline: %s slower, %s energy saved, "
                 "EDP %s\n",
                 formatPercent(odeg).c_str(), formatPercent(osave).c_str(),
-                formatPercent(1.0 - dyn.result.energyDelay /
-                              on.mcdBaseline.energyDelay).c_str());
+                formatPercent(1.0 - dyn.energyDelay /
+                              base.energyDelay).c_str());
     std::printf("\n      online achieved %.0f%% of the oracle's energy "
                 "savings with no profiling pass\n\n",
                 osave > 0 ? 100.0 * esave / osave : 0.0);
 
-    telemetry.write({{bench + "/mcdBaseline", &on.mcdBaseline},
-                     {bench + "/online", &on.online},
-                     {bench + "/dyn5", &dyn.result}});
+    telemetry.write({{bench + "/mcdBaseline", &base},
+                     {bench + "/online", &online},
+                     {bench + "/dyn5", &dyn}});
     return 0;
     });
 }

@@ -1360,33 +1360,6 @@ ExperimentRunner::globalLeg(const Program &prog,
     return best;
 }
 
-ExperimentRunner::DynamicRun
-ExperimentRunner::runDynamic(const std::string &name,
-                             double target_dilation)
-{
-    Program prog = workloads::build(name, config.scale);
-
-    // Profiling run: baseline MCD at full speed, trace collection on.
-    SimConfig profCfg = makeSimConfig(ClockingStyle::Mcd);
-    profCfg.collectTrace = true;
-    McdProcessor prof(profCfg, prog);
-    prof.run();
-
-    AnalysisResult analysis =
-        analyzerFor(target_dilation).analyze(prof.trace().trace());
-
-    SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd);
-    dynCfg.dvfs = config.model;
-    dynCfg.dvfsTimeScale = config.dvfsTimeScale;
-    dynCfg.schedule = &analysis.schedule;
-    dynCfg.recordFreqTrace = config.recordFreqTrace;
-
-    DynamicRun out;
-    out.result = runOnce(prog, dynCfg);
-    out.analysis = std::move(analysis);
-    return out;
-}
-
 RunResult
 ExperimentRunner::runGuarded(const std::string &bench,
                              const std::string &leg,
@@ -1636,17 +1609,6 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
 
     storeCache(r);
     return r;
-}
-
-ExperimentRunner::OnlineRun
-ExperimentRunner::runOnline(const std::string &name)
-{
-    Program prog = workloads::build(name, config.scale);
-    OnlineRun out;
-    out.mcdBaseline = runOnce(prog, makeSimConfig(ClockingStyle::Mcd));
-    out.online = controllerLeg(
-        prog, LegSpec::controllerLeg("online", "online-queue"), {});
-    return out;
 }
 
 namespace {

@@ -127,7 +127,6 @@ struct ExperimentConfig
     double dilationLow = 0.01;      //!< dynamic-1% target
     double dilationHigh = 0.05;     //!< dynamic-5% target
     std::uint64_t seed = 1;
-    bool recordFreqTrace = false;   //!< per-domain traces (Figure 8)
     std::string cacheDir;           //!< empty = caching disabled
 
     /**
@@ -474,31 +473,6 @@ class ExperimentRunner
 
     /** Cache file path for @p name (empty when caching is disabled). */
     std::string cachePath(const std::string &name) const;
-
-    /**
-     * Run only the pieces needed for a dynamic configuration:
-     * profile, analyze, dynamic run. Used by Figure 8/9 benches and
-     * the examples.
-     */
-    struct DynamicRun
-    {
-        RunResult result;
-        AnalysisResult analysis;
-    };
-    DynamicRun runDynamic(const std::string &name,
-                          double target_dilation);
-
-    /**
-     * Run only the online-control comparison: the MCD baseline and
-     * the OnlineQueueController run (no offline analysis, no global
-     * search). Never cached — cheap enough to rerun.
-     */
-    struct OnlineRun
-    {
-        RunResult mcdBaseline;
-        RunResult online;
-    };
-    OnlineRun runOnline(const std::string &name);
 
     const ExperimentConfig &cfg() const { return config; }
 

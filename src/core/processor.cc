@@ -74,11 +74,7 @@ McdProcessor::McdProcessor(const SimConfig &config, const Program &program)
         pipe->bindSampling(samplingPolicy.get());
     }
 
-    // Telemetry context: the Figure 8 trace now reads the sampler's
-    // frequency series, so recordFreqTrace forces that channel on even
-    // when the caller's TelemetryConfig is all-off.
     obs::TelemetryConfig tc = cfg.telemetry;
-    tc.freqSeries = tc.freqSeries || cfg.recordFreqTrace;
     // Sampled invariants (queue_fill, energy_decreasing) need the
     // periodic stream: an invariants-only config gets the default
     // sampling period rather than silently checking nothing.
@@ -422,13 +418,8 @@ McdProcessor::run()
             ? freqAcc[d].average() : clocks[d]->frequency();
         s.minFrequency = freqAcc[d].minimum();
         s.maxFrequency = freqAcc[d].maximum();
-        if (mcd && dvfs[d]) {
+        if (mcd && dvfs[d])
             s.reconfigurations = dvfs[d]->reconfigurations();
-            if (cfg.recordFreqTrace) {
-                r.freqTraces[d] = telem->sampler()
-                    .frequencyTrace(static_cast<Domain>(d));
-            }
-        }
     }
 
     if (samplingPolicy) {

@@ -68,13 +68,11 @@ struct SimConfig
      */
     const ReconfigSchedule *schedule = nullptr;
 
-    /** Record per-domain frequency traces (Figure 8). */
-    bool recordFreqTrace = false;
-
     /**
      * Telemetry channels for this run (stats registry, periodic
-     * sampler, Chrome trace events). recordFreqTrace implies the
-     * frequency series channel even when this is all-off.
+     * sampler, Chrome trace events). The freqSeries channel carries
+     * the per-domain frequency traces of Figure 8, read back through
+     * RunResult::telemetry->sampler().frequencyTrace(d).
      */
     obs::TelemetryConfig telemetry;
 
@@ -176,9 +174,6 @@ struct RunResult
     CacheStats l1i, l1d, l2;
     std::uint64_t bpredLookups = 0;
     double bpredMispredictRate = 0.0;
-
-    /** Per-domain frequency traces when recordFreqTrace was set. */
-    std::array<std::vector<FreqTracePoint>, numDomains> freqTraces;
 
     /** Sampling accounting when the run was sampled; unset otherwise.
      *  execTime/totalEnergy/committed above already include the

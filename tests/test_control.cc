@@ -287,13 +287,15 @@ void
 expectOnlineSavesEnergy(const char *bench)
 {
     ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    ExperimentRunner::OnlineRun on = runner.runOnline(bench);
-    EXPECT_LT(on.online.totalEnergy, on.mcdBaseline.totalEnergy)
+    ec.legs = {LegSpec::controllerLeg("online", "online-queue")};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark(bench);
+    ASSERT_FALSE(r.anyFailed()) << bench;
+    const RunResult &online = r.leg("online");
+    EXPECT_LT(online.totalEnergy, r.mcdBaseline.totalEnergy)
         << bench << ": online controller saved no energy";
     // And it must actually reconfigure something.
     std::uint64_t reconfigs = 0;
-    for (const DomainSummary &d : on.online.domains)
+    for (const DomainSummary &d : online.domains)
         reconfigs += d.reconfigurations;
     EXPECT_GT(reconfigs, 0u) << bench;
 }

@@ -9,41 +9,104 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
 #include "core/experiment.hh"
+#include "core/processor.hh"
+#include "workloads/workloads.hh"
 
 namespace mcd {
 namespace {
 
-TEST(Experiment, DynamicRunProducesScheduleAndResult)
+/**
+ * The expcache record of @p r's two reference runs plus the leg named
+ * @p leg (reference runs only when @p leg is empty): every serialized
+ * field, compared as bytes.
+ */
+std::string
+cacheRecord(const BenchmarkResults &r, std::string_view leg = {})
+{
+    BenchmarkResults only;
+    only.name = r.name;
+    only.baseline = r.baseline;
+    only.mcdBaseline = r.mcdBaseline;
+    if (!leg.empty()) {
+        const ControllerLeg *l = r.findLeg(leg);
+        EXPECT_NE(l, nullptr) << leg;
+        if (l)
+            only.legs = {*l};
+    }
+    std::ostringstream os;
+    expcache::write(os, only);
+    return os.str();
+}
+
+TEST(Experiment, ReplayLegProducesScheduleAndResult)
 {
     ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("epic", 0.05);
-    EXPECT_GT(dyn.analysis.intervals, 0u);
-    EXPECT_GT(dyn.analysis.eventsTotal, 50'000u);
-    EXPECT_GT(dyn.result.committed, 100'000u);
+    ec.legs = {LegSpec::scheduleReplay("dyn5", 0.05)};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark("epic");
+    ASSERT_FALSE(r.anyFailed());
+    const RunResult &dyn = r.leg("dyn5");
+    EXPECT_GT(dyn.committed, 100'000u);
     // At least the FP domain must have been scaled for this integer
     // filter kernel.
-    EXPECT_LT(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    EXPECT_LT(dyn.domains[domainIndex(Domain::FloatingPoint)]
                   .avgFrequency, 900e6);
+
+    // The offline tool run by hand on the same profiling trace picks
+    // the schedule the leg replayed.
+    SimConfig prof;
+    prof.clocking = ClockingStyle::Mcd;
+    prof.seed = ec.seed;
+    prof.collectTrace = true;
+    McdProcessor proc(prof, workloads::build("epic", ec.scale));
+    proc.run();
+    AnalysisResult analysis = OfflineAnalyzer(OfflineAnalyzer::configFor(
+        0.05, ec.model, ec.dvfsTimeScale)).analyze(proc.trace().trace());
+    EXPECT_GT(analysis.intervals, 0u);
+    EXPECT_GT(analysis.eventsTotal, 50'000u);
+    EXPECT_EQ(r.scheduleSize("dyn5"), analysis.schedule.size());
 }
 
 TEST(Experiment, AnalysisPlansRespectDilationDirection)
 {
     // A tighter dilation target must choose frequencies that are
-    // greater than or equal to a looser one, domain by domain.
+    // greater than or equal to a looser one, domain by domain. Both
+    // legs cluster from the one shared profile and shake.
     ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto tight = runner.runDynamic("gcc", 0.01);
-    auto loose = runner.runDynamic("gcc", 0.10);
+    ec.legs = {LegSpec::scheduleReplay("tight", 0.01),
+               LegSpec::scheduleReplay("loose", 0.10)};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark("gcc");
+    ASSERT_FALSE(r.anyFailed());
     for (Domain d : scalableDomains) {
         int di = domainIndex(d);
-        EXPECT_GE(tight.result.domains[di].avgFrequency + 1e6,
-                  loose.result.domains[di].avgFrequency);
+        EXPECT_GE(r.leg("tight").domains[di].avgFrequency + 1e6,
+                  r.leg("loose").domains[di].avgFrequency);
+    }
+}
+
+TEST(Experiment, LegSubsetsMatchTheFullMatrix)
+{
+    // Running a leg alone must give the same leg as running it inside
+    // the paper's matrix: the figure drivers and examples that ask for
+    // one or two legs rest on this.
+    for (const char *bench : {"adpcm", "mcf"}) {
+        SCOPED_TRACE(bench);
+        BenchmarkResults full =
+            ExperimentRunner(ExperimentConfig{}).runBenchmark(bench);
+        ASSERT_FALSE(full.anyFailed());
+        for (const char *leg : {"dyn5", "online"}) {
+            SCOPED_TRACE(leg);
+            ExperimentConfig ec;
+            ec.legs = {full.findLeg(leg)->spec};
+            BenchmarkResults sub = ExperimentRunner(ec).runBenchmark(bench);
+            ASSERT_FALSE(sub.anyFailed());
+            EXPECT_EQ(cacheRecord(sub, leg), cacheRecord(full, leg));
+        }
     }
 }
 
@@ -97,15 +160,7 @@ TEST(Experiment, TraceSkipLeavesMcdBaselineBitIdentical)
     EXPECT_EQ(a.mcdBaseline.totalEnergy, b.mcdBaseline.totalEnergy);
 
     // Every serialized field, via the cache record format.
-    auto record = [](const BenchmarkResults &r) {
-        BenchmarkResults only;
-        only.name = r.name;
-        only.mcdBaseline = r.mcdBaseline;
-        std::ostringstream os;
-        expcache::write(os, only);
-        return os.str();
-    };
-    EXPECT_EQ(record(a), record(b));
+    EXPECT_EQ(cacheRecord(a), cacheRecord(b));
     EXPECT_EQ(a.leg("online").totalEnergy, b.leg("online").totalEnergy);
 }
 

@@ -256,5 +256,36 @@ TEST(ExperimentCache, StaleVersionRecomputesWithoutQuarantine)
     fs::remove_all(dir);
 }
 
+TEST(ExperimentCache, TelemetryBypassesAWarmCache)
+{
+    fs::path dir = fs::temp_directory_path() / "mcd-cache-telemetry";
+    fs::remove_all(dir);
+
+    ExperimentConfig ec;
+    ec.cacheDir = dir.string();
+    ec.legs = {LegSpec::scheduleReplay("dyn5", 0.05)};
+    ExperimentRunner plain(ec);
+    BenchmarkResults warm = plain.runBenchmark("adpcm");
+    ASSERT_FALSE(warm.anyFailed());
+    ASSERT_TRUE(fs::exists(plain.cachePath("adpcm")));
+
+    // Telemetry is not part of the key, so the warm file sits exactly
+    // where this runner looks; it must simulate anyway, because the
+    // frequency trace lives only in telemetry the cache never carries.
+    ExperimentConfig tc = ec;
+    tc.telemetry.freqSeries = true;
+    ExperimentRunner traced(tc);
+    EXPECT_EQ(traced.cachePath("adpcm"), plain.cachePath("adpcm"));
+    BenchmarkResults fresh = traced.runBenchmark("adpcm");
+    ASSERT_FALSE(fresh.anyFailed());
+    const RunResult &dyn = fresh.leg("dyn5");
+    ASSERT_NE(dyn.telemetry, nullptr);
+    EXPECT_FALSE(dyn.telemetry->sampler()
+                     .frequencyTrace(Domain::FloatingPoint).empty());
+    // Telemetry does not perturb the simulation.
+    expectEqual(fresh, warm);
+    fs::remove_all(dir);
+}
+
 } // namespace
 } // namespace mcd

@@ -15,6 +15,20 @@ namespace {
 /** Three benchmarks spanning compute-, memory-, and FP-bound. */
 const char *kBenches[] = {"adpcm", "mcf", "power"};
 
+/**
+ * A matrix with one schedule-replay leg at @p dilation on @p bench
+ * (the offline tool's profile, shake, cluster and replay), returning
+ * that leg's run.
+ */
+RunResult
+replayLeg(const char *bench, double dilation, ExperimentConfig ec = {})
+{
+    ec.legs = {LegSpec::scheduleReplay("dyn", dilation)};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark(bench);
+    EXPECT_FALSE(r.anyFailed()) << bench;
+    return r.leg("dyn");
+}
+
 TEST(Integration, PaperOrderingAcrossKinds)
 {
     double dynEdp = 0.0, globalEdp = 0.0, dyn1Edp = 0.0;
@@ -46,19 +60,13 @@ TEST(Integration, TransmetaInferiorToXScale)
     ExperimentConfig tm;
     tm.model = DvfsKind::Transmeta;
     std::uint64_t rcXs = 0, rcTm = 0;
-    double esXs = 0.0, esTm = 0.0;
     for (const char *name : {"art", "gcc"}) {
-        ExperimentRunner rxs(xs), rtm(tm);
-        auto a = rxs.runDynamic(name, 0.05);
-        auto b = rtm.runDynamic(name, 0.05);
+        RunResult a = replayLeg(name, 0.05, xs);
+        RunResult b = replayLeg(name, 0.05, tm);
         for (int d = 1; d < numDomains; ++d) {
-            rcXs += a.result.domains[d].reconfigurations;
-            rcTm += b.result.domains[d].reconfigurations;
+            rcXs += a.domains[d].reconfigurations;
+            rcTm += b.domains[d].reconfigurations;
         }
-        esXs += a.result.totalEnergy;
-        esTm += b.result.totalEnergy;
-        (void)esXs;
-        (void)esTm;
     }
     EXPECT_GT(rcXs, rcTm);
 }
@@ -67,10 +75,8 @@ TEST(Integration, FpDomainRidesAtMinimumForIntegerCode)
 {
     // Paper Section 4: the FP domain can be scaled to the lowest
     // frequency in many (integer) applications.
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("bzip2", 0.05);
-    EXPECT_NEAR(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    RunResult dyn = replayLeg("bzip2", 0.05);
+    EXPECT_NEAR(dyn.domains[domainIndex(Domain::FloatingPoint)]
                     .avgFrequency, 250e6, 30e6);
 }
 
@@ -78,12 +84,10 @@ TEST(Integration, HighIpcCodeResistsScaling)
 {
     // g721: balanced mix and IPC > 2; integer and load/store domains
     // must stay near full speed (paper Section 4).
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("g721", 0.01);
-    EXPECT_GT(dyn.result.domains[domainIndex(Domain::Integer)]
+    RunResult dyn = replayLeg("g721", 0.01);
+    EXPECT_GT(dyn.domains[domainIndex(Domain::Integer)]
                   .avgFrequency, 900e6);
-    EXPECT_GT(dyn.result.domains[domainIndex(Domain::LoadStore)]
+    EXPECT_GT(dyn.domains[domainIndex(Domain::LoadStore)]
                   .avgFrequency, 800e6);
 }
 
@@ -91,12 +95,10 @@ TEST(Integration, MemoryBoundCodeScalesDeeply)
 {
     // mcf: cache-miss slack lets both back-end compute domains scale
     // far down with little performance cost (paper's gcc/mcf story).
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("mcf", 0.05);
-    EXPECT_LT(dyn.result.domains[domainIndex(Domain::Integer)]
+    RunResult dyn = replayLeg("mcf", 0.05);
+    EXPECT_LT(dyn.domains[domainIndex(Domain::Integer)]
                   .avgFrequency, 900e6);
-    EXPECT_NEAR(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    EXPECT_NEAR(dyn.domains[domainIndex(Domain::FloatingPoint)]
                     .avgFrequency, 250e6, 30e6);
 }
 
@@ -105,11 +107,11 @@ TEST(Integration, ArtFrequencyTraceTracksPhases)
     // Figure 8: art's FP domain changes frequency across program
     // phases under the XScale model.
     ExperimentConfig ec;
-    ec.recordFreqTrace = true;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("art", 0.01);
+    ec.telemetry.freqSeries = true;
+    RunResult dyn = replayLeg("art", 0.01, ec);
+    ASSERT_NE(dyn.telemetry, nullptr);
     const auto &fpTrace =
-        dyn.result.freqTraces[domainIndex(Domain::FloatingPoint)];
+        dyn.telemetry->sampler().frequencyTrace(Domain::FloatingPoint);
     EXPECT_GE(fpTrace.size(), 2u);
     Hertz lo = 1e18, hi = 0;
     for (const FreqTracePoint &pt : fpTrace) {

@@ -253,7 +253,7 @@ TEST(Telemetry, FreqTraceMatchesLegacyEngineTrace)
     cfg.dvfs = DvfsKind::XScale;    // smooth ramps: many trace points
     cfg.dvfsTimeScale = 0.2;
     cfg.schedule = &sched;
-    cfg.recordFreqTrace = true;
+    cfg.telemetry.freqSeries = true;
     cfg.maxInstructions = 60000;
 
     McdProcessor proc(cfg, p);
@@ -266,7 +266,8 @@ TEST(Telemetry, FreqTraceMatchesLegacyEngineTrace)
     for (int d = 0; d < numDomains; ++d) {
         const auto &legacy =
             proc.dvfsEngine(static_cast<Domain>(d))->trace();
-        const auto &fromSampler = r.freqTraces[d];
+        const auto &fromSampler =
+            r.telemetry->sampler().frequencyTrace(static_cast<Domain>(d));
         ASSERT_EQ(fromSampler.size(), legacy.size()) << domainName(
             static_cast<Domain>(d));
         for (std::size_t i = 0; i < legacy.size(); ++i) {

@@ -103,7 +103,7 @@ TEST(Processor, ScheduleDrivesReconfigurations)
     cfg.dvfs = DvfsKind::XScale;
     cfg.dvfsTimeScale = 0.2;
     cfg.schedule = &sched;
-    cfg.recordFreqTrace = true;
+    cfg.telemetry.freqSeries = true;
     McdProcessor proc(cfg, p);
     RunResult r = proc.run();
     EXPECT_EQ(r.domains[domainIndex(Domain::FloatingPoint)]
@@ -113,7 +113,7 @@ TEST(Processor, ScheduleDrivesReconfigurations)
     EXPECT_NEAR(r.domains[domainIndex(Domain::FloatingPoint)]
                     .minFrequency, 250e6, 1e6);
     EXPECT_FALSE(
-        r.freqTraces[domainIndex(Domain::Integer)].empty());
+        r.telemetry->sampler().frequencyTrace(Domain::Integer).empty());
 }
 
 TEST(Processor, TransmetaScheduleBlocksDomain)
