@@ -28,28 +28,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "common/spec.hh"
 #include "fuzz/soak.hh"
 
 #include "example_util.hh"
-
-namespace {
-
-std::uint64_t
-parseU64Arg(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(value, &end, 10);
-    if (!end || *end) {
-        std::fprintf(stderr, "%s requires an unsigned integer (got "
-                     "'%s')\n", flag, value);
-        std::exit(2);
-    }
-    return v;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -92,8 +77,9 @@ main(int argc, char **argv)
             } else if (arg == "--no-shrink") {
                 shrink = false;
             } else if (arg == "--shrink-runs") {
-                shrinkRuns = static_cast<int>(
-                    parseU64Arg("--shrink-runs", value()));
+                shrinkRuns = static_cast<int>(mcd::spec::parseInt(
+                    "--shrink-runs", value(), 0,
+                    std::numeric_limits<int>::max()));
             } else if (arg == "--quiet") {
                 progress = false;
             } else if (arg == "--repro") {

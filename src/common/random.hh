@@ -31,6 +31,25 @@ splitmix64(std::uint64_t &state)
 }
 
 /**
+ * FNV-1a 64-bit hash of @p s: the stream-name hash below, and the
+ * expcache checksum, leg-set key hash, fuzz workload names and soak
+ * row digests. Stable across platforms and processes. The offset
+ * basis is one digit short of the published 14695981039346656037;
+ * it stays, because every cache file name, workload name and stream
+ * seed in the tree derives from it.
+ */
+inline std::uint64_t
+fnv1a(std::string_view s)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/**
  * Derive an independent sub-seed for the named stream of a root seed.
  *
  * Different stream names (or different roots) give statistically
@@ -48,12 +67,7 @@ splitmix64(std::uint64_t &state)
 inline std::uint64_t
 streamSeed(std::uint64_t root, std::string_view stream)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : stream) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    std::uint64_t s = root ^ h;
+    std::uint64_t s = root ^ fnv1a(stream);
     splitmix64(s);
     return splitmix64(s);
 }

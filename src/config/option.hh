@@ -50,7 +50,7 @@ struct OptionDef
     bool affectsResults;
 
     /** Optional range check, run after the type-level parse. Fatal
-     *  (via envutil parsers' conventions) on violation. */
+     *  (via the common/spec.hh conventions) on violation. */
     void (*check)(const OptionDef &opt, const std::string &what,
                   const std::string &value);
 };

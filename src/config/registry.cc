@@ -4,8 +4,8 @@
 #include <mutex>
 #include <ostream>
 
-#include "common/env.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace mcd {
 namespace config {
@@ -42,7 +42,7 @@ void
 checkAtLeastOne(const OptionDef &, const std::string &what,
                 const std::string &value)
 {
-    if (envutil::parseInt(what, value) < 1)
+    if (spec::parseInt(what, value) < 1)
         fatal(what + ": must be >= 1 (got '" + value + "')");
 }
 
@@ -50,8 +50,15 @@ void
 checkNonNegative(const OptionDef &, const std::string &what,
                  const std::string &value)
 {
-    if (envutil::parseInt(what, value) < 0)
+    if (spec::parseInt(what, value) < 0)
         fatal(what + ": must be >= 0 (got '" + value + "')");
+}
+
+void
+checkSoakJobs(const OptionDef &, const std::string &what,
+              const std::string &value)
+{
+    spec::parseInt(what, value, 1, kMaxSoakJobs);
 }
 
 /**
@@ -160,7 +167,7 @@ const std::vector<OptionDef> table = {
      checkNonNegative},
     {"soakJobs", "MCD_SOAK_JOBS", "--soak-jobs", Type::Int, "1",
      "Divergence-check job count for ok soak tuples.", "soak", false,
-     checkAtLeastOne},
+     checkSoakJobs},
     {"soakOut", "MCD_SOAK_OUT", "--soak-out", Type::Path, "",
      "Soak output directory (journal + minimized repro corpus).",
      "soak", false, nullptr},

@@ -18,6 +18,10 @@
 namespace mcd {
 namespace config {
 
+/** Upper bound of the soakJobs option, and so of the jobs field of
+ *  every repro file the soak writes (readRepro rejects larger). */
+constexpr int kMaxSoakJobs = 64;
+
 /** Every registered option, sorted by (section, name). */
 const std::vector<OptionDef> &options();
 

@@ -7,8 +7,8 @@
 #include <set>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "common/thread_pool.hh"
 #include "config/jsonlite.hh"
 
@@ -22,13 +22,7 @@ const char *const runSpecVersion = "mcd-runspec-v1";
 std::vector<std::string>
 splitList(const std::string &csv)
 {
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream ss(csv);
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
+    return spec::split(csv, ',');
 }
 
 std::string
@@ -47,13 +41,13 @@ canonicalValue(const OptionDef &opt, const std::string &what,
 {
     switch (opt.type) {
       case Type::Bool:
-        return envutil::parseBool(what, raw) ? "true" : "false";
+        return spec::parseBool(what, raw) ? "true" : "false";
       case Type::Int:
-        return std::to_string(envutil::parseInt(what, raw));
+        return std::to_string(spec::parseInt(what, raw));
       case Type::U64:
-        return std::to_string(envutil::parseU64(what, raw));
+        return std::to_string(spec::parseU64(what, raw));
       case Type::Double:
-        return canonicalDouble(envutil::parseDouble(what, raw));
+        return canonicalDouble(spec::parseDouble(what, raw));
       case Type::String:
       case Type::Path:
         return raw;
@@ -293,25 +287,25 @@ RunSpec::str(std::string_view name) const
 bool
 RunSpec::boolean(std::string_view name) const
 {
-    return envutil::parseBool(std::string(name), entry(name).value);
+    return spec::parseBool(std::string(name), entry(name).value);
 }
 
 long long
 RunSpec::integer(std::string_view name) const
 {
-    return envutil::parseInt(std::string(name), entry(name).value);
+    return spec::parseInt(std::string(name), entry(name).value);
 }
 
 std::uint64_t
 RunSpec::u64(std::string_view name) const
 {
-    return envutil::parseU64(std::string(name), entry(name).value);
+    return spec::parseU64(std::string(name), entry(name).value);
 }
 
 double
 RunSpec::real(std::string_view name) const
 {
-    return envutil::parseDouble(std::string(name), entry(name).value);
+    return spec::parseDouble(std::string(name), entry(name).value);
 }
 
 int

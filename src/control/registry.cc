@@ -1,9 +1,9 @@
 #include "registry.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "control/governor.hh"
 #include "control/pid.hh"
 #include "control/table_policy.hh"
@@ -11,34 +11,13 @@
 namespace mcd {
 
 std::vector<ControllerParam>
-parseControllerParams(const std::string &spec, const std::string &what)
+parseControllerParams(const std::string &text, const std::string &what)
 {
     std::vector<ControllerParam> out;
-    std::string item;
-    for (std::size_t i = 0;; ++i) {
-        if (i < spec.size() && spec[i] != ',') {
-            item += spec[i];
-            continue;
-        }
-        if (!item.empty()) {
-            std::size_t eq = item.find('=');
-            if (eq == std::string::npos || eq == 0 ||
-                eq + 1 == item.size()) {
-                fatal(what + ": malformed param '" + item +
-                      "' (expected key=value)");
-            }
-            const std::string key = item.substr(0, eq);
-            const std::string val = item.substr(eq + 1);
-            char *end = nullptr;
-            double v = std::strtod(val.c_str(), &end);
-            if (!end || *end != '\0')
-                fatal(what + ": param '" + key +
-                      "' has non-numeric value '" + val + "'");
-            out.emplace_back(key, v);
-            item.clear();
-        }
-        if (i >= spec.size())
-            break;
+    for (const std::string &item : spec::split(text, ',')) {
+        auto [key, val] = spec::keyValue(what, item);
+        double v = spec::parseDouble(what + ": param '" + key + "'", val);
+        out.emplace_back(std::move(key), v);
     }
     return out;
 }

@@ -65,7 +65,7 @@ using ControllerParam = std::pair<std::string, double>;
  * @p what in the message. An empty spec parses to an empty list.
  */
 std::vector<ControllerParam>
-parseControllerParams(const std::string &spec, const std::string &what);
+parseControllerParams(const std::string &text, const std::string &what);
 
 class ControllerRegistry
 {

@@ -1,10 +1,10 @@
 #include "experiment.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +17,8 @@
 
 #include "clock/operating_points.hh"
 #include "common/log.hh"
+#include "common/random.hh"
+#include "common/spec.hh"
 #include "config/runspec.hh"
 #include "control/registry.hh"
 #include "obs/host_prof.hh"
@@ -25,18 +27,6 @@
 namespace mcd {
 
 namespace {
-
-/** FNV-1a 64-bit (cache payload checksum and leg-set key hash). */
-std::uint64_t
-fnv1a(std::string_view s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 const char *
 legKindName(LegSpec::Kind k)
@@ -121,26 +111,6 @@ LegSpec::keyToken() const
     return name;
 }
 
-namespace {
-
-/** Shortest-round-trip double formatting (17 digits always parse
- *  back to the same bits; trim to the shortest prefix that does). */
-std::string
-doubleSpec(double v)
-{
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::ostringstream os;
-        os << std::setprecision(prec) << v;
-        if (std::stod(os.str()) == v)
-            return os.str();
-    }
-    std::ostringstream os;
-    os << std::setprecision(17) << v;
-    return os.str();
-}
-
-} // namespace
-
 std::string
 LegSpec::toSpec() const
 {
@@ -149,7 +119,7 @@ LegSpec::toSpec() const
         head += "~" + display;
     switch (kind) {
       case Kind::ScheduleReplay:
-        return head + "=replay:" + doubleSpec(dilation);
+        return head + "=replay:" + config::canonicalDouble(dilation);
       case Kind::GlobalSearch:
         return head + "=global:" + reference;
       case Kind::Controller:
@@ -160,18 +130,15 @@ LegSpec::toSpec() const
 }
 
 LegSpec
-LegSpec::fromSpec(const std::string &spec)
+LegSpec::fromSpec(const std::string &text)
 {
+    const std::string what = "LegSpec: malformed spec '" + text + "'";
     auto bad = [&](const std::string &why) {
-        fatal("LegSpec: malformed spec '" + spec + "': " + why +
+        fatal(what + ": " + why +
               " (grammar: name[~display]=replay:<dilation>|"
               "global:<ref>|ctrl:<name>[@<params>])");
     };
-    std::size_t eq = spec.find('=');
-    if (eq == std::string::npos)
-        bad("missing '='");
-    std::string head = spec.substr(0, eq);
-    std::string body = spec.substr(eq + 1);
+    auto [head, body] = spec::keyValue("LegSpec: malformed spec", text);
     std::string name = head;
     std::string display;
     std::size_t tilde = head.find('~');
@@ -185,17 +152,9 @@ LegSpec::fromSpec(const std::string &spec)
         bad("empty leg name");
 
     if (body.rfind("replay:", 0) == 0) {
-        std::string num = body.substr(7);
-        double dil = 0.0;
-        try {
-            std::size_t used = 0;
-            dil = std::stod(num, &used);
-            if (used != num.size())
-                bad("trailing characters after dilation");
-        } catch (const std::exception &) {
-            bad("unparseable dilation '" + num + "'");
-        }
-        return scheduleReplay(name, dil, display);
+        return scheduleReplay(
+            name, spec::parseDouble(what + ": dilation", body.substr(7)),
+            display);
     }
     if (body.rfind("global:", 0) == 0) {
         std::string ref = body.substr(7);
@@ -231,20 +190,11 @@ legsToSpec(const std::vector<LegSpec> &legs)
 }
 
 std::vector<LegSpec>
-legsFromSpec(const std::string &spec)
+legsFromSpec(const std::string &text)
 {
     std::vector<LegSpec> out;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        std::size_t bar = spec.find('|', pos);
-        std::string one = spec.substr(pos, bar == std::string::npos
-                                      ? std::string::npos : bar - pos);
-        if (!one.empty())
-            out.push_back(LegSpec::fromSpec(one));
-        if (bar == std::string::npos)
-            break;
-        pos = bar + 1;
-    }
+    for (const std::string &one : spec::split(text, '|'))
+        out.push_back(LegSpec::fromSpec(one));
     return out;
 }
 
@@ -384,7 +334,11 @@ read(std::istream &is, const std::string &name)
         hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
         return std::nullopt;
     }
-    if (fnv1a(payload) != std::strtoull(hex.c_str(), nullptr, 16))
+    std::uint64_t sum = 0;
+    auto [sumEnd, sumErr] =
+        std::from_chars(hex.data(), hex.data() + hex.size(), sum, 16);
+    if (sumErr != std::errc() || sumEnd != hex.data() + hex.size() ||
+        fnv1a(payload) != sum)
         return std::nullopt;    // bit rot / torn write
 
     std::istringstream in(payload);

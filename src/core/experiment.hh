@@ -106,14 +106,14 @@ struct LegSpec
     std::string toSpec() const;
 
     /** Parse one toSpec()-grammar leg (fatal() on malformed input). */
-    static LegSpec fromSpec(const std::string &spec);
+    static LegSpec fromSpec(const std::string &text);
 };
 
 /** A whole leg vector as '|'-joined toSpec() entries. */
 std::string legsToSpec(const std::vector<LegSpec> &legs);
 
 /** Parse a '|'-joined leg-vector spec (fatal() on malformed input). */
-std::vector<LegSpec> legsFromSpec(const std::string &spec);
+std::vector<LegSpec> legsFromSpec(const std::string &text);
 
 /** Parameters of one experiment matrix. */
 struct ExperimentConfig

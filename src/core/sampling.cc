@@ -2,37 +2,27 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "power/power_model.hh"
 
 namespace mcd {
 
 SamplingParams
-SamplingParams::fromSpec(const std::string &spec)
+SamplingParams::fromSpec(const std::string &text)
 {
     SamplingParams p;
     bool sawDetailed = false;
     bool sawFf = false;
-    std::string item;
-    auto consume = [&](const std::string &kv) {
-        std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 == kv.size())
-            fatal("MCD_SAMPLING: expected key=value, got '" + kv + "'");
-        std::string key = kv.substr(0, eq);
-        std::string val = kv.substr(eq + 1);
-        char *end = nullptr;
+    for (const std::string &item : spec::split(text, ',')) {
+        auto [key, val] = spec::keyValue("MCD_SAMPLING", item);
+        const std::string what = "MCD_SAMPLING: bad value for " + key;
         if (key == "tol") {
-            p.tolerance = std::strtod(val.c_str(), &end);
-            if (!end || *end)
-                fatal("MCD_SAMPLING: bad value for tol: '" + val + "'");
-            return;
+            p.tolerance = spec::parseDouble(what, val);
+            continue;
         }
-        std::uint64_t n = std::strtoull(val.c_str(), &end, 10);
-        if (!end || *end)
-            fatal("MCD_SAMPLING: bad value for " + key + ": '" + val +
-                  "'");
+        std::uint64_t n = spec::parseU64(what, val);
         if (key == "detailed") {
             p.detailedInsts = n;
             sawDetailed = true;
@@ -45,22 +35,10 @@ SamplingParams::fromSpec(const std::string &spec)
             fatal("MCD_SAMPLING: unknown key '" + key +
                   "' (expected detailed/ff/warmup/tol)");
         }
-    };
-    for (const char *c = spec.c_str();; ++c) {
-        if (*c && *c != ',') {
-            item += *c;
-            continue;
-        }
-        if (!item.empty()) {
-            consume(item);
-            item.clear();
-        }
-        if (!*c)
-            break;
     }
     if (!sawDetailed || !sawFf)
         fatal("MCD_SAMPLING: spec must set at least detailed= and ff= "
-              "(got '" + spec + "')");
+              "(got '" + text + "')");
     p.validate();
     return p;
 }

@@ -65,7 +65,7 @@ struct SamplingParams
      * Parse a "detailed=N,ff=N,warmup=N[,tol=F]" spec (the MCD_SAMPLING
      * format); fatal() on malformed keys or values.
      */
-    static SamplingParams fromSpec(const std::string &spec);
+    static SamplingParams fromSpec(const std::string &text);
 
     /** Canonical spec string (round-trips through fromSpec). */
     std::string spec() const;

@@ -1,10 +1,11 @@
 #include "fault_plan.hh"
 
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace mcd {
 namespace fault {
@@ -42,26 +43,17 @@ badSpec(const std::string &item, const char *why)
 } // namespace
 
 FaultPlan
-FaultPlan::parse(const std::string &spec)
+FaultPlan::parse(const std::string &text)
 {
     FaultPlan plan;
-    std::string item;
-    std::istringstream ss(spec);
-    while (std::getline(ss, item, ';')) {
-        if (item.empty())
-            continue;
-        if (item.rfind("seed=", 0) == 0) {
-            char *end = nullptr;
-            plan.rngSeed = std::strtoull(item.c_str() + 5, &end, 10);
-            if (!end || *end)
-                badSpec(item, "seed must be an unsigned integer");
+    for (const std::string &item : spec::split(text, ';')) {
+        auto [target, action] =
+            spec::keyValue("MCD_FAULT_PLAN: bad item", item);
+        const std::string what = "MCD_FAULT_PLAN: bad item '" + item + "'";
+        if (target == "seed") {
+            plan.rngSeed = spec::parseU64(what + ": seed", action);
             continue;
         }
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            badSpec(item, "missing '='");
-        std::string target = item.substr(0, eq);
-        std::string action = item.substr(eq + 1);
 
         FaultSpec fs;
         if (target.rfind("leg:", 0) == 0) {
@@ -75,12 +67,9 @@ FaultPlan::parse(const std::string &spec)
             } else if (verb == "flaky") {
                 fs.kind = FaultKind::Flaky;
                 if (colon != std::string::npos) {
-                    char *end = nullptr;
-                    long k = std::strtol(
-                        action.c_str() + colon + 1, &end, 10);
-                    if (!end || *end || k < 1)
-                        badSpec(item, "flaky count must be >= 1");
-                    fs.count = static_cast<int>(k);
+                    fs.count = static_cast<int>(spec::parseInt(
+                        what + ": flaky count", action.substr(colon + 1),
+                        1, std::numeric_limits<int>::max()));
                 }
             } else if (verb == "stall") {
                 fs.kind = FaultKind::Stall;

@@ -94,7 +94,7 @@ class FaultPlan
      *  The faultPlan option (MCD_FAULT_PLAN / --fault-plan) reaches
      *  runs through runMatrix()'s effective-config resolution, which
      *  parses the option value with this. */
-    static FaultPlan parse(const std::string &spec);
+    static FaultPlan parse(const std::string &text);
 
     bool empty() const { return armed.empty(); }
     const std::vector<FaultSpec> &specs() const { return armed; }

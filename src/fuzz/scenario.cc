@@ -1,8 +1,8 @@
 #include "scenario.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -10,7 +10,9 @@
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 #include "config/jsonlite.hh"
+#include "config/registry.hh"
 #include "config/runspec.hh"
 
 namespace mcd {
@@ -32,28 +34,14 @@ expandAt(const std::string &spec, const std::string &bench)
     return out;
 }
 
-double
-parseDouble(const std::string &key, const std::string &v)
+/** configSpec's ';'-joined k=v items, in order. */
+std::vector<std::pair<std::string, std::string>>
+configItems(const std::string &configSpec)
 {
-    try {
-        std::size_t used = 0;
-        double d = std::stod(v, &used);
-        if (used != v.size())
-            throw std::invalid_argument(v);
-        return d;
-    } catch (const std::exception &) {
-        fatal("Scenario config: bad value '" + v + "' for " + key);
-    }
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &v)
-{
-    char *end = nullptr;
-    std::uint64_t n = std::strtoull(v.c_str(), &end, 10);
-    if (!end || *end || v.empty())
-        fatal("Scenario config: bad value '" + v + "' for " + key);
-    return n;
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const std::string &item : spec::split(configSpec, ';'))
+        out.push_back(spec::keyValue("Scenario config", item));
+    return out;
 }
 
 } // namespace
@@ -80,16 +68,8 @@ Scenario::toConfig() const
     cfg.cacheDir.clear();               // soak runs are never cached
     cfg.telemetry.invariants = "default";
 
-    std::string item;
-    std::istringstream ss(configSpec);
-    while (std::getline(ss, item, ';')) {
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("Scenario config: item '" + item + "' missing '='");
-        std::string key = item.substr(0, eq);
-        std::string val = item.substr(eq + 1);
+    for (const auto &[key, val] : configItems(configSpec)) {
+        const std::string what = "Scenario config: " + key;
         if (key == "model") {
             auto kind = dvfsKindFromName(val);
             if (!kind)
@@ -97,19 +77,20 @@ Scenario::toConfig() const
                       "' (choices: " + dvfsKindNames() + ")");
             cfg.model = *kind;
         } else if (key == "timescale") {
-            cfg.dvfsTimeScale = parseDouble(key, val);
+            cfg.dvfsTimeScale = spec::parseDouble(what, val);
         } else if (key == "dillo") {
-            cfg.dilationLow = parseDouble(key, val);
+            cfg.dilationLow = spec::parseDouble(what, val);
         } else if (key == "dilhi") {
-            cfg.dilationHigh = parseDouble(key, val);
+            cfg.dilationHigh = spec::parseDouble(what, val);
         } else if (key == "seed") {
-            cfg.seed = parseU64(key, val);
+            cfg.seed = spec::parseU64(what, val);
         } else if (key == "attempts") {
-            cfg.legAttempts = static_cast<int>(parseU64(key, val));
+            cfg.legAttempts = static_cast<int>(spec::parseInt(
+                what, val, 0, std::numeric_limits<int>::max()));
         } else if (key == "wdedges") {
-            cfg.watchdogNoProgressEdges = parseU64(key, val);
+            cfg.watchdogNoProgressEdges = spec::parseU64(what, val);
         } else if (key == "wdticks") {
-            cfg.watchdogMaxTicks = parseU64(key, val);
+            cfg.watchdogMaxTicks = spec::parseU64(what, val);
         } else if (key == "sampling") {
             cfg.sampling = SamplingParams::fromSpec(val);
         } else {
@@ -176,19 +157,11 @@ writeRepro(std::ostream &os, const Scenario &s,
     // keys present in configSpec appear; absent keys mean the
     // ExperimentConfig defaults, exactly as in the spec grammar.
     std::vector<std::pair<std::string, std::string>> opts;
-    std::string item;
-    std::istringstream ss(s.configSpec);
-    while (std::getline(ss, item, ';')) {
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("Scenario config: item '" + item + "' missing '='");
-        const char *name = optionNameForSpecKey(item.substr(0, eq));
+    for (auto &[key, val] : configItems(s.configSpec)) {
+        const char *name = optionNameForSpecKey(key);
         if (!name)
-            fatal("Scenario config: unknown key '" +
-                  item.substr(0, eq) + "'");
-        opts.emplace_back(name, item.substr(eq + 1));
+            fatal("Scenario config: unknown key '" + key + "'");
+        opts.emplace_back(name, std::move(val));
     }
     opts.emplace_back("legs", s.legsSpec);
     opts.emplace_back("faultPlan", s.faultSpec);
@@ -246,10 +219,12 @@ readRepro(std::istream &is)
     r.signature = signature->text;
     r.scenario.workload = GenParams::fromSpec(workload->text);
     r.scenario.plantedSpec = planted->text;
-    r.scenario.jobs = static_cast<int>(
-        std::strtol(jobs->text.c_str(), nullptr, 10));
-    if (r.scenario.jobs < 1)
-        r.scenario.jobs = 1;
+    try {
+        r.scenario.jobs = static_cast<int>(spec::parseInt(
+            "repro jobs", jobs->text, 1, config::kMaxSoakJobs));
+    } catch (const FatalError &) {
+        return std::nullopt;
+    }
 
     // Rebuild the spec strings. configSpec keys come back in the
     // canonical key-table order regardless of the file's key order,

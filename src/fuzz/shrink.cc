@@ -1,26 +1,13 @@
 #include "shrink.hh"
 
-#include <sstream>
 #include <vector>
+
+#include "common/spec.hh"
 
 namespace mcd {
 namespace fuzz {
 
 namespace {
-
-/** Split @p s on @p sep, dropping empty pieces. */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream ss(s);
-    while (std::getline(ss, item, sep)) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
 
 std::string
 join(const std::vector<std::string> &items, char sep)
@@ -55,9 +42,9 @@ sizeOf(const Scenario &s)
         n += static_cast<std::uint64_t>(p.chainDepth);
         n += static_cast<std::uint64_t>(p.footprintWords);
     }
-    n += 1000 * split(s.legsSpec, '|').size();
-    n += 1000 * split(s.faultSpec, ';').size();
-    n += 1000 * split(s.plantedSpec, ';').size();
+    n += 1000 * spec::split(s.legsSpec, '|').size();
+    n += 1000 * spec::split(s.faultSpec, ';').size();
+    n += 1000 * spec::split(s.plantedSpec, ';').size();
     n += s.configSpec.size();
     return n;
 }
@@ -73,7 +60,7 @@ candidatesOf(const Scenario &s)
     std::vector<Scenario> out;
 
     // Drop one leg.
-    std::vector<std::string> legs = split(s.legsSpec, '|');
+    std::vector<std::string> legs = spec::split(s.legsSpec, '|');
     if (legs.size() > 1) {
         for (std::size_t i = 0; i < legs.size(); ++i) {
             std::vector<std::string> fewer = legs;
@@ -87,8 +74,8 @@ candidatesOf(const Scenario &s)
 
     // Drop one declared or planted fault entry.
     for (int which = 0; which < 2; ++which) {
-        const std::string &spec = which ? s.plantedSpec : s.faultSpec;
-        std::vector<std::string> items = split(spec, ';');
+        const std::string &faults = which ? s.plantedSpec : s.faultSpec;
+        std::vector<std::string> items = spec::split(faults, ';');
         for (std::size_t i = 0; i < items.size(); ++i) {
             std::vector<std::string> fewer = items;
             fewer.erase(fewer.begin() +
@@ -134,7 +121,7 @@ candidatesOf(const Scenario &s)
     {
         std::vector<std::string> kept;
         bool had = false;
-        for (const std::string &item : split(s.configSpec, ';')) {
+        for (const std::string &item : spec::split(s.configSpec, ';')) {
             if (item.rfind("sampling=", 0) == 0)
                 had = true;
             else

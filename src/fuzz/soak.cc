@@ -9,6 +9,7 @@
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
+#include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "config/runspec.hh"
 #include "fuzz/config_fuzzer.hh"
@@ -44,49 +45,36 @@ struct Expectations
 };
 
 /**
- * Derive expectations from the declared (not planted) fault spec.
- * The spec is in placeholder form ("leg:@/dyn5=throw"), so the leg
- * name is everything after the '/'.
+ * Derive expectations from the declared (not planted) fault plan,
+ * given the retry budget of the scenario's experiment config. The
+ * plan is in placeholder form ("leg:@/dyn5=throw"), so the leg name
+ * is everything after the site's '/'.
  */
 Expectations
-expectationsOf(const Scenario &s)
+expectationsOf(const Scenario &s, const ExperimentConfig &cfg)
 {
     Expectations ex;
-    int attempts = 2;       // ExperimentConfig default
-    {
-        std::string item;
-        std::istringstream cs(s.configSpec);
-        while (std::getline(cs, item, ';')) {
-            if (item.rfind("attempts=", 0) == 0)
-                attempts = std::atoi(item.c_str() + 9);
-        }
-    }
-    std::string item;
-    std::istringstream ss(s.faultSpec);
-    while (std::getline(ss, item, ';')) {
-        if (item.rfind("leg:", 0) != 0)
-            continue;
-        std::size_t slash = item.find('/');
-        std::size_t eq = item.find('=', slash);
-        if (slash == std::string::npos || eq == std::string::npos)
-            continue;       // malformed specs die in FaultPlan::parse
-        std::string leg = item.substr(slash + 1, eq - slash - 1);
-        std::string action = item.substr(eq + 1);
-        if (action == "throw") {
+    const fault::FaultPlan plan = fault::FaultPlan::parse(s.faultSpec);
+    for (const fault::FaultSpec &fs : plan.specs()) {
+        std::string leg = fs.site.substr(fs.site.find('/') + 1);
+        switch (fs.kind) {
+          case fault::FaultKind::Throw:
             ex.failKind[leg] = "injected";
-        } else if (action.rfind("flaky", 0) == 0) {
-            int k = 1;
-            std::size_t colon = action.find(':');
-            if (colon != std::string::npos)
-                k = std::atoi(action.c_str() + colon + 1);
+            break;
+          case fault::FaultKind::Flaky:
             // k transient failures recover iff the retry budget
             // covers them; otherwise the leg fails like a throw.
-            if (k >= attempts)
+            if (fs.count >= cfg.legAttempts)
                 ex.failKind[leg] = "injected";
-        } else if (action == "stall") {
+            break;
+          case fault::FaultKind::Stall:
             ex.failKind[leg] = "watchdog";
-        } else if (action == "vfmisorder") {
+            break;
+          case fault::FaultKind::VfMisorder:
             ex.misorder[leg] = true;
+            break;
+          default:
+            break;      // cache damage: no leg expectation
         }
     }
     return ex;
@@ -135,20 +123,15 @@ digestRow(const BenchmarkResults &r)
         if (run.failed())
             os << leg << ":err:" << run.error->kind << "\n";
     });
-    std::string s = os.str();
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    return fnv1a(os.str());
 }
 
 /** Classify one completed row against the scenario's expectations. */
 Outcome
-classify(const Scenario &s, const BenchmarkResults &row)
+classify(const Scenario &s, const ExperimentConfig &cfg,
+         const BenchmarkResults &row)
 {
-    Expectations ex = expectationsOf(s);
+    Expectations ex = expectationsOf(s, cfg);
 
     // Legs whose failure the plan predicts: dependents skipped
     // because of them are expected collateral, not findings.
@@ -213,7 +196,7 @@ runScenario(const Scenario &s)
         cfg.validate();
         ExperimentRunner runner(cfg);
         BenchmarkResults row = runner.runBenchmark(s.benchName());
-        Outcome o = classify(s, row);
+        Outcome o = classify(s, cfg, row);
         if (o.failed() || s.jobs <= 1)
             return o;
 

@@ -1,12 +1,14 @@
 #include "workload_gen.hh"
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 
 #include "common/log.hh"
 #include "common/random.hh"
+#include "common/spec.hh"
 #include "isa/builder.hh"
 #include "workloads/workloads.hh"
 
@@ -24,17 +26,6 @@ constexpr int rLcg = 25;        //!< Branchy LCG state
 constexpr int rEnd = 24;        //!< MemStream block end
 constexpr int rAux = 23;        //!< threshold / stride constant
 constexpr int rBase = 22;       //!< MemStream block base
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 int
 clampInt(std::uint64_t v, int lo, int hi)
@@ -214,31 +205,26 @@ GenParams::spec() const
 }
 
 GenParams
-GenParams::fromSpec(const std::string &spec)
+GenParams::fromSpec(const std::string &text)
 {
+    const std::string what = "GenParams: malformed spec '" + text + "'";
     auto bad = [&](const std::string &why) {
-        fatal("GenParams: malformed spec '" + spec + "': " + why +
+        fatal(what + ": " + why +
               " (grammar: seed=N;phase=<kind>:<iters>:<chain>:"
               "<foot>:<stride>:<taken>;...)");
     };
     GenParams p;
     bool sawSeed = false;
-    std::string item;
-    std::istringstream ss(spec);
-    while (std::getline(ss, item, ';')) {
-        if (item.empty())
-            continue;
-        if (item.rfind("seed=", 0) == 0) {
-            char *end = nullptr;
-            p.seed = std::strtoull(item.c_str() + 5, &end, 10);
-            if (!end || *end)
-                bad("seed must be an unsigned integer");
+    for (const std::string &item : spec::split(text, ';')) {
+        auto [key, body] = spec::keyValue(what, item);
+        if (key == "seed") {
+            p.seed = spec::parseU64(what + ": seed", body);
             sawSeed = true;
             continue;
         }
-        if (item.rfind("phase=", 0) != 0)
+        if (key != "phase")
             bad("unknown item '" + item + "'");
-        std::string body = item.substr(6);
+        // Not spec::split: an empty field must count, and fail.
         std::vector<std::string> f;
         std::string field;
         std::istringstream fs(body);
@@ -260,12 +246,10 @@ GenParams::fromSpec(const std::string &spec)
         int *dst[5] = {&ph.iters, &ph.chainDepth, &ph.footprintWords,
                        &ph.stride, &ph.takenPercent};
         for (int i = 0; i < 5; ++i) {
-            char *end = nullptr;
-            long v = std::strtol(f[i + 1].c_str(), &end, 10);
-            if (!end || *end || f[i + 1].empty())
-                bad("phase field " + std::to_string(i + 1) +
-                    " must be an integer");
-            *dst[i] = static_cast<int>(v);
+            *dst[i] = static_cast<int>(spec::parseInt(
+                what + ": phase field " + std::to_string(i + 1), f[i + 1],
+                std::numeric_limits<int>::min(),
+                std::numeric_limits<int>::max()));
         }
         if (ph.iters < 1)
             bad("phase iters must be >= 1");

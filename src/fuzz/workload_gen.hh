@@ -76,7 +76,7 @@ struct GenParams
     std::string spec() const;
 
     /** Parse a spec() string (fatal() on malformed input). */
-    static GenParams fromSpec(const std::string &spec);
+    static GenParams fromSpec(const std::string &text);
 
     /** "fuzz-<16 hex>" — the hash covers the full spec. */
     std::string workloadName() const;

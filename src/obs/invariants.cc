@@ -1,13 +1,12 @@
 #include "invariants.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
+#include "common/spec.hh"
 
 namespace mcd {
 namespace obs {
@@ -21,16 +20,6 @@ namespace {
 constexpr double voltEps = 1e-6;
 constexpr double fillEps = 1e-9;
 constexpr double energyEps = 1e-12;
-
-std::string
-trimmed(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return {};
-    std::size_t e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
-}
 
 [[noreturn]] void
 badRule(const std::string &rule, const char *why)
@@ -70,7 +59,7 @@ makeRule(InvariantMetric m, double bound)
 void
 parseRule(const std::string &raw, std::vector<InvariantRule> &out)
 {
-    const std::string rule = trimmed(raw);
+    const std::string rule = spec::trim(raw);
     if (rule.empty())
         return;
     if (rule == "default" || rule == "1" || rule == "on") {
@@ -82,8 +71,8 @@ parseRule(const std::string &raw, std::vector<InvariantRule> &out)
     std::size_t le = rule.find("<=");
     std::size_t eq = rule.find("==");
     if (le != std::string::npos) {
-        std::string name = trimmed(rule.substr(0, le));
-        std::string val = trimmed(rule.substr(le + 2));
+        std::string name = spec::trim(rule.substr(0, le));
+        std::string val = spec::trim(rule.substr(le + 2));
         InvariantMetric m;
         if (name == invariantMetricName(InvariantMetric::Dilation))
             m = InvariantMetric::Dilation;
@@ -95,19 +84,17 @@ parseRule(const std::string &raw, std::vector<InvariantRule> &out)
         if (m == InvariantMetric::QueueFill && val == "capacity") {
             bound = 1.0;
         } else {
-            char *end = nullptr;
-            bound = std::strtod(val.c_str(), &end);
-            if (!end || *end || val.empty())
-                badRule(rule, "bound must be a number");
+            bound = spec::parseDouble(
+                "MCD_INVARIANTS: bad rule '" + rule + "': bound", val);
         }
-        if (!std::isfinite(bound) || bound < 0.0)
-            badRule(rule, "bound must be finite and >= 0");
+        if (bound < 0.0)
+            badRule(rule, "bound must be >= 0");
         out.push_back(makeRule(m, bound));
         return;
     }
     if (eq != std::string::npos) {
-        std::string name = trimmed(rule.substr(0, eq));
-        std::string val = trimmed(rule.substr(eq + 2));
+        std::string name = spec::trim(rule.substr(0, eq));
+        std::string val = spec::trim(rule.substr(eq + 2));
         InvariantMetric m;
         bool wantAlways = false;
         if (name ==
@@ -167,10 +154,10 @@ InvariantEngine::defaultRules()
 }
 
 std::vector<InvariantRule>
-InvariantEngine::parseSpec(const std::string &spec)
+InvariantEngine::parseSpec(const std::string &text)
 {
     std::vector<InvariantRule> out;
-    std::string body = trimmed(spec);
+    std::string body = spec::trim(text);
     if (body.empty())
         return out;
 
@@ -185,9 +172,7 @@ InvariantEngine::parseSpec(const std::string &spec)
             std::size_t hash = line.find('#');
             if (hash != std::string::npos)
                 line.resize(hash);
-            std::string item;
-            std::istringstream ls(line);
-            while (std::getline(ls, item, ';'))
+            for (const std::string &item : spec::split(line, ';'))
                 parseRule(item, out);
         }
         if (out.empty())
@@ -196,12 +181,10 @@ InvariantEngine::parseSpec(const std::string &spec)
         return out;
     }
 
-    std::string item;
-    std::istringstream ss(body);
-    while (std::getline(ss, item, ';'))
+    for (const std::string &item : spec::split(body, ';'))
         parseRule(item, out);
     if (out.empty())
-        badRule(spec, "no rules in spec");
+        badRule(text, "no rules in spec");
     return out;
 }
 

@@ -107,7 +107,7 @@ class InvariantEngine
      * fatal() (FatalError) on malformed input, enumerating the valid
      * metrics — call from config validation to fail fast.
      */
-    static std::vector<InvariantRule> parseSpec(const std::string &spec);
+    static std::vector<InvariantRule> parseSpec(const std::string &text);
 
     /**
      * @param reg per-rule violation counters register here

@@ -6,12 +6,18 @@
  * invalid-value rejection, the unregistered-MCD_* environment canary,
  * exact RunSpec JSON round-trips, schema generation, and the
  * env-vs-config-file / effectiveConfig-feed-back byte-identity of a
- * real adpcm+mst matrix.
+ * real adpcm+mst matrix; and, for every text sub-grammar (lists,
+ * sampling, legs, controller params, fault plans, invariants, fuzz
+ * workloads, scenario configs, repro files), an accept table, a
+ * reject table and a seeded byte-mutation test.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,7 +29,13 @@
 #include "common/random.hh"
 #include "config/registry.hh"
 #include "config/runspec.hh"
+#include "control/registry.hh"
 #include "core/experiment.hh"
+#include "core/sampling.hh"
+#include "fault/fault_plan.hh"
+#include "fuzz/scenario.hh"
+#include "fuzz/workload_gen.hh"
+#include "obs/invariants.hh"
 
 namespace mcd {
 namespace {
@@ -542,6 +554,332 @@ TEST(RunSpec, EnvConfigFileAndFeedBackRunsAreByteIdentical)
         << "feeding a run's effectiveConfig back did not reproduce it";
 
     fs::remove_all(dir);
+}
+
+// --- the text sub-grammars ---------------------------------------------
+
+/** The committed repro files: the repro grammar's valid examples. */
+std::vector<std::string>
+corpusTexts()
+{
+    std::vector<fs::path> paths;
+    for (const auto &e :
+         fs::directory_iterator(fs::path(MCD_SOURCE_DIR) / "tests/corpus"))
+        if (e.path().extension() == ".json")
+            paths.push_back(e.path());
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> out;
+    for (const fs::path &p : paths)
+        out.push_back(slurp(p));
+    return out;
+}
+
+std::optional<fuzz::Repro>
+reproFromText(const std::string &text)
+{
+    std::istringstream in(text);
+    return fuzz::readRepro(in);
+}
+
+/** A minimal repro whose "jobs" member is the raw JSON @p jobs. */
+std::string
+reproWithJobs(const std::string &jobs)
+{
+    return std::string("{\"version\": \"") + fuzz::reproVersion +
+        "\", \"signature\": \"ok\", \"workload\": "
+        "\"seed=5;phase=int:1500:4:256:1:50\", \"planted\": \"\", "
+        "\"jobs\": " + jobs + ", \"runspec\": {\"version\": \"" +
+        config::runSpecVersion + "\", \"options\": {}}}\n";
+}
+
+const char *const goldenLegs =
+    "dyn1~dynamic-1%=replay:0.01|dyn5~dynamic-5%=replay:0.05|"
+    "global=global:dyn5|online=ctrl:online-queue";
+
+TEST(SpecGrammars, AcceptTableParsesToTheDocumentedValues)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(config::splitList("adpcm,mst"), (V{"adpcm", "mst"}));
+    EXPECT_EQ(config::splitList(",dyn5,,online,"), (V{"dyn5", "online"}));
+    EXPECT_EQ(config::splitList(""), V{});
+
+    SamplingParams sp =
+        SamplingParams::fromSpec("detailed=1000,ff=9000,warmup=250");
+    EXPECT_EQ(sp.detailedInsts, 1000u);
+    EXPECT_EQ(sp.ffInsts, 9000u);
+    EXPECT_EQ(sp.warmupInsts, 250u);
+    EXPECT_EQ(sp.tolerance, SamplingParams{}.tolerance);
+    sp = SamplingParams::fromSpec("detailed=2000,ff=18000,warmup=500,"
+                                  "tol=0.05");
+    EXPECT_EQ(sp.ffInsts, 18000u);
+    EXPECT_EQ(sp.tolerance, 0.05);
+
+    std::vector<LegSpec> legs = legsFromSpec(goldenLegs);
+    ASSERT_EQ(legs.size(), 4u);
+    EXPECT_EQ(legs[0].name, "dyn1");
+    EXPECT_EQ(legs[0].display, "dynamic-1%");
+    EXPECT_EQ(legs[0].kind, LegSpec::Kind::ScheduleReplay);
+    EXPECT_EQ(legs[0].dilation, 0.01);
+    EXPECT_EQ(legs[1].dilation, 0.05);
+    EXPECT_EQ(legs[2].kind, LegSpec::Kind::GlobalSearch);
+    EXPECT_EQ(legs[2].reference, "dyn5");
+    EXPECT_EQ(legs[3].kind, LegSpec::Kind::Controller);
+    EXPECT_EQ(legs[3].controller, "online-queue");
+    EXPECT_EQ(legsToSpec(legs), goldenLegs);
+    for (const char *text : {"dyn5=replay:0.05|online=ctrl:online-queue",
+                             "dyn5=replay:0.03",
+                             "pid=ctrl:pid@setpoint=0.5,kp=32"})
+        EXPECT_EQ(legsToSpec(legsFromSpec(text)), text);
+    legs = legsFromSpec("|pid=ctrl:pid@setpoint=0.5,kp=32||");
+    ASSERT_EQ(legs.size(), 1u);
+    EXPECT_EQ(legs[0].params, "setpoint=0.5,kp=32");
+
+    using P = std::vector<ControllerParam>;
+    EXPECT_EQ(parseControllerParams("setpoint=0.5,kp=32", "c"),
+              (P{{"setpoint", 0.5}, {"kp", 32.0}}));
+    EXPECT_EQ(parseControllerParams(",interval-us=50,,scale-fe=1,", "c"),
+              (P{{"interval-us", 50.0}, {"scale-fe", 1.0}}));
+    EXPECT_EQ(parseControllerParams("kp=-1e-3", "c"), (P{{"kp", -1e-3}}));
+    EXPECT_EQ(parseControllerParams("", "c"), P{});
+
+    for (const char *text :
+         {"leg:adpcm/dyn1=throw", "cache:adpcm=corrupt",
+          "leg:adpcm/dyn5=vfmisorder",
+          "leg:adpcm/dyn1=throw;leg:adpcm/online=flaky",
+          "leg:a/b=flaky:3;leg:a/c=stall;cache:a=truncate;seed=42"})
+        EXPECT_EQ(fault::FaultPlan::parse(text).toSpec(), text);
+    fault::FaultPlan plan =
+        fault::FaultPlan::parse("leg:@/dyn5=flaky:1;;seed=42");
+    ASSERT_EQ(plan.specs().size(), 1u);
+    EXPECT_EQ(plan.specs()[0].site, "@/dyn5");
+    EXPECT_EQ(plan.specs()[0].kind, fault::FaultKind::Flaky);
+    EXPECT_EQ(plan.specs()[0].count, 1);
+    EXPECT_EQ(plan.seed(), 42u);
+    EXPECT_EQ(fault::FaultPlan::parse("leg:a/b=flaky:3").specs()[0].count,
+              3);
+
+    using obs::InvariantEngine;
+    EXPECT_EQ(InvariantEngine::parseSpec("default").size(),
+              InvariantEngine::defaultRules().size());
+    std::vector<obs::InvariantRule> rules = InvariantEngine::parseSpec(
+        "dilation<=0.12;queue_fill<=capacity");
+    ASSERT_EQ(rules.size(), 2u);
+    EXPECT_EQ(rules[0].bound, 0.12);
+    EXPECT_EQ(rules[1].metric, obs::InvariantMetric::QueueFill);
+    EXPECT_EQ(rules[1].bound, 1.0);
+    rules = InvariantEngine::parseSpec(
+        " dilation <= 0.001 ; voltage_leads_freq==never ;"
+        "freq_in_table==always");
+    ASSERT_EQ(rules.size(), 3u);
+    EXPECT_EQ(rules[0].text, "dilation<=0.001");
+    EXPECT_EQ(rules[1].metric, obs::InvariantMetric::VoltageLeadsFreq);
+    EXPECT_EQ(rules[2].metric, obs::InvariantMetric::FreqInTable);
+
+    for (const char *text :
+         {"seed=5;phase=int:1500:4:256:1:50;phase=mem:1200:2:512:4:50",
+          "seed=9235374536318864070;phase=branch:3327:1:16:2:41;"
+          "phase=int:4270:4:2048:3:6",
+          "seed=18446744073709551615;phase=fp:1:8:64:-3:0"})
+        EXPECT_EQ(fuzz::GenParams::fromSpec(text).spec(), text);
+    fuzz::GenParams gp = fuzz::GenParams::fromSpec(
+        ";seed=77;;phase=mem:2147483647:2:64:-3:100;");
+    EXPECT_EQ(gp.seed, 77u);
+    ASSERT_EQ(gp.phases.size(), 1u);
+    EXPECT_EQ(gp.phases[0].kind, fuzz::PhaseKind::MemStream);
+    EXPECT_EQ(gp.phases[0].iters, 2147483647);
+    EXPECT_EQ(gp.phases[0].stride, -3);
+    EXPECT_EQ(gp.phases[0].takenPercent, 100);
+
+    fuzz::Scenario sc;
+    sc.workload = gp;
+    sc.configSpec = "model=Transmeta;timescale=0.2;dillo=0.01;"
+        "dilhi=0.030000;seed=606953;attempts=3;wdedges=1000000;"
+        "wdticks=0;sampling=detailed=1000,ff=4000,warmup=250";
+    sc.legsSpec = "dyn5=replay:0.03";
+    ExperimentConfig cfg = sc.toConfig();
+    EXPECT_EQ(cfg.model, DvfsKind::Transmeta);
+    EXPECT_EQ(cfg.dvfsTimeScale, 0.2);
+    EXPECT_EQ(cfg.dilationHigh, 0.03);
+    EXPECT_EQ(cfg.seed, 606953u);
+    EXPECT_EQ(cfg.legAttempts, 3);
+    EXPECT_EQ(cfg.watchdogNoProgressEdges, 1000000u);
+    ASSERT_TRUE(cfg.sampling.has_value());
+    EXPECT_EQ(cfg.sampling->ffInsts, 4000u);
+
+    std::vector<int> jobs;
+    for (const std::string &text : corpusTexts()) {
+        std::optional<fuzz::Repro> r = reproFromText(text);
+        ASSERT_TRUE(r.has_value()) << text;
+        jobs.push_back(r->scenario.jobs);
+    }
+    EXPECT_EQ(jobs, (std::vector<int>{2, 1, 1}));
+    for (const char *n : {"1", "64", "\"8\""}) {
+        std::optional<fuzz::Repro> r = reproFromText(reproWithJobs(n));
+        ASSERT_TRUE(r.has_value()) << n;
+    }
+}
+
+TEST(SpecGrammars, RejectTableFailsWithAStructuredError)
+{
+    // Each of these once parsed to a silently wrong value (or, for a
+    // repro, to an unbounded worker count).
+    auto throws = [](const std::function<void()> &parse,
+                     const std::string &grammar, const char *input) {
+        try {
+            parse();
+            ADD_FAILURE() << "accepted '" << input << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(grammar),
+                      std::string::npos) << e.what();
+        }
+    };
+    for (const char *text :
+         {"detailed=-1000,ff=9000", "detailed=1000,ff=+5",
+          "detailed=1000,ff=9000,tol=inf", "detailed= 1000,ff=9000",
+          "detailed=1000,ff=9000,tol=0x1p-4"})
+        throws([&] { SamplingParams::fromSpec(text); }, "MCD_SAMPLING",
+               text);
+    for (const char *text :
+         {"seed=", "seed=-1", "leg:adpcm/online=flaky:",
+          "leg:adpcm/online=flaky:2x", "leg:adpcm/online=flaky:+2",
+          "leg:adpcm/online="})
+        throws([&] { fault::FaultPlan::parse(text); },
+               "MCD_FAULT_PLAN: bad item", text);
+    for (const char *text :
+         {"seed=;phase=int:1000:4:256:1:50",
+          "seed=-1;phase=int:1000:4:256:1:50",
+          "seed=1;phase=int:99999999999:4:256:1:50",
+          "seed=1;phase=int:1000:4:256:1:-2147483649"})
+        throws([&] { fuzz::GenParams::fromSpec(text); }, "GenParams:",
+               text);
+    for (const char *text : {"kp= 1", "setpoint=0x10",
+                             "kp= 1,setpoint=0x10", "kp=nan", "kp"})
+        throws([&] { parseControllerParams(text, "controller 'pid'"); },
+               "controller 'pid'", text);
+    for (const char *text : {"dyn5=replay: 0.05", "dyn5=replay:inf",
+                             "dyn5=replay:+0.05", "dyn5="})
+        throws([&] { legsFromSpec(text); }, "LegSpec: malformed spec",
+               text);
+    for (const char *text : {"dilation<=0x1", "dilation<=inf",
+                             "dilation<="})
+        throws([&] { obs::InvariantEngine::parseSpec(text); },
+               "MCD_INVARIANTS", text);
+    for (const char *text : {"seed=", "dilhi= 0.05", "timescale=inf",
+                             "attempts=-1"}) {
+        fuzz::Scenario sc;
+        sc.workload = fuzz::GenParams::fromSpec(
+            "seed=5;phase=int:1500:4:256:1:50");
+        sc.configSpec = text;
+        throws([&] { sc.toConfig(); }, "Scenario config", text);
+    }
+
+    for (const char *jobs : {"\"4x\"", "0", "100000", "-1", "\"\""})
+        EXPECT_FALSE(reproFromText(reproWithJobs(jobs)).has_value())
+            << "jobs " << jobs;
+    EXPECT_FALSE(
+        reproFromText(reproWithJobs(std::to_string(config::kMaxSoakJobs +
+                                                   1)))
+            .has_value());
+}
+
+TEST(SpecGrammars, LegDilationsRoundTripBitExactly)
+{
+    // toSpec writes config::canonicalDouble text; whatever its
+    // spelling ("0.0005" or "5e-04"), it must parse back to the bits.
+    for (double d : {0.01, 0.05, 0.0005, 1e-7, 0.1 + 0.2, 1.0 / 3.0}) {
+        LegSpec l = LegSpec::scheduleReplay("x", d);
+        EXPECT_EQ(LegSpec::fromSpec(l.toSpec()).dilation, d) << l.toSpec();
+    }
+}
+
+/** Apply one seeded byte mutation to @p s. */
+std::string
+mutate(std::string s, Rng &rng)
+{
+    static const char *const inserts[] = {"-", " ", "nan",
+                                          "12345678901234567890"};
+    if (s.empty())
+        return inserts[rng.uniformInt(4)];
+    std::size_t at = rng.uniformInt(s.size());
+    switch (rng.uniformInt(4)) {
+      case 0:
+        s.erase(at, 1);
+        break;
+      case 1:
+        s.insert(at, 1, s[at]);
+        break;
+      case 2:
+        s[at] = static_cast<char>(s[at] ^ (1 << rng.uniformInt(8)));
+        break;
+      default:
+        s.insert(at, inserts[rng.uniformInt(4)]);
+        break;
+    }
+    return s;
+}
+
+TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
+{
+    struct Grammar
+    {
+        const char *name;
+        std::vector<std::string> valid;
+        std::function<void(const std::string &)> parse;
+    };
+    const std::vector<Grammar> grammars = {
+        {"splitList", {"adpcm,mst", "dyn5,online", "a,,b,"},
+         [](const std::string &t) { config::splitList(t); }},
+        {"sampling",
+         {"detailed=1000,ff=9000,warmup=250",
+          "detailed=2000,ff=18000,warmup=500,tol=0.05"},
+         [](const std::string &t) { SamplingParams::fromSpec(t); }},
+        {"legs",
+         {goldenLegs, "dyn5=replay:0.05|online=ctrl:online-queue",
+          "pid~PID=ctrl:pid@setpoint=0.5,kp=32"},
+         [](const std::string &t) { legsFromSpec(t); }},
+        {"controllerParams",
+         {"setpoint=0.5,kp=32", "interval-us=50,scale-fe=1"},
+         [](const std::string &t) { parseControllerParams(t, "c"); }},
+        {"faultPlan",
+         {"leg:adpcm/dyn1=throw;leg:adpcm/online=flaky",
+          "leg:a/b=flaky:3;leg:a/c=stall;cache:a=truncate;seed=42",
+          "leg:@/dyn5=vfmisorder;cache:@=corrupt"},
+         [](const std::string &t) { fault::FaultPlan::parse(t); }},
+        {"invariants",
+         {"default", "dilation<=0.12;queue_fill<=capacity",
+          "voltage_leads_freq==never;freq_in_table==always"},
+         [](const std::string &t) { obs::InvariantEngine::parseSpec(t); }},
+        {"genParams",
+         {"seed=5;phase=int:1500:4:256:1:50;phase=mem:1200:2:512:4:50",
+          "seed=9235374536318864070;phase=branch:3327:1:16:2:41"},
+         [](const std::string &t) { fuzz::GenParams::fromSpec(t); }},
+        {"repro", corpusTexts(),
+         [](const std::string &t) { reproFromText(t); }},
+    };
+    for (const Grammar &g : grammars) {
+        ASSERT_FALSE(g.valid.empty()) << g.name;
+        Rng rng = streamRng(1, std::string("spec.mutate.") + g.name);
+        int accepted = 0;
+        int rejected = 0;
+        for (int i = 0; i < 1000; ++i) {
+            std::string text = g.valid[rng.uniformInt(g.valid.size())];
+            for (std::uint64_t n = 1 + rng.uniformInt(3); n > 0; --n)
+                text = mutate(std::move(text), rng);
+            try {
+                g.parse(text);
+                ++accepted;
+            } catch (const FatalError &) {
+                ++rejected;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << g.name << ": '" << text
+                              << "' threw a non-FatalError: " << e.what();
+            }
+        }
+        EXPECT_GT(accepted, 0) << g.name;
+        if (std::string(g.name) != "splitList") {
+            EXPECT_GT(rejected, 0) << g.name;
+        }
+    }
 }
 
 } // namespace
