@@ -113,41 +113,24 @@ runMatrix(const ExperimentConfig &ec)
 }
 
 /**
- * End-of-run epilogue for matrix drivers: summarize any failed legs
- * and invariant violations on stderr and return the process exit
+ * End-of-run epilogue for matrix drivers: return the process exit
  * code — exitOk when everything completed, exitPartialFailure /
  * exitTotalFailure otherwise, so CI can tell a degraded figure from a
  * useless one. An otherwise-clean matrix with recorded invariant
  * violations exits exitInvariantViolation when MCD_INVARIANTS_FATAL
- * is set (leg failures outrank the invariant code). Also rewrites the
- * MCD_PROF_OUT host profile so it includes the render phases.
+ * is set (leg failures outrank the invariant code). runMatrix has
+ * already summarized failed legs and violations on stderr. Also
+ * rewrites the MCD_PROF_OUT host profile so it includes the render
+ * phases.
  */
 inline int
 finish(const std::vector<BenchmarkResults> &rows)
 {
     writeHostProfileFromEnv();
     int code = matrixExitCode(rows);
-    if (code != exitOk) {
-        std::size_t failed = 0;
-        std::size_t total = 0;
-        for (const BenchmarkResults &r : rows) {
-            failed += r.failedLegs();
-            total += r.totalLegs();
-        }
-        std::fprintf(stderr,
-                     "  matrix degraded: %zu of %zu legs failed "
-                     "(exit %d)\n",
-                     failed, total, code);
-    }
-    if (std::uint64_t v = countInvariantViolations(rows)) {
-        bool fatal = code == exitOk && invariantsFatalFromEnv();
-        std::fprintf(stderr,
-                     "  invariants: %llu violation(s) recorded%s\n",
-                     static_cast<unsigned long long>(v),
-                     fatal ? " (MCD_INVARIANTS_FATAL: exit 5)" : "");
-        if (fatal)
-            code = exitInvariantViolation;
-    }
+    if (code == exitOk && countInvariantViolations(rows) &&
+        invariantsFatalFromEnv())
+        code = exitInvariantViolation;
     return code;
 }
 

@@ -19,10 +19,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/analyzer.hh"
+#include "common/spec.hh"
 #include "common/stats.hh"
 #include "control/controller.hh"
 #include "core/processor.hh"
@@ -37,7 +37,6 @@ main(int argc, char **argv)
     exutil::TelemetryArgs telemetry =
         exutil::TelemetryArgs::parse(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "art";
-    double dilation = argc > 2 ? std::atof(argv[2]) / 100.0 : 0.05;
     DvfsKind model = DvfsKind::XScale;
     if (argc > 3) {
         if (auto k = dvfsKindFromName(argv[3])) {
@@ -49,6 +48,12 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    return exutil::guardedMain([&] {
+    const double dilation =
+        argc > 2 ? spec::parseDouble("dilation", argv[2]) / 100.0 : 0.05;
+    if (dilation < 0.0)
+        fatal("dilation: expected a non-negative percentage (got '" +
+              std::string(argv[2]) + "')");
     const double timeScale = 0.2;
 
     Program prog = workloads::build(bench, 1);
@@ -134,4 +139,5 @@ main(int argc, char **argv)
     telemetry.write({{bench + "/profile", &profile},
                      {bench + "/dynamic", &r}});
     return 0;
+    });
 }

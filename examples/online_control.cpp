@@ -20,9 +20,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/spec.hh"
 #include "common/stats.hh"
 #include "control/online_queue.hh"
 #include "core/experiment.hh"
@@ -52,8 +52,13 @@ main(int argc, char **argv)
     return exutil::guardedMain([&] {
     ExperimentConfig ec;
     ec.model = model;
-    if (argc > 3)
-        ec.online.interval = fromMicroseconds(std::atof(argv[3]));
+    if (argc > 3) {
+        const double us = spec::parseDouble("interval", argv[3]);
+        if (!(us > 0.0))
+            fatal("interval: expected a positive number of microseconds "
+                  "(got '" + std::string(argv[3]) + "')");
+        ec.online.interval = fromMicroseconds(us);
+    }
     if (telemetry.wanted())
         ec.telemetry = obs::TelemetryConfig::full();
     telemetry.apply(ec.telemetry);

@@ -151,8 +151,6 @@ DomainDvfs::applyFrequency(Tick now, Hertz f)
     if (f == dom.frequency())
         return;
     dom.setFrequency(f);
-    if (tracing)
-        freqTrace.push_back({now, f});
     if (telem)
         telem->onFrequencyChange(dom.id(), now, f, dom.voltage());
 }

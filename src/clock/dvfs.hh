@@ -32,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "clock/clock_domain.hh"
 #include "clock/operating_points.hh"
@@ -121,10 +120,10 @@ class DomainDvfs
      * when idle. The run loop's edge actors latch this so update() is
      * called only at edges where it can make progress, instead of at
      * every edge; the update(now) contract is unchanged — servicing
-     * at the first edge at-or-after the returned tick reproduces the
-     * legacy call-every-edge trajectory exactly, because update()
-     * anchors its effects to the recorded event times (relockEnd, the
-     * step schedule), not to the calling edge.
+     * at the first edge at-or-after the returned tick gives exactly
+     * the trajectory of calling update() at every edge, because
+     * update() anchors its effects to the recorded event times
+     * (relockEnd, the step schedule), not to the calling edge.
      *
      * Invariant relied on (see update()): after any update() or
      * requestFrequency() call returns, an active transition is either
@@ -159,11 +158,9 @@ class DomainDvfs
 
     /**
      * Attach the run's telemetry context: frequency changes and PLL
-     * re-lock windows are reported through its hooks. The production
-     * consumer of frequency series (Figure 8) reads the telemetry
-     * sampler's frequencyTrace(); the legacy in-engine trace below
-     * remains as the independent ground truth the telemetry tests
-     * compare against.
+     * re-lock windows are reported through its hooks, and the
+     * frequency series (Figure 8) is read back from the telemetry
+     * sampler's frequencyTrace().
      */
     void attachTelemetry(obs::Telemetry *t) { telem = t; }
 
@@ -174,10 +171,6 @@ class DomainDvfs
      * Deterministic: the breach lands at the request tick itself.
      */
     void injectVfMisorder() { misorder = true; }
-
-    /** Enable recording of (time, frequency) trace points. */
-    void enableTrace() { tracing = true; }
-    const std::vector<FreqTracePoint> &trace() const { return freqTrace; }
 
     /** Current voltage level index (test hook). */
     int voltageLevel() const { return level; }
@@ -196,7 +189,6 @@ class DomainDvfs
     Rng rng;
 
     bool active = false;
-    bool tracing = false;
     bool misorder = false;  //!< injected voltage/frequency mis-order
     Hertz targetFreq;
     int level;              //!< current voltage level [0, stepsFullRange]
@@ -210,7 +202,6 @@ class DomainDvfs
     Hertz relockFreq = 0.0; //!< frequency applied when lock completes
 
     std::uint64_t reconfigs = 0;
-    std::vector<FreqTracePoint> freqTrace;
 };
 
 } // namespace mcd

@@ -18,7 +18,6 @@ namespace mcd {
 void
 ThreadPool::execTask(std::function<void()> &task)
 {
-    auto t0 = std::chrono::steady_clock::now();
     try {
         task();
     } catch (const std::exception &e) {
@@ -28,7 +27,6 @@ ThreadPool::execTask(std::function<void()> &task)
         warn("thread pool: task escaped its packaged_task wrapper "
              "with a non-std exception");
     }
-    noteTask(t0);
 }
 
 ThreadPool::ThreadPool(unsigned workers)

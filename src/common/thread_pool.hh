@@ -19,11 +19,8 @@
 #ifndef MCD_COMMON_THREAD_POOL_HH
 #define MCD_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -58,9 +55,7 @@ class ThreadPool
             std::forward<F>(fn));
         std::future<R> fut = task->get_future();
         if (numWorkers == 0) {
-            auto t0 = std::chrono::steady_clock::now();
             (*task)();
-            noteTask(t0);
             return fut;
         }
         {
@@ -89,59 +84,6 @@ class ThreadPool
         return fut.get();
     }
 
-    /** wait() over a whole batch, in order. */
-    template <typename T>
-    std::vector<T>
-    waitAll(std::vector<std::future<T>> &futs)
-    {
-        std::vector<T> out;
-        out.reserve(futs.size());
-        for (auto &f : futs)
-            out.push_back(wait(f));
-        return out;
-    }
-
-    /**
-     * Run body(i) for i in [0, n) across the pool (the caller helps).
-     * Rethrows the lowest-index exception after all iterations finish.
-     */
-    template <typename F>
-    void
-    parallelFor(std::size_t n, F &&body)
-    {
-        std::vector<std::future<void>> futs;
-        futs.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            futs.push_back(submit([&body, i] { body(i); }));
-        std::exception_ptr first;
-        for (auto &f : futs) {
-            try {
-                wait(f);
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
-    }
-
-    /**
-     * Utilization gauges for the host profiler: tasks executed and
-     * time spent inside them, summed over every executing thread
-     * (workers, helpers, and the inline jobs=1 path alike).
-     */
-    std::uint64_t
-    tasksExecuted() const
-    {
-        return nExecuted.load(std::memory_order_relaxed);
-    }
-    std::uint64_t
-    busyNanos() const
-    {
-        return busyNs.load(std::memory_order_relaxed);
-    }
-
     /**
      * Hardware concurrency, never less than 1. Callers wanting the
      * MCD_JOBS / --jobs knob go through config::RunSpec::jobs(), which
@@ -167,26 +109,12 @@ class ThreadPool
     void workerLoop();
     void execTask(std::function<void()> &task);
 
-    void
-    noteTask(std::chrono::steady_clock::time_point t0)
-    {
-        auto dt = std::chrono::steady_clock::now() - t0;
-        nExecuted.fetch_add(1, std::memory_order_relaxed);
-        busyNs.fetch_add(
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                    .count()),
-            std::memory_order_relaxed);
-    }
-
     unsigned numWorkers;
     std::vector<std::thread> threads;
     std::deque<std::function<void()>> queue;
     std::mutex mutex;
     std::condition_variable cv;
     bool stopping = false;
-    std::atomic<std::uint64_t> nExecuted{0};
-    std::atomic<std::uint64_t> busyNs{0};
 };
 
 } // namespace mcd

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -1320,17 +1319,9 @@ ExperimentRunner::runGuarded(const std::string &bench,
                              const std::function<RunResult()> &body) const
 {
     const std::string site = bench + "/" + leg;
-    obs::HostProfiler &hostProf = obs::HostProfiler::instance();
+    // The leg's slice: its wall time and peak RSS in the host profile.
     obs::HostProfiler::Scope profScope =
-        hostProf.phase("simulate", site);
-    auto wall0 = std::chrono::steady_clock::now();
-    auto noteLeg = [&] {
-        if (!hostProf.enabled())
-            return;
-        double ms = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - wall0).count();
-        hostProf.noteLeg(site, ms, obs::HostProfiler::peakRssKb());
-    };
+        obs::HostProfiler::instance().phase("simulate", site);
     RunError err;
     for (int attempt = 1; attempt <= config.legAttempts; ++attempt) {
         try {
@@ -1341,7 +1332,6 @@ ExperimentRunner::runGuarded(const std::string &bench,
                 config.faults->onLegAttempt(site, attempt);
             RunResult r = body();
             r.attempts = attempt;
-            noteLeg();
             return r;
         } catch (const fault::InjectedFault &e) {
             err = {site, "injected", e.what(), attempt};
@@ -1364,7 +1354,6 @@ ExperimentRunner::runGuarded(const std::string &bench,
     }
     warn("leg " + site + " failed (" + err.kind + ", attempt " +
          std::to_string(err.attempts) + "): " + err.message);
-    noteLeg();
     RunResult failed;
     failed.benchmark = bench;
     failed.attempts = err.attempts;
@@ -1810,7 +1799,6 @@ runMatrix(const ExperimentConfig &cfg,
     const config::RunSpec spec = config::RunSpec::resolve();
     obs::HostProfiler &hostProf = obs::HostProfiler::instance();
     hostProf.reset(!spec.str("profOut").empty());
-    auto matrixStart = std::chrono::steady_clock::now();
 
     ExperimentConfig ecfg;
     {
@@ -1829,18 +1817,9 @@ runMatrix(const ExperimentConfig &cfg,
     std::vector<BenchmarkResults> out(names.size());
     ExperimentRunner runner(ecfg);
 
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (progress)
-                std::fprintf(stderr, "  running %s...\n",
-                             names[i].c_str());
-            out[i] = runner.runBenchmark(names[i]);
-        }
-        finishMatrix(ecfg, out, runner);
-        return out;
-    }
-
-    ThreadPool pool(static_cast<unsigned>(jobs));
+    // A zero-worker pool runs each benchmark inline at submission, in
+    // workload order: jobs=1 is the serial path.
+    ThreadPool pool(jobs > 1 ? static_cast<unsigned>(jobs) : 0u);
     std::mutex progressMutex;
     std::vector<std::future<BenchmarkResults>> futs;
     futs.reserve(names.size());
@@ -1858,14 +1837,6 @@ runMatrix(const ExperimentConfig &cfg,
     // Collect in workload order, independent of completion order.
     for (std::size_t i = 0; i < names.size(); ++i)
         out[i] = pool.wait(futs[i]);
-    if (hostProf.enabled()) {
-        auto wall = std::chrono::steady_clock::now() - matrixStart;
-        hostProf.notePool(
-            pool.workerCount(), pool.tasksExecuted(), pool.busyNanos(),
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    wall).count()));
-    }
     finishMatrix(ecfg, out, runner);
     return out;
 }

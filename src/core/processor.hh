@@ -84,9 +84,6 @@ class McdProcessor
     /** The active frequency controller (nullptr for static runs). */
     const DvfsController *controllerInUse() const { return controller; }
 
-    /** A domain's DVFS engine, nullptr when singly clocked (test hook). */
-    DomainDvfs *dvfsEngine(Domain d) { return dvfs[domainIndex(d)].get(); }
-
     /** The run's telemetry context; null when all channels are off. */
     const obs::Telemetry *telemetry() const { return telem.get(); }
 

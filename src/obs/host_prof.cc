@@ -1,6 +1,7 @@
 #include "host_prof.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/json_writer.hh"
 
@@ -13,14 +14,57 @@ namespace obs {
 
 namespace {
 
-struct PhaseAgg
+/**
+ * The calling thread's open Scopes, innermost last: each entry sums
+ * the inclusive time of the Scopes already closed directly inside it.
+ */
+std::vector<std::int64_t> &
+openScopes()
 {
-    std::uint64_t count = 0;
-    double totalMs = 0.0;
-    double maxMs = 0.0;
-};
+    thread_local std::vector<std::int64_t> open;
+    return open;
+}
+
+double
+toMs(std::int64_t ns)
+{
+    return static_cast<double>(ns) / 1e6;
+}
+
+double
+toUs(std::int64_t ns)
+{
+    return static_cast<double>(ns) / 1e3;
+}
+
+std::int64_t
+nanosBetween(std::chrono::steady_clock::time_point a,
+             std::chrono::steady_clock::time_point b)
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
+        .count();
+}
 
 } // namespace
+
+struct HostProfiler::Summary
+{
+    struct Phase
+    {
+        std::uint64_t count = 0;
+        std::int64_t selfNs = 0;
+        std::int64_t maxNs = 0;
+    };
+
+    // std::map iteration gives the name-sorted, job-count-independent
+    // key order the merged stats JSON requires.
+    std::map<std::string, Phase> phases;
+    /** Leg site → its simulate slice (the latest, if run twice). */
+    std::map<std::string, const Slice *> legs;
+    std::size_t lanes = 0;
+    std::int64_t wallNs = 0;    //!< first slice start to last end
+    std::int64_t selfNs = 0;    //!< summed over every slice
+};
 
 HostProfiler &
 HostProfiler::instance()
@@ -34,12 +78,7 @@ HostProfiler::reset(bool enable)
 {
     std::lock_guard<std::mutex> lock(mtx);
     slices.clear();
-    legs.clear();
     lanes.clear();
-    poolWorkers = 0;
-    poolTasks = 0;
-    poolBusyNs = 0;
-    poolWallNs = 0;
     epoch = std::chrono::steady_clock::now();
     on.store(enable, std::memory_order_relaxed);
 }
@@ -51,15 +90,21 @@ HostProfiler::Scope::close()
         return;
     HostProfiler *p = prof;
     prof = nullptr;
-    auto end = std::chrono::steady_clock::now();
     Slice s;
     s.kind = std::move(kind);
     s.detail = std::move(detail);
     s.lane = 0;
-    std::chrono::duration<double, std::micro> rel = start - p->epoch;
-    std::chrono::duration<double, std::micro> dur = end - start;
-    s.startUs = rel.count();
-    s.durUs = dur.count();
+    s.startNs = nanosBetween(p->epoch, start);
+    s.durNs = nanosBetween(start, std::chrono::steady_clock::now());
+    s.selfNs = s.durNs;
+    std::vector<std::int64_t> &open = openScopes();
+    if (depth < open.size()) {
+        s.selfNs -= open[depth];
+        open.resize(depth);
+        if (depth)
+            open[depth - 1] += s.durNs;
+    }
+    s.rssKb = peakRssKb();
     p->record(std::move(s));
 }
 
@@ -72,6 +117,8 @@ HostProfiler::phase(std::string kind, std::string detail)
     s.prof = this;
     s.kind = std::move(kind);
     s.detail = std::move(detail);
+    s.depth = openScopes().size();
+    openScopes().push_back(0);
     s.start = std::chrono::steady_clock::now();
     return s;
 }
@@ -97,29 +144,6 @@ HostProfiler::record(Slice s)
     slices.push_back(std::move(s));
 }
 
-void
-HostProfiler::noteLeg(const std::string &site, double wall_ms,
-                      std::uint64_t rss_kb)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(mtx);
-    legs.push_back({site, wall_ms, rss_kb});
-}
-
-void
-HostProfiler::notePool(unsigned workers, std::uint64_t tasks,
-                       std::uint64_t busy_ns, std::uint64_t wall_ns)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(mtx);
-    poolWorkers = workers;
-    poolTasks = tasks;
-    poolBusyNs = busy_ns;
-    poolWallNs = wall_ns;
-}
-
 std::uint64_t
 HostProfiler::peakRssKb()
 {
@@ -137,59 +161,68 @@ HostProfiler::peakRssKb()
 #endif
 }
 
+HostProfiler::Summary
+HostProfiler::summarize() const
+{
+    Summary sum;
+    sum.lanes = lanes.size();
+    std::int64_t first = std::numeric_limits<std::int64_t>::max();
+    std::int64_t last = 0;
+    for (const Slice &s : slices) {
+        Summary::Phase &ph = sum.phases[s.kind];
+        ++ph.count;
+        ph.selfNs += s.selfNs;
+        ph.maxNs = std::max(ph.maxNs, s.durNs);
+        if (s.kind == "simulate")
+            sum.legs[s.detail] = &s;
+        first = std::min(first, s.startNs);
+        last = std::max(last, s.startNs + s.durNs);
+        sum.selfNs += s.selfNs;
+    }
+    sum.wallNs = slices.empty() ? 0 : last - first;
+    return sum;
+}
+
 void
 HostProfiler::publish(StatsRegistry &reg) const
 {
     std::lock_guard<std::mutex> lock(mtx);
+    const Summary sum = summarize();
 
-    // std::map iteration gives the name-sorted, job-count-independent
-    // key order the merged stats JSON requires.
-    std::map<std::string, PhaseAgg> agg;
-    for (const Slice &s : slices) {
-        PhaseAgg &a = agg[s.kind];
-        ++a.count;
-        double ms = s.durUs / 1e3;
-        a.totalMs += ms;
-        a.maxMs = std::max(a.maxMs, ms);
-    }
-    for (const auto &kv : agg) {
-        std::string p = "host.phase." + kv.first;
+    for (const auto &[kind, ph] : sum.phases) {
+        std::string p = "host.phase." + kind;
         reg.counter(p + ".count", "host phases of this kind entered")
-            .inc(kv.second.count);
-        reg.gauge(p + ".total_ms", "wall time summed over the phases")
-            .set(kv.second.totalMs);
-        reg.gauge(p + ".max_ms", "longest single phase")
-            .set(kv.second.maxMs);
+            .inc(ph.count);
+        reg.gauge(p + ".self_ms",
+                  "wall time summed over the phases, nested phases "
+                  "subtracted")
+            .set(toMs(ph.selfNs));
+        reg.gauge(p + ".max_ms", "longest single phase, nested "
+                  "phases included")
+            .set(toMs(ph.maxNs));
     }
 
-    std::map<std::string, const LegTime *> bySite;
-    for (const LegTime &l : legs)
-        bySite[l.site] = &l;
-    for (const auto &kv : bySite) {
-        std::string p = "host.leg." + kv.first;
+    for (const auto &[site, s] : sum.legs) {
+        std::string p = "host.leg." + site;
         reg.gauge(p + ".wall_ms", "host wall time simulating the leg")
-            .set(kv.second->wallMs);
+            .set(toMs(s->durNs));
         reg.gauge(p + ".peak_rss_kb", "process peak RSS after the leg")
-            .set(static_cast<double>(kv.second->rssKb));
+            .set(static_cast<double>(s->rssKb));
     }
 
     reg.gauge("host.peak_rss_kb", "process peak resident set size")
         .set(static_cast<double>(peakRssKb()));
 
-    if (poolWallNs) {
-        reg.gauge("host.pool.workers", "pool worker threads")
-            .set(static_cast<double>(poolWorkers));
-        reg.counter("host.pool.tasks", "tasks the pool executed")
-            .inc(poolTasks);
-        reg.gauge("host.pool.busy_ms", "worker time spent in tasks")
-            .set(static_cast<double>(poolBusyNs) / 1e6);
-        // The helping main thread also runs tasks, so a saturated
-        // matrix can honestly exceed 1.0.
-        double denom = static_cast<double>(poolWallNs) *
-            std::max(1u, poolWorkers);
-        reg.gauge("host.pool.utilization",
-                  "busy time / (wall time * workers)")
-            .set(static_cast<double>(poolBusyNs) / denom);
+    if (sum.wallNs) {
+        reg.gauge("host.pool.lanes", "host threads that recorded phases")
+            .set(static_cast<double>(sum.lanes));
+        reg.gauge("host.pool.wall_ms",
+                  "first phase start to last phase end")
+            .set(toMs(sum.wallNs));
+        reg.gauge("host.pool.self_ms",
+                  "self time summed over every phase; at most "
+                  "wall_ms * lanes")
+            .set(toMs(sum.selfNs));
     }
 }
 
@@ -204,8 +237,8 @@ HostProfiler::writeProfile(std::ostream &os) const
         ordered.push_back(&s);
     std::stable_sort(ordered.begin(), ordered.end(),
                      [](const Slice *a, const Slice *b) {
-                         if (a->startUs != b->startUs)
-                             return a->startUs < b->startUs;
+                         if (a->startNs != b->startNs)
+                             return a->startNs < b->startNs;
                          return a->lane < b->lane;
                      });
 
@@ -231,7 +264,7 @@ HostProfiler::writeProfile(std::ostream &os) const
         w.beginObject(json::Inline)
             .field("name", s->kind).field("cat", "host")
             .field("ph", "X").field("pid", 1).field("tid", s->lane)
-            .field("ts", s->startUs).field("dur", s->durUs);
+            .field("ts", toUs(s->startNs)).field("dur", toUs(s->durNs));
         if (!s->detail.empty()) {
             w.key("args").beginObject(json::Inline)
                 .field("detail", s->detail).endObject();
@@ -240,35 +273,25 @@ HostProfiler::writeProfile(std::ostream &os) const
     }
     w.endArray();
 
-    std::map<std::string, PhaseAgg> agg;
-    for (const Slice &s : slices) {
-        PhaseAgg &a = agg[s.kind];
-        ++a.count;
-        double ms = s.durUs / 1e3;
-        a.totalMs += ms;
-        a.maxMs = std::max(a.maxMs, ms);
-    }
+    const Summary sum = summarize();
     w.key("host").beginObject().key("phases").beginObject();
-    for (const auto &kv : agg) {
-        w.key(kv.first).beginObject(json::Inline)
-            .field("count", kv.second.count)
-            .field("totalMs", kv.second.totalMs)
-            .field("maxMs", kv.second.maxMs).endObject();
+    for (const auto &[kind, ph] : sum.phases) {
+        w.key(kind).beginObject(json::Inline)
+            .field("count", ph.count)
+            .field("selfMs", toMs(ph.selfNs))
+            .field("maxMs", toMs(ph.maxNs)).endObject();
     }
     w.endObject().key("legs").beginArray();
-    std::map<std::string, const LegTime *> bySite;
-    for (const LegTime &l : legs)
-        bySite[l.site] = &l;
-    for (const auto &kv : bySite) {
+    for (const auto &[site, s] : sum.legs) {
         w.beginObject(json::Inline)
-            .field("site", kv.first).field("wallMs", kv.second->wallMs)
-            .field("peakRssKb", kv.second->rssKb).endObject();
+            .field("site", site).field("wallMs", toMs(s->durNs))
+            .field("peakRssKb", s->rssKb).endObject();
     }
     w.endArray();
     w.key("pool").beginObject(json::Inline)
-        .field("workers", poolWorkers).field("tasks", poolTasks)
-        .field("busyMs", static_cast<double>(poolBusyNs) / 1e6)
-        .field("wallMs", static_cast<double>(poolWallNs) / 1e6)
+        .field("lanes", sum.lanes)
+        .field("wallMs", toMs(sum.wallNs))
+        .field("selfMs", toMs(sum.selfNs))
         .endObject();
     w.field("peakRssKb", peakRssKb()).endObject().endObject();
     os << '\n';

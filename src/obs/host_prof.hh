@@ -7,15 +7,26 @@
  * time; nothing so far measured the machine running it beyond one
  * micro_speed number. The HostProfiler records scoped phases
  * (validate, per-leg simulate, cache read/write, schedule analysis,
- * figure render), per-leg wall time and peak RSS, and ThreadPool
- * utilization, then publishes two views:
+ * figure render) as slices, and every host-time figure it reports is
+ * read from those slices:
  *
- *  - publish(): aggregated, deterministically ordered host.* stats
- *    merged into the matrix stats JSON (keys are stable across job
- *    counts; the measured values naturally are not),
- *  - writeProfile(): a standalone Chrome trace (MCD_PROF_OUT) with
- *    one "host" process, one thread lane per host thread, and a
- *    machine-readable "host" summary object.
+ *  - a slice's *self* time is its wall time minus the slices nested
+ *    inside it on the same thread (a task a helping wait runs inside
+ *    a leg is nested in that leg), so self times never overlap and
+ *    their sum fits in the profiled window times the thread count;
+ *  - a leg's wall time and peak RSS are its `simulate` slice's
+ *    duration and the process peak RSS when that slice closed;
+ *  - the "pool" figures are the lanes (threads that recorded
+ *    slices), the window from the first slice's start to the last
+ *    one's end, and the summed self time, so self/(wall × lanes) is
+ *    the host's busy share.
+ *
+ * Two views: publish() merges deterministically ordered host.* stats
+ * into the matrix stats JSON (keys are stable across job counts; the
+ * measured values naturally are not), and writeProfile() writes a
+ * standalone Chrome trace (MCD_PROF_OUT) with one "host" process, one
+ * thread lane per host thread, inclusive slice durations, and a
+ * machine-readable "host" summary object.
  *
  * Unlike the per-run Telemetry, host phases run concurrently on pool
  * threads, so this is the one obs component that locks. It is a
@@ -28,6 +39,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -63,7 +75,9 @@ class HostProfiler
     /**
      * One recorded phase, closed when the Scope dies. Default-built
      * or moved-from Scopes record nothing, as does any Scope taken
-     * while the profiler is disabled.
+     * while the profiler is disabled. Scopes nest: a Scope must close
+     * on the thread that opened it, after every Scope opened inside
+     * it on that thread (RAII gives both).
      */
     class Scope
     {
@@ -81,6 +95,7 @@ class HostProfiler
             kind = std::move(o.kind);
             detail = std::move(o.detail);
             start = o.start;
+            depth = o.depth;
             return *this;
         }
         ~Scope() { close(); }
@@ -93,35 +108,25 @@ class HostProfiler
         std::string kind;
         std::string detail;
         std::chrono::steady_clock::time_point start;
+        std::size_t depth = 0;  //!< open Scopes below it on its thread
     };
 
     /**
      * Open a phase of @p kind ("validate", "simulate", "cache.read",
      * "cache.write", "analyze", "render") with an optional free-form
-     * @p detail (typically the leg site or figure title).
+     * @p detail (the leg site for "simulate", else typically the
+     * benchmark or figure title).
      */
     Scope phase(std::string kind, std::string detail = {});
-
-    /** Record one finished leg's wall time and the RSS after it. */
-    void noteLeg(const std::string &site, double wall_ms,
-                 std::uint64_t rss_kb);
-
-    /**
-     * Record ThreadPool totals for the matrix: @p busy_ns is summed
-     * across workers, @p wall_ns is the matrix wall time. Utilization
-     * is busy/(wall*workers); the helping main thread also executes
-     * tasks, so values slightly above 1.0 are possible and honest.
-     */
-    void notePool(unsigned workers, std::uint64_t tasks,
-                  std::uint64_t busy_ns, std::uint64_t wall_ns);
 
     /** Process peak RSS in KiB (getrusage), 0 where unsupported. */
     static std::uint64_t peakRssKb();
 
     /**
      * Merge aggregated host.* stats into @p reg: per-kind phase
-     * count/total/max, per-leg wall and RSS, pool utilization, peak
-     * RSS. Key set and order depend only on the recorded names.
+     * count, self time and longest phase, per-leg wall time and peak
+     * RSS, the pool lanes/window/self time, and the current peak RSS.
+     * Key set and order depend only on the recorded names.
      */
     void publish(StatsRegistry &reg) const;
 
@@ -136,16 +141,15 @@ class HostProfiler
         std::string kind;
         std::string detail;
         int lane;
-        double startUs;
-        double durUs;
+        std::int64_t startNs;   //!< since the last reset()
+        std::int64_t durNs;     //!< inclusive
+        std::int64_t selfNs;    //!< minus the slices nested inside
+        std::uint64_t rssKb;    //!< process peak RSS at close
     };
 
-    struct LegTime
-    {
-        std::string site;
-        double wallMs;
-        std::uint64_t rssKb;
-    };
+    struct Summary;
+    /** The one aggregation both views print; caller holds mtx. */
+    Summary summarize() const;
 
     void record(Slice s);
     int laneOf(std::thread::id id);
@@ -155,11 +159,6 @@ class HostProfiler
     std::chrono::steady_clock::time_point epoch;
     std::map<std::thread::id, int> lanes;
     std::vector<Slice> slices;
-    std::vector<LegTime> legs;
-    unsigned poolWorkers = 0;
-    std::uint64_t poolTasks = 0;
-    std::uint64_t poolBusyNs = 0;
-    std::uint64_t poolWallNs = 0;
 };
 
 } // namespace obs

@@ -13,8 +13,9 @@
  *
  *  - Frequency series: the exact (time, frequency) points of every
  *    frequency change, per domain — event-driven, not decimated, so
- *    the paper's Figure 8 traces reconstruct from telemetry exactly
- *    as the legacy per-engine recording produced them.
+ *    the paper's Figure 8 traces reconstruct from telemetry exactly.
+ *    Tests check a series against the run's independent per-edge
+ *    FreqAccumulator summary (obs/freq_accum.hh).
  */
 
 #ifndef MCD_OBS_TIME_SERIES_HH

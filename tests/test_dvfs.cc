@@ -8,6 +8,7 @@
 #include "clock/clock_domain.hh"
 #include "clock/dvfs.hh"
 #include "clock/operating_points.hh"
+#include "obs/telemetry.hh"
 
 namespace mcd {
 namespace {
@@ -218,7 +219,10 @@ TEST(DomainDvfs, TraceRecordsChanges)
 {
     Rig rig;
     DomainDvfs d = rig.make(DvfsParams::xscale());
-    d.enableTrace();
+    obs::TelemetryConfig tc;
+    tc.freqSeries = true;
+    obs::Telemetry telem(tc);
+    d.attachTelemetry(&telem);
     d.requestFrequency(1000, 500e6);
     Tick t = 1000;
     while (d.transitioning()) {
@@ -230,11 +234,17 @@ TEST(DomainDvfs, TraceRecordsChanges)
         t += 1000;
         d.update(t);
     }
-    ASSERT_GE(d.trace().size(), 2u);
+    const std::vector<FreqTracePoint> &trace =
+        telem.sampler().frequencyTrace(Domain::Integer);
+    ASSERT_GE(trace.size(), 2u);
     // Times are monotone.
-    for (std::size_t i = 1; i < d.trace().size(); ++i)
-        EXPECT_GE(d.trace()[i].when, d.trace()[i - 1].when);
-    EXPECT_DOUBLE_EQ(d.trace().back().frequency, 750e6);
+    for (std::size_t i = 1; i < trace.size(); ++i)
+        EXPECT_GE(trace[i].when, trace[i - 1].when);
+    EXPECT_DOUBLE_EQ(trace.back().frequency, 750e6);
+    EXPECT_DOUBLE_EQ(rig.clock.frequency(), 750e6);
+    // Only the engine's own domain saw changes.
+    EXPECT_TRUE(
+        telem.sampler().frequencyTrace(Domain::LoadStore).empty());
 }
 
 TEST(DomainDvfs, RepeatRequestIsNoop)

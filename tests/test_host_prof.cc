@@ -1,16 +1,27 @@
 /**
  * @file
  * Tests for the host-side run profiler (src/obs/host_prof.*): scoped
- * phases, leg and pool accounting, the aggregated host.* stats view,
- * and the standalone Chrome-trace profile.
+ * phases and their self time, the legs and pool figures derived from
+ * the slices, the aggregated host.* stats view, and the standalone
+ * Chrome-trace profile.
  */
 
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <future>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "common/thread_pool.hh"
+#include "core/experiment.hh"
 #include "obs/host_prof.hh"
 #include "obs/stats_registry.hh"
 
@@ -27,60 +38,96 @@ struct Armed
     ~Armed() { HostProfiler::instance().reset(false); }
 };
 
+double
+gauge(const StatsRegistry &reg, const std::string &name)
+{
+    const auto *e = reg.find(name);
+    EXPECT_NE(e, nullptr) << name;
+    return e ? std::get<obs::Gauge>(e->stat).value() : 0.0;
+}
+
+void
+sleepMs(int ms)
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/**
+ * Slack for comparing a sum of per-kind self_ms gauges with a window:
+ * the profiler sums in integer nanoseconds, but each gauge is rounded
+ * to a double on its own, so their double sum may exceed the exact
+ * total in the last place.
+ */
+constexpr double roundingMs = 1e-9;
+
+/** Sum of host.phase.*.self_ms: the profile's total self time. */
+double
+selfMsOverAllKinds(const StatsRegistry &reg)
+{
+    double sum = 0.0;
+    for (const auto &e : reg.entries()) {
+        const std::string suffix = ".self_ms";
+        if (e.name.rfind("host.phase.", 0) == 0 &&
+            e.name.size() > suffix.size() &&
+            e.name.compare(e.name.size() - suffix.size(), suffix.size(),
+                           suffix) == 0)
+            sum += std::get<obs::Gauge>(e.stat).value();
+    }
+    return sum;
+}
+
 TEST(HostProfiler, DisabledScopesRecordNothing)
 {
     HostProfiler &prof = HostProfiler::instance();
     prof.reset(false);
     EXPECT_FALSE(prof.enabled());
     { HostProfiler::Scope s = prof.phase("simulate", "adpcm/dyn5"); }
-    prof.noteLeg("adpcm/dyn5", 12.0, 1000);
 
     StatsRegistry reg;
     prof.publish(reg);
     EXPECT_EQ(reg.find("host.phase.simulate.count"), nullptr);
     EXPECT_EQ(reg.find("host.leg.adpcm/dyn5.wall_ms"), nullptr);
+    EXPECT_EQ(reg.find("host.pool.lanes"), nullptr);
 }
 
 TEST(HostProfiler, PublishAggregatesPhasesLegsAndPool)
 {
     Armed armed;
     HostProfiler &prof = HostProfiler::instance();
+    { HostProfiler::Scope s = prof.phase("validate"); }
+    { HostProfiler::Scope s = prof.phase("simulate", "adpcm/baseline"); }
+    { HostProfiler::Scope s = prof.phase("simulate", "adpcm/dyn5"); }
     {
-        HostProfiler::Scope a = prof.phase("simulate", "adpcm/baseline");
-        HostProfiler::Scope b = prof.phase("simulate", "adpcm/dyn5");
-        HostProfiler::Scope c = prof.phase("validate");
+        // A leg simulated twice reports once, from its latest slice.
+        HostProfiler::Scope s = prof.phase("simulate", "adpcm/dyn5");
+        sleepMs(5);
     }
-    prof.noteLeg("adpcm/baseline", 10.5, 2048);
-    prof.noteLeg("adpcm/dyn5", 20.25, 4096);
-    // A retried leg reports once, with the latest numbers.
-    prof.noteLeg("adpcm/dyn5", 21.0, 5000);
-    // 2 workers, 4 tasks, 1.5 s busy over a 1 s matrix: utilization
-    // 0.75 of the 2-worker capacity.
-    prof.notePool(2, 4, 1'500'000'000ull, 1'000'000'000ull);
 
     StatsRegistry reg;
     prof.publish(reg);
 
     const auto *count = reg.find("host.phase.simulate.count");
     ASSERT_NE(count, nullptr);
-    EXPECT_EQ(std::get<obs::Counter>(count->stat).value(), 2u);
-    EXPECT_NE(reg.find("host.phase.simulate.total_ms"), nullptr);
+    EXPECT_EQ(std::get<obs::Counter>(count->stat).value(), 3u);
+    EXPECT_NE(reg.find("host.phase.simulate.self_ms"), nullptr);
     EXPECT_NE(reg.find("host.phase.simulate.max_ms"), nullptr);
     EXPECT_NE(reg.find("host.phase.validate.count"), nullptr);
 
-    const auto *wall = reg.find("host.leg.adpcm/dyn5.wall_ms");
-    ASSERT_NE(wall, nullptr);
-    EXPECT_DOUBLE_EQ(std::get<obs::Gauge>(wall->stat).value(), 21.0);
-    const auto *rss = reg.find("host.leg.adpcm/dyn5.peak_rss_kb");
-    ASSERT_NE(rss, nullptr);
-    EXPECT_DOUBLE_EQ(std::get<obs::Gauge>(rss->stat).value(), 5000.0);
+    // The latest dyn5 slice is the longest simulate slice.
+    EXPECT_GE(gauge(reg, "host.leg.adpcm/dyn5.wall_ms"), 5.0);
+    EXPECT_DOUBLE_EQ(gauge(reg, "host.leg.adpcm/dyn5.wall_ms"),
+                     gauge(reg, "host.phase.simulate.max_ms"));
+    EXPECT_GT(gauge(reg, "host.leg.adpcm/dyn5.peak_rss_kb"), 0.0);
+    EXPECT_NE(reg.find("host.leg.adpcm/baseline.wall_ms"), nullptr);
+    EXPECT_EQ(reg.find("host.leg.validate.wall_ms"), nullptr);
 
-    const auto *workers = reg.find("host.pool.workers");
-    ASSERT_NE(workers, nullptr);
-    EXPECT_DOUBLE_EQ(std::get<obs::Gauge>(workers->stat).value(), 2.0);
-    const auto *util = reg.find("host.pool.utilization");
-    ASSERT_NE(util, nullptr);
-    EXPECT_NEAR(std::get<obs::Gauge>(util->stat).value(), 0.75, 1e-12);
+    // One thread, sequential slices: the window covers their self
+    // time.
+    EXPECT_DOUBLE_EQ(gauge(reg, "host.pool.lanes"), 1.0);
+    EXPECT_LE(gauge(reg, "host.pool.self_ms"),
+              gauge(reg, "host.pool.wall_ms"));
+    EXPECT_NEAR(gauge(reg, "host.pool.self_ms"), selfMsOverAllKinds(reg),
+                roundingMs);
 
     // The key set is deterministic: publishing twice into fresh
     // registries yields the same names in the same order.
@@ -89,6 +136,142 @@ TEST(HostProfiler, PublishAggregatesPhasesLegsAndPool)
     ASSERT_EQ(reg.size(), reg2.size());
     for (std::size_t i = 0; i < reg.size(); ++i)
         EXPECT_EQ(reg.entries()[i].name, reg2.entries()[i].name);
+}
+
+TEST(HostProfiler, NestedScopeSelfTimeExcludesChildren)
+{
+    Armed armed;
+    HostProfiler &prof = HostProfiler::instance();
+    {
+        HostProfiler::Scope parent = prof.phase("simulate", "mst/shake");
+        sleepMs(5);
+        {
+            HostProfiler::Scope child = prof.phase("analyze", "mst/shake");
+            sleepMs(20);
+        }
+        sleepMs(5);
+    }
+
+    StatsRegistry reg;
+    prof.publish(reg);
+    // One slice per kind, so max_ms is each slice's inclusive time.
+    const double parentMs = gauge(reg, "host.phase.simulate.max_ms");
+    const double childMs = gauge(reg, "host.phase.analyze.max_ms");
+    EXPECT_GE(childMs, 20.0);
+    EXPECT_DOUBLE_EQ(gauge(reg, "host.phase.analyze.self_ms"), childMs);
+    EXPECT_NEAR(gauge(reg, "host.phase.simulate.self_ms"),
+                parentMs - childMs, 1e-9);
+    EXPECT_LE(selfMsOverAllKinds(reg),
+              gauge(reg, "host.pool.wall_ms") + roundingMs);
+}
+
+TEST(HostProfiler, ScopeInsideInlinePoolTaskIsNotCountedTwice)
+{
+    Armed armed;
+    HostProfiler &prof = HostProfiler::instance();
+    ThreadPool inlinePool(0);
+    {
+        HostProfiler::Scope outer = prof.phase("simulate", "adpcm/dyn1");
+        auto fut = inlinePool.submit([&prof] {
+            HostProfiler::Scope s = prof.phase("analyze", "adpcm/dyn1");
+            sleepMs(20);
+        });
+        inlinePool.wait(fut);
+        sleepMs(5);
+    }
+
+    StatsRegistry reg;
+    prof.publish(reg);
+    const double wallMs = gauge(reg, "host.pool.wall_ms");
+    EXPECT_GE(gauge(reg, "host.phase.analyze.self_ms"), 20.0);
+    EXPECT_LE(gauge(reg, "host.phase.simulate.self_ms"),
+              gauge(reg, "host.phase.simulate.max_ms") - 20.0);
+    EXPECT_LE(selfMsOverAllKinds(reg), wallMs + roundingMs);
+    EXPECT_DOUBLE_EQ(gauge(reg, "host.phase.simulate.max_ms"), wallMs);
+}
+
+TEST(HostProfiler, ScopeInTaskRunByHelpingWaitIsNested)
+{
+    Armed armed;
+    HostProfiler &prof = HostProfiler::instance();
+    ThreadPool pool(1);
+    // Park the only worker so the helping wait below must run the
+    // second task on this thread, inside the open simulate scope.
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    auto blocker = pool.submit([&parked, released] {
+        parked.set_value();
+        released.wait();
+    });
+    parked.get_future().wait();
+    {
+        HostProfiler::Scope outer = prof.phase("simulate", "mst/dyn5");
+        auto task = pool.submit([&prof] {
+            HostProfiler::Scope s = prof.phase("analyze", "mst/dyn5");
+            sleepMs(20);
+            return std::this_thread::get_id();
+        });
+        EXPECT_EQ(pool.wait(task), std::this_thread::get_id());
+    }
+    release.set_value();
+    pool.wait(blocker);
+
+    StatsRegistry reg;
+    prof.publish(reg);
+    EXPECT_DOUBLE_EQ(gauge(reg, "host.pool.lanes"), 1.0);
+    EXPECT_NEAR(gauge(reg, "host.phase.simulate.self_ms"),
+                gauge(reg, "host.phase.simulate.max_ms") -
+                    gauge(reg, "host.phase.analyze.max_ms"),
+                1e-9);
+    EXPECT_LE(selfMsOverAllKinds(reg),
+              gauge(reg, "host.pool.wall_ms") + roundingMs);
+}
+
+TEST(HostProfiler, ProfiledMatrixSelfTimeFitsLanesAndLegsMatchSlices)
+{
+    const std::filesystem::path out =
+        std::filesystem::temp_directory_path() /
+        ("mcd-host-prof-" + std::to_string(::getpid()) + ".json");
+    ::setenv("MCD_PROF_OUT", out.string().c_str(), 1);
+    ExperimentConfig ec;
+    runMatrix(ec, {"adpcm", "mst"}, /*jobs=*/2);
+    ::unsetenv("MCD_PROF_OUT");
+
+    HostProfiler &prof = HostProfiler::instance();
+    StatsRegistry reg;
+    prof.publish(reg);
+    prof.reset(false);
+
+    const double lanes = gauge(reg, "host.pool.lanes");
+    const double wallMs = gauge(reg, "host.pool.wall_ms");
+    EXPECT_GE(lanes, 1.0);
+    EXPECT_LE(lanes, 3.0);      // the main thread and two workers
+    EXPECT_LE(selfMsOverAllKinds(reg), wallMs * lanes + roundingMs);
+    EXPECT_LE(gauge(reg, "host.pool.self_ms"), wallMs * lanes + roundingMs);
+
+    // Every leg's wall time is its simulate slice's inclusive "dur"
+    // in the Chrome trace runMatrix wrote.
+    std::ifstream in(out);
+    ASSERT_TRUE(in) << out;
+    const std::regex slice(
+        "\"name\": \"simulate\".*\"dur\": ([^,]+),.*"
+        "\"detail\": \"([^\"]+)\"");
+    std::map<std::string, double> durUs;
+    for (std::string line; std::getline(in, line);) {
+        std::smatch m;
+        if (std::regex_search(line, m, slice))
+            durUs[m[2]] = std::stod(m[1]);
+    }
+    in.close();
+    std::filesystem::remove(out);
+    // Per benchmark: baseline, mcdBaseline, shake and the default legs.
+    EXPECT_GE(durUs.size(), 2 * (3 + ec.legs.size()));
+    for (const auto &[site, us] : durUs) {
+        EXPECT_NEAR(gauge(reg, "host.leg." + site + ".wall_ms"),
+                    us / 1e3, 1e-9)
+            << site;
+    }
 }
 
 TEST(HostProfiler, WriteProfileEmitsChromeTraceWithHostSummary)
@@ -102,8 +285,6 @@ TEST(HostProfiler, WriteProfileEmitsChromeTraceWithHostSummary)
         HostProfiler::Scope s = prof.phase("analyze", "mst/dyn1");
     });
     t.join();
-    prof.noteLeg("mst/online", 5.0, 100);
-    prof.notePool(4, 8, 2'000'000'000ull, 1'000'000'000ull);
 
     std::ostringstream os;
     prof.writeProfile(os);
@@ -111,7 +292,8 @@ TEST(HostProfiler, WriteProfileEmitsChromeTraceWithHostSummary)
     for (const char *key :
          {"\"traceEvents\"", "\"process_name\"", "\"host\"",
           "\"simulate\"", "\"analyze\"", "\"mst/online\"",
-          "\"phases\"", "\"legs\"", "\"pool\"", "\"peakRssKb\"",
+          "\"phases\"", "\"selfMs\"", "\"legs\"", "\"site\"",
+          "\"pool\": {\"lanes\": 2, \"wallMs\"", "\"peakRssKb\"",
           "\"ph\": \"X\""}) {
         EXPECT_NE(text.find(key), std::string::npos) << key;
     }

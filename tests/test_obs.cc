@@ -18,6 +18,7 @@
 #include "common/log.hh"
 #include "core/experiment.hh"
 #include "core/processor.hh"
+#include "obs/freq_accum.hh"
 #include "obs/stats_registry.hh"
 #include "obs/telemetry.hh"
 #include "obs/time_series.hh"
@@ -234,11 +235,23 @@ TEST(StatsRegistry, JsonOutputIsWellFormed)
 }
 
 /**
- * Tentpole acceptance: a Figure 8-style frequency trace reconstructed
- * from the telemetry sampler matches the legacy in-engine recording
- * exactly — same call site, same arguments, element for element.
+ * A Figure 8-style frequency series from the telemetry sampler agrees
+ * with an oracle that never reads the sampler: the run loop's
+ * per-edge FreqAccumulator summary in RunResult::domains.
+ *
+ * Minimum and maximum match exactly: both start from the initial
+ * frequency, and every frequency the engine applies is in force at
+ * the next edge of its domain. The average differs by attribution
+ * only. The per-edge sum weights the interval before an edge with the
+ * frequency in force after it, so each of the n change points moves
+ * by less than one period of the slowest clock, T = 1/f_min; and its
+ * window runs from the first to the last edge, not from 0 to
+ * execTime, which moves each end by less than T too. Moving a
+ * duration δ between two frequencies shifts a time-weighted mean by
+ * at most δ (f_max - f_min) / span, hence the tolerance
+ * (n + 2) T (f_max - f_min) / execTime.
  */
-TEST(Telemetry, FreqTraceMatchesLegacyEngineTrace)
+TEST(Telemetry, FreqTraceMatchesPerEdgeSummary)
 {
     Program p = workloads::build("adpcm", 1);
 
@@ -256,26 +269,29 @@ TEST(Telemetry, FreqTraceMatchesLegacyEngineTrace)
     cfg.telemetry.freqSeries = true;
     cfg.maxInstructions = 60000;
 
-    McdProcessor proc(cfg, p);
-    // Legacy in-engine recording as independent ground truth.
-    for (int d = 0; d < numDomains; ++d)
-        proc.dvfsEngine(static_cast<Domain>(d))->enableTrace();
-    RunResult r = proc.run();
+    RunResult r = McdProcessor(cfg, p).run();
+    ASSERT_NE(r.telemetry, nullptr);
 
+    const DvfsTable table;
+    const Hertz fMin = table.minFrequency();
+    const Hertz fMax = table.maxFrequency();
+    const double periodPs = 1e12 / fMin;
     std::size_t points = 0;
     for (int d = 0; d < numDomains; ++d) {
-        const auto &legacy =
-            proc.dvfsEngine(static_cast<Domain>(d))->trace();
-        const auto &fromSampler =
-            r.telemetry->sampler().frequencyTrace(static_cast<Domain>(d));
-        ASSERT_EQ(fromSampler.size(), legacy.size()) << domainName(
-            static_cast<Domain>(d));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(fromSampler[i].when, legacy[i].when);
-            EXPECT_DOUBLE_EQ(fromSampler[i].frequency,
-                             legacy[i].frequency);
-        }
-        points += fromSampler.size();
+        const Domain dom = static_cast<Domain>(d);
+        const auto &series = r.telemetry->sampler().frequencyTrace(dom);
+        const DomainSummary &oracle = r.domains[d];
+        obs::FreqAccumulator fromSeries = obs::FreqAccumulator::fromSeries(
+            fMax, series, 0, r.execTime);
+        EXPECT_DOUBLE_EQ(fromSeries.minimum(), oracle.minFrequency)
+            << domainName(dom);
+        EXPECT_DOUBLE_EQ(fromSeries.maximum(), oracle.maxFrequency)
+            << domainName(dom);
+        const double tolerance = static_cast<double>(series.size() + 2) *
+            periodPs * (fMax - fMin) / static_cast<double>(r.execTime);
+        EXPECT_NEAR(fromSeries.average(), oracle.avgFrequency, tolerance)
+            << domainName(dom);
+        points += series.size();
     }
     // The schedule must actually have produced frequency activity.
     EXPECT_GT(points, 4u);

@@ -180,29 +180,6 @@ TEST(ThreadPool, DeeplyNestedSubmit)
     EXPECT_EQ(pool.wait(outer), 117);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices)
-{
-    for (unsigned workers : {0u, 1u, 4u}) {
-        ThreadPool pool(workers);
-        std::vector<std::atomic<int>> hits(64);
-        pool.parallelFor(hits.size(),
-                         [&hits](std::size_t i) { ++hits[i]; });
-        for (auto &h : hits)
-            EXPECT_EQ(h.load(), 1);
-    }
-}
-
-TEST(ThreadPool, ParallelForPropagatesException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(16, [](std::size_t i) {
-            if (i == 9)
-                throw std::runtime_error("index 9");
-        }),
-        std::runtime_error);
-}
-
 TEST(ThreadPool, RunPendingTaskHelpsExplicitly)
 {
     ThreadPool pool(0);
