@@ -23,7 +23,6 @@
 #include "config/registry.hh"
 #include "config/runspec.hh"
 #include "core/experiment.hh"
-#include "obs/host_prof.hh"
 #include "workloads/workloads.hh"
 
 namespace mcd {
@@ -119,14 +118,11 @@ runMatrix(const ExperimentConfig &ec)
  * useless one. An otherwise-clean matrix with recorded invariant
  * violations exits exitInvariantViolation when MCD_INVARIANTS_FATAL
  * is set (leg failures outrank the invariant code). runMatrix has
- * already summarized failed legs and violations on stderr. Also
- * rewrites the MCD_PROF_OUT host profile so it includes the render
- * phases.
+ * already summarized failed legs and violations on stderr.
  */
 inline int
 finish(const std::vector<BenchmarkResults> &rows)
 {
-    writeHostProfileFromEnv();
     int code = matrixExitCode(rows);
     if (code == exitOk && countInvariantViolations(rows) &&
         invariantsFatalFromEnv())
@@ -220,8 +216,6 @@ printFigure(const char *title,
             const std::function<double(const BenchmarkResults &,
                                        const RunResult &)> &metric)
 {
-    obs::HostProfiler::Scope prof =
-        obs::HostProfiler::instance().phase("render", title);
     std::printf("%s\n\n", title);
     if (rows.empty()) {
         std::printf("(no benchmarks)\n");
@@ -275,8 +269,6 @@ printFigure(const char *title,
 inline void
 printLeaderboard(const std::vector<BenchmarkResults> &rows)
 {
-    obs::HostProfiler::Scope prof =
-        obs::HostProfiler::instance().phase("render", "leaderboard");
     std::vector<LeaderboardRow> board = computeLeaderboard(rows);
     std::printf("\nController tournament leaderboard "
                 "(mean over %zu benchmarks, ranked by EDP "

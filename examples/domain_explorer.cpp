@@ -15,6 +15,7 @@
 
 #include "common/stats.hh"
 #include "core/processor.hh"
+#include "example_util.hh"
 #include "workloads/workloads.hh"
 
 using namespace mcd;
@@ -22,6 +23,7 @@ using namespace mcd;
 int
 main(int argc, char **argv)
 {
+    return exutil::guardedMain([&] {
     std::string bench = argc > 1 ? argv[1] : "g721";
     std::string domArg = argc > 2 ? argv[2] : "int";
     Domain dom = Domain::Integer;
@@ -29,10 +31,8 @@ main(int argc, char **argv)
         dom = Domain::FloatingPoint;
     else if (domArg == "ls")
         dom = Domain::LoadStore;
-    else if (domArg != "int") {
-        std::fprintf(stderr, "domain must be int, fp, or ls\n");
-        return 1;
-    }
+    else if (domArg != "int")
+        fatal("domain must be int, fp, or ls (got '" + domArg + "')");
 
     Program prog = workloads::build(bench, 1);
 
@@ -68,4 +68,5 @@ main(int argc, char **argv)
     std::printf("\n(The offline tool picks per-interval frequencies "
                 "automatically; see the offline_scheduler example.)\n");
     return 0;
+    });
 }

@@ -56,7 +56,9 @@ guardedMain(const std::function<int()> &body)
  * MCD_TRACE_OUT / MCD_STATS_OUT / MCD_INVARIANTS environment
  * variables and config-file keys keep working with flag > env > file
  * precedence. "--dump-config-schema" prints the generated
- * configuration reference to stdout and exits.
+ * configuration reference to stdout and exits. A flag without its
+ * value, like a malformed option, is fatal(): call parse() inside
+ * guardedMain so either exits 2.
  */
 struct TelemetryArgs
 {
@@ -84,10 +86,8 @@ struct TelemetryArgs
                 argv[out++] = argv[i];
                 continue;
             }
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", arg.c_str());
-                std::exit(1);
-            }
+            if (i + 1 >= argc)
+                fatal(arg + " requires a value");
             config::setFlagOverride(name, argv[++i]);
         }
         argc = out;

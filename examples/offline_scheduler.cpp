@@ -25,6 +25,7 @@
 #include "common/spec.hh"
 #include "common/stats.hh"
 #include "control/controller.hh"
+#include "core/experiment.hh"
 #include "core/processor.hh"
 #include "example_util.hh"
 #include "workloads/workloads.hh"
@@ -34,21 +35,14 @@ using namespace mcd;
 int
 main(int argc, char **argv)
 {
+    return exutil::guardedMain([&] {
     exutil::TelemetryArgs telemetry =
         exutil::TelemetryArgs::parse(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "art";
-    DvfsKind model = DvfsKind::XScale;
-    if (argc > 3) {
-        if (auto k = dvfsKindFromName(argv[3])) {
-            model = *k;
-        } else {
-            std::fprintf(stderr, "unknown DVFS model '%s' "
-                         "(expected one of: %s)\n",
-                         argv[3], dvfsKindNames().c_str());
-            return 1;
-        }
-    }
-    return exutil::guardedMain([&] {
+    ExperimentConfig modelArg;
+    if (argc > 3)
+        configOption("model").read(modelArg, "model", argv[3]);
+    const DvfsKind model = modelArg.model;
     const double dilation =
         argc > 2 ? spec::parseDouble("dilation", argv[2]) / 100.0 : 0.05;
     if (dilation < 0.0)

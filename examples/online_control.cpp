@@ -34,24 +34,13 @@ using namespace mcd;
 int
 main(int argc, char **argv)
 {
+    return exutil::guardedMain([&] {
     exutil::TelemetryArgs telemetry =
         exutil::TelemetryArgs::parse(argc, argv);
     std::string bench = argc > 1 ? argv[1] : "adpcm";
-    DvfsKind model = DvfsKind::XScale;
-    if (argc > 2) {
-        if (auto k = dvfsKindFromName(argv[2])) {
-            model = *k;
-        } else {
-            std::fprintf(stderr, "unknown DVFS model '%s' "
-                         "(expected one of: %s)\n",
-                         argv[2], dvfsKindNames().c_str());
-            return 1;
-        }
-    }
-
-    return exutil::guardedMain([&] {
     ExperimentConfig ec;
-    ec.model = model;
+    if (argc > 2)
+        configOption("model").read(ec, "model", argv[2]);
     if (argc > 3) {
         const double us = spec::parseDouble("interval", argv[3]);
         if (!(us > 0.0))
@@ -68,7 +57,7 @@ main(int argc, char **argv)
     std::printf("Running the MCD baseline, the online attack/decay "
                 "controller (%s model, %.1f us control interval) and "
                 "the offline dynamic-5%% oracle...\n",
-                dvfsKindName(model), ec.online.interval / 1e6);
+                dvfsKindName(ec.model), ec.online.interval / 1e6);
     BenchmarkResults r = ExperimentRunner(ec).runBenchmark(bench);
     // The leg guard has already reported any failed leg on stderr.
     if (int code = matrixExitCode({r}))

@@ -7,9 +7,11 @@
 #include <iomanip>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
@@ -523,22 +525,112 @@ invariantsFatalFromEnv()
     return config::RunSpec::resolve().boolean("invariantsFatal");
 }
 
-void
-writeHostProfileFromEnv()
+namespace {
+
+/** A table entry for a number-valued config field. */
+template <auto Field>
+ConfigOption
+numberOption(const char *name)
 {
-    obs::HostProfiler &prof = obs::HostProfiler::instance();
-    if (!prof.enabled())
-        return;
-    std::string path = config::RunSpec::resolve().str("profOut");
-    if (path.empty())
-        return;
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "  MCD_PROF_OUT: cannot write %s\n",
-                     path.c_str());
-        return;
+    using T = std::remove_reference_t<
+        decltype(std::declval<ExperimentConfig &>().*Field)>;
+    return {
+        name,
+        [](ExperimentConfig &c, const std::string &what,
+           const std::string &text) {
+            if constexpr (std::is_same_v<T, double>)
+                c.*Field = spec::parseDouble(what, text);
+            else if constexpr (std::is_same_v<T, int>)  // counts >= 1
+                c.*Field = static_cast<int>(spec::parseInt(
+                    what, text, 1, std::numeric_limits<int>::max()));
+            else
+                c.*Field = spec::parseU64(what, text);
+        },
+        [](const ExperimentConfig &c) {
+            if constexpr (std::is_same_v<T, double>)
+                return config::canonicalDouble(c.*Field);
+            else
+                return std::to_string(c.*Field);
+        },
+        false};
+}
+
+const std::vector<ConfigOption> configTable = {
+    numberOption<&ExperimentConfig::dilationHigh>("dilationHigh"),
+    numberOption<&ExperimentConfig::dilationLow>("dilationLow"),
+    numberOption<&ExperimentConfig::dvfsTimeScale>("dvfsTimeScale"),
+    {"faultPlan",
+     [](ExperimentConfig &c, const std::string &, const std::string &t) {
+         c.faults = t.empty() ? nullptr
+                              : std::make_shared<const fault::FaultPlan>(
+                                    fault::FaultPlan::parse(t));
+     },
+     [](const ExperimentConfig &c) {
+         return c.faults ? c.faults->toSpec() : std::string();
+     },
+     true},
+    {"invariants",
+     [](ExperimentConfig &c, const std::string &, const std::string &t) {
+         c.telemetry.invariants = t;
+     },
+     [](const ExperimentConfig &c) { return c.telemetry.invariants; },
+     true},
+    numberOption<&ExperimentConfig::legAttempts>("legAttempts"),
+    {"legs",
+     [](ExperimentConfig &c, const std::string &, const std::string &t) {
+         c.legs = legsFromSpec(t);
+     },
+     [](const ExperimentConfig &c) { return legsToSpec(c.legs); },
+     true},
+    {"model",
+     [](ExperimentConfig &c, const std::string &what,
+        const std::string &t) {
+         if (t.empty())
+             return;
+         std::optional<DvfsKind> k = dvfsKindFromName(t);
+         if (!k)
+             fatal(what + ": unknown DVFS model '" + t + "' (valid: " +
+                   dvfsKindNames() + ")");
+         c.model = *k;
+     },
+     [](const ExperimentConfig &c) {
+         return std::string(dvfsKindName(c.model));
+     },
+     false},
+    {"sampling",
+     [](ExperimentConfig &c, const std::string &, const std::string &t) {
+         c.sampling.reset();
+         if (!t.empty())
+             c.sampling = SamplingParams::fromSpec(t);
+     },
+     [](const ExperimentConfig &c) {
+         return c.sampling ? c.sampling->spec() : std::string();
+     },
+     false},
+    numberOption<&ExperimentConfig::scale>("scale"),
+    numberOption<&ExperimentConfig::seed>("seed"),
+    numberOption<&ExperimentConfig::watchdogNoProgressEdges>(
+        "watchdogEdges"),
+    numberOption<&ExperimentConfig::watchdogMaxTicks>("watchdogTicks"),
+};
+
+} // namespace
+
+const std::vector<ConfigOption> &
+configOptions()
+{
+    return configTable;
+}
+
+const ConfigOption &
+configOption(std::string_view name)
+{
+    for (const ConfigOption &o : configTable) {
+        if (name == o.name)
+            return o;
     }
-    prof.writeProfile(os);
+    panic("configOption: no ExperimentConfig binding for option '" +
+          std::string(name) + "'");
 }
 
 ExperimentConfig
@@ -547,27 +639,14 @@ experimentConfigFromSpec(const config::RunSpec &spec, DvfsKind model,
 {
     ExperimentConfig ec;
     ec.model = model;
-    if (std::string m = spec.str("model"); !m.empty()) {
-        std::optional<DvfsKind> k = dvfsKindFromName(m);
-        if (!k)
-            fatal("model: unknown DVFS model '" + m + "' (valid: " +
-                  dvfsKindNames() + ")");
-        ec.model = *k;
+    for (const ConfigOption &o : configTable) {
+        if (!o.fillsUnset)
+            o.read(ec, o.name, spec.str(o.name));
     }
-    ec.scale = static_cast<int>(spec.integer("scale"));
-    ec.seed = spec.u64("seed");
-    ec.dvfsTimeScale = spec.real("dvfsTimeScale");
-    ec.dilationLow = spec.real("dilationLow");
-    ec.dilationHigh = spec.real("dilationHigh");
-    ec.legAttempts = static_cast<int>(spec.integer("legAttempts"));
-    ec.watchdogNoProgressEdges = spec.u64("watchdogEdges");
-    ec.watchdogMaxTicks = spec.u64("watchdogTicks");
     // An option left at its default takes the caller's directory; an
     // explicitly empty value (MCD_CACHE_DIR=) still disables caching.
     ec.cacheDir = spec.isDefault("cacheDir") ? defaultCacheDir
                                              : spec.str("cacheDir");
-    if (std::string smp = spec.str("sampling"); !smp.empty())
-        ec.sampling = SamplingParams::fromSpec(smp);
     return ec;
 }
 
@@ -716,7 +795,9 @@ namespace {
  * the *actual* finished-run configuration — not the resolved spec —
  * so feeding the block back via --config reproduces the run even when
  * the calling program set values programmatically (provenance then
- * reads "code"). Host and output options are deliberately absent:
+ * reads "code"). Config fields print through configOptions(); the
+ * benchmarks run and the controllers/tournament leg pickers are the
+ * only other rows. Host and output options are deliberately absent:
  * results are bit-identical across MCD_JOBS/cache/output settings,
  * and the block must be too.
  */
@@ -739,39 +820,10 @@ effectiveOptions(const ExperimentConfig &cfg,
         std::string v;
         if (name == "benchmarks")
             v = benches;
-        else if (name == "controllers")
-            v = spec.str("controllers");
-        else if (name == "dilationHigh")
-            v = config::canonicalDouble(cfg.dilationHigh);
-        else if (name == "dilationLow")
-            v = config::canonicalDouble(cfg.dilationLow);
-        else if (name == "dvfsTimeScale")
-            v = config::canonicalDouble(cfg.dvfsTimeScale);
-        else if (name == "faultPlan")
-            v = cfg.faults ? cfg.faults->toSpec() : "";
-        else if (name == "invariants")
-            v = cfg.telemetry.invariants;
-        else if (name == "legAttempts")
-            v = std::to_string(cfg.legAttempts);
-        else if (name == "legs")
-            v = legsToSpec(cfg.legs);
-        else if (name == "model")
-            v = dvfsKindName(cfg.model);
-        else if (name == "sampling")
-            v = cfg.sampling ? cfg.sampling->spec() : "";
-        else if (name == "scale")
-            v = std::to_string(cfg.scale);
-        else if (name == "seed")
-            v = std::to_string(cfg.seed);
-        else if (name == "tournament")
-            v = spec.str("tournament");
-        else if (name == "watchdogEdges")
-            v = std::to_string(cfg.watchdogNoProgressEdges);
-        else if (name == "watchdogTicks")
-            v = std::to_string(cfg.watchdogMaxTicks);
+        else if (name == "controllers" || name == "tournament")
+            v = spec.str(name);
         else
-            panic("effectiveOptions: unhandled result-shaping option "
-                  + std::string(name));
+            v = configOption(name).print(cfg);
         out.emplace_back(std::string(name), std::move(v));
     }
     return out;
@@ -1316,12 +1368,14 @@ ExperimentRunner::globalLeg(const Program &prog,
 RunResult
 ExperimentRunner::runGuarded(const std::string &bench,
                              const std::string &leg,
-                             const std::function<RunResult()> &body) const
+                             const std::function<RunResult()> &body,
+                             const char *phase) const
 {
     const std::string site = bench + "/" + leg;
-    // The leg's slice: its wall time and peak RSS in the host profile.
+    // The leg's slice; a "simulate" slice is the leg's wall time and
+    // peak RSS in the host profile.
     obs::HostProfiler::Scope profScope =
-        obs::HostProfiler::instance().phase("simulate", site);
+        obs::HostProfiler::instance().phase(phase, site);
     RunError err;
     for (int attempt = 1; attempt <= config.legAttempts; ++attempt) {
         try {
@@ -1460,9 +1514,10 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
     r.mcdBaseline = pool.wait(profFut);
 
     // The target-independent half of the offline tool runs once, under
-    // a leg guard of its own (site <bench>/shake), and every
-    // schedule-replay leg clusters from its result. The trace is
-    // freed as soon as it has been shaken.
+    // a guard of its own (fault site <bench>/shake; an analyze slice,
+    // not a leg, in the host profile), and every schedule-replay leg
+    // clusters from its result. The trace is freed as soon as it has
+    // been shaken.
     ShakenTrace shaken;
     std::string shakeUpstream;
     if (r.mcdBaseline.failed()) {
@@ -1470,12 +1525,10 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         shakeUpstream = "mcdBaseline";
     } else if (wantTrace) {
         RunResult shook = runGuarded(name, "shake", [&] {
-            obs::HostProfiler::Scope prof = obs::HostProfiler::instance()
-                .phase("analyze", name + "/shake");
             // Any target gives the same shake; clustering reads it.
             shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
             return RunResult{};
-        });
+        }, "analyze");
         if (shook.failed())
             shakeUpstream = "shake";
     }
@@ -1592,13 +1645,18 @@ maybeWriteLeaderboard(const config::RunSpec &spec,
     writeLeaderboardJson(os, cfg, out);
 }
 
-/** Honor the statsOut / traceOut options: dump merged telemetry. */
+/**
+ * Honor the statsOut / traceOut / profOut options: dump merged
+ * telemetry and, when the host profiler is armed (@p host non-null),
+ * its profile. The stats document's host.* block and the profile
+ * print the same snapshot.
+ */
 void
 maybeWriteTelemetry(const config::RunSpec &spec,
                     const ExperimentConfig &cfg,
                     const std::vector<BenchmarkResults> &out,
                     const obs::StatsRegistry *matrix,
-                    const obs::StatsRegistry *host)
+                    const obs::HostProfiler::Snapshot *host)
 {
     auto writeTo = [&](const char *option, auto writer) {
         std::string path = spec.str(option);
@@ -1618,18 +1676,27 @@ maybeWriteTelemetry(const config::RunSpec &spec,
             config::writeEffectiveConfigJson(
                 w, spec, effectiveOptions(cfg, out, spec));
         };
-        writeTelemetryStatsJson(os, named, matrix, host, eff);
+        obs::StatsRegistry hostStats;
+        if (host)
+            host->publish(hostStats);
+        writeTelemetryStatsJson(os, named, matrix,
+                                host ? &hostStats : nullptr, eff);
     });
     writeTo("traceOut", [&](std::ostream &os) {
         writeTelemetryTrace(os, named);
     });
+    if (host) {
+        writeTo("profOut",
+                [&](std::ostream &os) { host->writeProfile(os); });
+    }
 }
 
 /**
  * The effective matrix config: the traceOut / statsOut options imply
- * full telemetry collection when the caller left it off, the
- * faultPlan option supplies a fault plan when the caller passed none,
- * and an empty leg vector resolves to the legs option, the tournament
+ * full telemetry collection when the caller left it off; the
+ * invariants, sampling and faultPlan options fill (through
+ * configOptions()) the fields the caller left unset; and an empty leg
+ * vector resolves to the legs option, the tournament
  * set (tournament option), or the paper defaults — optionally
  * filtered down by the controllers option. Spec options only ever
  * fill dimensions the caller left at their defaults, so programmatic
@@ -1648,26 +1715,21 @@ effectiveConfig(const ExperimentConfig &cfg,
     // The invariant engine rides on top of whatever channels are
     // already on (it is itself a telemetry channel, so it also turns
     // enabled() on and thereby bypasses the cache).
+    auto fill = [&](const char *name) {
+        configOption(name).read(e, name, spec.str(name));
+    };
     if (e.telemetry.invariants.empty())
-        e.telemetry.invariants = spec.str("invariants");
-    if (!e.sampling) {
-        if (std::string v = spec.str("sampling"); !v.empty())
-            e.sampling = SamplingParams::fromSpec(v);
-    }
-    if (!e.faults) {
-        if (std::string v = spec.str("faultPlan"); !v.empty())
-            e.faults = std::make_shared<const fault::FaultPlan>(
-                fault::FaultPlan::parse(v));
-    }
+        fill("invariants");
+    if (!e.sampling)
+        fill("sampling");
+    if (!e.faults)
+        fill("faultPlan");
 
-    if (e.legs.empty()) {
-        if (std::string v = spec.str("legs"); !v.empty())
-            e.legs = legsFromSpec(v);
-        else if (spec.boolean("tournament"))
-            e.legs = tournamentLegs(e);
-        else
-            e.legs = defaultLegs(e);
-    }
+    if (e.legs.empty())
+        fill("legs");
+    if (e.legs.empty())
+        e.legs = spec.boolean("tournament") ? tournamentLegs(e)
+                                            : defaultLegs(e);
     if (std::string v = spec.str("controllers"); !v.empty()) {
         std::vector<std::string> want = config::splitList(v);
         auto available = [&] {
@@ -1756,15 +1818,15 @@ finishMatrix(const ExperimentConfig &cfg,
     const config::RunSpec spec = config::RunSpec::resolve();
     obs::StatsRegistry health;
     bool degraded = matrixHealth(health, out, runner.cacheQuarantines());
-    obs::HostProfiler &prof = obs::HostProfiler::instance();
-    obs::StatsRegistry hostStats;
-    if (prof.enabled())
-        prof.publish(hostStats);
+    // Every slice is closed once the matrix ends: one snapshot feeds
+    // both the stats document and the profile.
+    std::optional<obs::HostProfiler::Snapshot> host;
+    if (obs::HostProfiler::instance().enabled())
+        host = obs::HostProfiler::instance().snapshot();
     maybeWriteJson(spec, cfg, out);
     maybeWriteLeaderboard(spec, cfg, out);
     maybeWriteTelemetry(spec, cfg, out, degraded ? &health : nullptr,
-                        prof.enabled() ? &hostStats : nullptr);
-    writeHostProfileFromEnv();
+                        host ? &*host : nullptr);
     if (std::uint64_t v = countInvariantViolations(out)) {
         warn("invariants: " + std::to_string(v) +
              " violation(s) recorded (see results JSON "

@@ -298,25 +298,47 @@ countInvariantViolations(const std::vector<BenchmarkResults> &rows);
 bool invariantsFatalFromEnv();
 
 /**
- * Honor the profOut option (MCD_PROF_OUT / --prof-out): write (or
- * rewrite) the host profile file when the profiler is armed. runMatrix
- * calls this once the matrix ends; figure drivers call it again after
- * rendering so the final file includes the render phases too. No-op
- * otherwise.
+ * One result-shaping option bound to its ExperimentConfig field: the
+ * only place that knows how the option's text maps onto the config.
+ * read() parses @p text into @p cfg (fatal, naming @p what, on a
+ * malformed value); print() renders the field as the option's
+ * canonical text, and reading that text back reproduces the field.
+ * An empty text means the option's "unset" value (no sampling, no
+ * fault plan, no invariants, no explicit legs); an empty model keeps
+ * the config's model.
  */
-void writeHostProfileFromEnv();
+struct ConfigOption
+{
+    const char *name;   //!< the registry option name
+    void (*read)(ExperimentConfig &cfg, const std::string &what,
+                 const std::string &text);
+    std::string (*print)(const ExperimentConfig &cfg);
+
+    /** Filled by runMatrix()'s effective-config resolution, and only
+     *  into a field the caller left unset; experimentConfigFromSpec()
+     *  leaves it alone. */
+    bool fillsUnset;
+};
+
+/** Every ExperimentConfig-backed option, in registry order. The other
+ *  result-shaping options (benchmarks, controllers, tournament) pick
+ *  the benchmarks and legs a matrix runs, not a config field. */
+const std::vector<ConfigOption> &configOptions();
+
+/** The configOptions() entry named @p name; panics when there is
+ *  none. */
+const ConfigOption &configOption(std::string_view name);
 
 /**
- * ExperimentConfig populated from the result-shaping scalar options of
- * a resolved RunSpec: scale, seed, dvfsTimeScale, dilationLow/High,
- * legAttempts, watchdog budgets, sampling, cacheDir and model. @p
- * model seeds the DVFS model; a non-empty "model" option overrides it
- * (unknown names are fatal). @p defaultCacheDir applies only while the
- * cacheDir option sits at its default, so an explicitly empty value
- * (MCD_CACHE_DIR=) still disables caching. Legs, faults, telemetry
- * and invariants are left unset — runMatrix()'s effective-config
- * resolution fills those from the same spec. fatal() (never exit) on
- * malformed domain grammar, so drivers choose their own exit code.
+ * ExperimentConfig populated through configOptions() from a resolved
+ * RunSpec, plus cacheDir: every option except the fillsUnset ones
+ * (legs, faults and invariants, which runMatrix()'s effective-config
+ * resolution fills from the same spec). @p model seeds the DVFS
+ * model; a non-empty "model" option overrides it (unknown names are
+ * fatal). @p defaultCacheDir applies only while the cacheDir option
+ * sits at its default, so an explicitly empty value (MCD_CACHE_DIR=)
+ * still disables caching. fatal() (never exit) on malformed domain
+ * grammar, so drivers choose their own exit code.
  */
 ExperimentConfig
 experimentConfigFromSpec(const config::RunSpec &spec,
@@ -521,10 +543,15 @@ class ExperimentRunner
      * ExperimentConfig::legAttempts times, and on failure returns a
      * default RunResult carrying a structured RunError instead of
      * propagating — so one dead leg never takes down the matrix.
+     * The guard opens a host-profiler slice of kind @p phase: a
+     * "simulate" slice is a leg in the host profile's per-leg view,
+     * so guarded steps that simulate nothing (the shake) pass their
+     * own kind.
      */
     RunResult runGuarded(const std::string &bench,
                          const std::string &leg,
-                         const std::function<RunResult()> &body) const;
+                         const std::function<RunResult()> &body,
+                         const char *phase = "simulate") const;
 
     /** A leg skipped because an upstream leg it needs failed. */
     RunResult dependencyFailed(const std::string &bench,

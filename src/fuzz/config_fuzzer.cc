@@ -24,26 +24,30 @@ ConfigFuzzer::tuple(std::uint64_t index) const
     // "across both DVFS models").
     const char *model = (index % 2 == 0) ? "XScale" : "Transmeta";
 
-    const double timescales[] = {0.05, 0.1};
-    const double dilhis[] = {0.03, 0.05, 0.08};
-    double timescale = timescales[rng.uniformInt(2)];
-    double dilhi = dilhis[rng.uniformInt(3)];
+    const double timeScales[] = {0.05, 0.1};
+    const double dilationHighs[] = {0.03, 0.05, 0.08};
+    double timeScale = timeScales[rng.uniformInt(2)];
+    double dilationHigh = dilationHighs[rng.uniformInt(3)];
+    std::uint64_t seed = 1 + rng.uniformInt(1'000'000);
 
-    s.configSpec = std::string("model=") + model +
-        ";timescale=" + std::to_string(timescale) +
-        ";dillo=0.01;dilhi=" + std::to_string(dilhi) +
-        ";seed=" + std::to_string(1 + rng.uniformInt(1'000'000)) +
+    s.options = {
+        {"model", model},
+        {"dvfsTimeScale", std::to_string(timeScale)},
+        {"dilationLow", "0.01"},
+        {"dilationHigh", std::to_string(dilationHigh)},
+        {"seed", std::to_string(seed)},
         // Small enough that a stalled leg trips in milliseconds of
         // host time, 25x above the longest legitimate no-commit
         // stretch (one Transmeta re-lock window, ~40K edges).
-        ";wdedges=1000000";
+        {"watchdogEdges", "1000000"},
+    };
     if (rng.uniform() < 0.2)
-        s.configSpec += ";sampling=detailed=1000,ff=4000,warmup=250";
+        s.options["sampling"] = "detailed=1000,ff=4000,warmup=250";
 
     // Leg set: always the dyn5 replay oracle (reliable frequency
     // rises, the vfmisorder trigger), plus optional companions.
     std::vector<LegSpec> legs;
-    legs.push_back(LegSpec::scheduleReplay("dyn5", dilhi));
+    legs.push_back(LegSpec::scheduleReplay("dyn5", dilationHigh));
     if (rng.uniform() < 0.3)
         legs.push_back(LegSpec::scheduleReplay("dyn1", 0.01));
     if (rng.uniform() < 0.3)
@@ -76,7 +80,7 @@ ConfigFuzzer::tuple(std::uint64_t index) const
             s.faultSpec = "leg:@/" + target.name + "=throw";
             break;
           case 1:
-            // flaky:1 with attempts=2 recovers via the bounded retry.
+            // flaky:1 with legAttempts 2 recovers via the bounded retry.
             s.faultSpec = "leg:@/" + target.name + "=flaky:1";
             break;
           case 2:

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <istream>
-#include <limits>
+#include <iterator>
 #include <ostream>
 #include <sstream>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
@@ -34,14 +33,18 @@ expandAt(const std::string &spec, const std::string &bench)
     return out;
 }
 
-/** configSpec's ';'-joined k=v items, in order. */
-std::vector<std::pair<std::string, std::string>>
-configItems(const std::string &configSpec)
+/** The option names a scenario may set, besides legs and faultPlan
+ *  (which have fields of their own). */
+bool
+isDimension(std::string_view name)
 {
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const std::string &item : spec::split(configSpec, ';'))
-        out.push_back(spec::keyValue("Scenario config", item));
-    return out;
+    constexpr std::string_view names[] = {
+        "dilationHigh", "dilationLow",   "dvfsTimeScale",
+        "legAttempts",  "model",         "sampling",
+        "seed",         "watchdogEdges", "watchdogTicks",
+    };
+    return std::find(std::begin(names), std::end(names), name) !=
+        std::end(names);
 }
 
 } // namespace
@@ -68,83 +71,20 @@ Scenario::toConfig() const
     cfg.cacheDir.clear();               // soak runs are never cached
     cfg.telemetry.invariants = "default";
 
-    for (const auto &[key, val] : configItems(configSpec)) {
-        const std::string what = "Scenario config: " + key;
-        if (key == "model") {
-            auto kind = dvfsKindFromName(val);
-            if (!kind)
-                fatal("Scenario config: unknown DVFS model '" + val +
-                      "' (choices: " + dvfsKindNames() + ")");
-            cfg.model = *kind;
-        } else if (key == "timescale") {
-            cfg.dvfsTimeScale = spec::parseDouble(what, val);
-        } else if (key == "dillo") {
-            cfg.dilationLow = spec::parseDouble(what, val);
-        } else if (key == "dilhi") {
-            cfg.dilationHigh = spec::parseDouble(what, val);
-        } else if (key == "seed") {
-            cfg.seed = spec::parseU64(what, val);
-        } else if (key == "attempts") {
-            cfg.legAttempts = static_cast<int>(spec::parseInt(
-                what, val, 0, std::numeric_limits<int>::max()));
-        } else if (key == "wdedges") {
-            cfg.watchdogNoProgressEdges = spec::parseU64(what, val);
-        } else if (key == "wdticks") {
-            cfg.watchdogMaxTicks = spec::parseU64(what, val);
-        } else if (key == "sampling") {
-            cfg.sampling = SamplingParams::fromSpec(val);
-        } else {
-            fatal("Scenario config: unknown key '" + key + "'");
-        }
+    auto apply = [&](const std::string &name, const std::string &text) {
+        configOption(name).read(cfg, "Scenario config: " + name, text);
+    };
+    for (const auto &[name, text] : options) {
+        if (!isDimension(name))
+            fatal("Scenario config: unknown option '" + name + "'");
+        apply(name, text);
     }
-
-    cfg.legs = legsFromSpec(legsSpec);
-
-    std::string faults = expandedFaults();
-    if (!faults.empty())
-        cfg.faults = std::make_shared<const fault::FaultPlan>(
-            fault::FaultPlan::parse(faults));
+    apply("legs", legsSpec);
+    apply("faultPlan", expandedFaults());
     return cfg;
 }
 
 const char *const reproVersion = "mcd-repro-v2";
-
-namespace {
-
-/**
- * The configSpec k=v keys and their RunSpec option names, in the
- * canonical configSpec order (writeRepro sorts by option name
- * itself).
- */
-constexpr std::pair<const char *, const char *> configSpecKeys[] = {
-    {"model", "model"},           {"timescale", "dvfsTimeScale"},
-    {"dillo", "dilationLow"},     {"dilhi", "dilationHigh"},
-    {"seed", "seed"},             {"attempts", "legAttempts"},
-    {"wdedges", "watchdogEdges"}, {"wdticks", "watchdogTicks"},
-    {"sampling", "sampling"},
-};
-
-const char *
-optionNameForSpecKey(const std::string &key)
-{
-    for (const auto &[specKey, option] : configSpecKeys) {
-        if (key == specKey)
-            return option;
-    }
-    return nullptr;
-}
-
-const char *
-specKeyForOptionName(const std::string &option)
-{
-    for (const auto &[specKey, opt] : configSpecKeys) {
-        if (option == opt)
-            return specKey;
-    }
-    return nullptr;
-}
-
-} // namespace
 
 void
 writeRepro(std::ostream &os, const Scenario &s,
@@ -152,20 +92,13 @@ writeRepro(std::ostream &os, const Scenario &s,
 {
     // The scenario's experiment dimensions are serialized as a
     // mcd-runspec-v1 options object (the same surface --config files
-    // use), with every value a JSON *string* so the exact spec text —
+    // use), with every value a JSON *string* so the exact text —
     // "0.050000" included — round-trips byte-identically. Only the
-    // keys present in configSpec appear; absent keys mean the
-    // ExperimentConfig defaults, exactly as in the spec grammar.
-    std::vector<std::pair<std::string, std::string>> opts;
-    for (auto &[key, val] : configItems(s.configSpec)) {
-        const char *name = optionNameForSpecKey(key);
-        if (!name)
-            fatal("Scenario config: unknown key '" + key + "'");
-        opts.emplace_back(name, std::move(val));
-    }
-    opts.emplace_back("legs", s.legsSpec);
-    opts.emplace_back("faultPlan", s.faultSpec);
-    std::sort(opts.begin(), opts.end());
+    // options the scenario sets appear; absent ones mean the
+    // ExperimentConfig defaults.
+    std::map<std::string, std::string> opts = s.options;
+    opts["legs"] = s.legsSpec;
+    opts["faultPlan"] = s.faultSpec;
 
     json::Writer w(os);
     w.beginObject()
@@ -226,28 +159,16 @@ readRepro(std::istream &is)
         return std::nullopt;
     }
 
-    // Rebuild the spec strings. configSpec keys come back in the
-    // canonical key-table order regardless of the file's key order,
-    // so a rewritten repro is byte-stable.
     for (const auto &[name, value] : options->members) {
-        if (name == "legs" || name == "faultPlan")
-            continue;
-        if (!specKeyForOptionName(name))
+        if (name == "legs")
+            r.scenario.legsSpec = value.text;
+        else if (name == "faultPlan")
+            r.scenario.faultSpec = value.text;
+        else if (isDimension(name))
+            r.scenario.options[name] = value.text;
+        else
             return std::nullopt;    // not an experiment dimension
     }
-    std::string configSpec;
-    for (const auto &[specKey, option] : configSpecKeys) {
-        if (const auto *v = options->find(option)) {
-            if (!configSpec.empty())
-                configSpec += ";";
-            configSpec += std::string(specKey) + "=" + v->text;
-        }
-    }
-    r.scenario.configSpec = configSpec;
-    if (const auto *v = options->find("legs"))
-        r.scenario.legsSpec = v->text;
-    if (const auto *v = options->find("faultPlan"))
-        r.scenario.faultSpec = v->text;
     return r;
 }
 

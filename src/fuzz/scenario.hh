@@ -4,10 +4,10 @@
  * × leg set × fault plan × job count, fully serializable.
  *
  * A Scenario is the unit the soak driver runs, the shrinker
- * minimizes, and the repro file stores. All parts are text specs that
- * round-trip exactly through the subsystem parsers (GenParams spec,
- * config k=v list, legsToSpec, FaultPlan grammar), so a repro written
- * on one machine replays bit-identically on another.
+ * minimizes, and the repro file stores. All parts are text that
+ * round-trips exactly through the subsystem parsers (GenParams spec,
+ * option text, legsToSpec, FaultPlan grammar), so a repro written on
+ * one machine replays bit-identically on another.
  *
  * Fault specs inside a Scenario write the benchmark position as "@"
  * ("leg:@/dyn5=vfmisorder"): the generated workload's name is a hash
@@ -21,6 +21,7 @@
 #define MCD_FUZZ_SCENARIO_HH
 
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -35,13 +36,15 @@ struct Scenario
     GenParams workload;
 
     /**
-     * Experiment dimensions as ';'-joined k=v pairs. Keys: model
-     * (DVFS model name), timescale, dillo, dilhi, seed, attempts,
-     * wdedges, wdticks, sampling (SamplingParams spec; absent = full
-     * detail). Unknown keys are fatal. Every key is optional; the
-     * defaults match ExperimentConfig's.
+     * Experiment dimensions as (option name, raw text) pairs, under
+     * the names a --config file uses: model, dvfsTimeScale,
+     * dilationLow, dilationHigh, seed, legAttempts, watchdogEdges,
+     * watchdogTicks and sampling (absent = full detail). toConfig()
+     * reads each through the ExperimentConfig option table
+     * (configOptions()); any other name is fatal. Every dimension is
+     * optional; the defaults match ExperimentConfig's.
      */
-    std::string configSpec;
+    std::map<std::string, std::string> options;
 
     /** Leg set (legsToSpec / legsFromSpec grammar). */
     std::string legsSpec;
@@ -70,14 +73,14 @@ struct Scenario
     std::string benchName() const { return workload.workloadName(); }
 
     /**
-     * Materialize the ExperimentConfig: interns the workload, parses
-     * configSpec/legsSpec, expands "@" in the fault specs, and arms
+     * Materialize the ExperimentConfig: interns the workload, reads
+     * options and legsSpec, expands "@" in the fault specs, and arms
      * the default invariant set. fatal() on malformed specs.
      */
     ExperimentConfig toConfig() const;
 
-    /** configSpec/faultSpec with "@" expanded (helper, exposed for
-     *  tests). */
+    /** faultSpec and plantedSpec joined, with "@" expanded (helper,
+     *  exposed for tests). */
     std::string expandedFaults() const;
 };
 
@@ -86,10 +89,10 @@ extern const char *const reproVersion;
 
 /**
  * Write a standalone JSON repro: signature, workload, planted plan
- * and jobs count, plus the experiment dimensions as an embedded
- * mcd-runspec-v1 options object (the same option names --config files
- * use; values stay JSON strings so the spec text round-trips
- * byte-identically).
+ * and jobs count, plus the options, legs and fault plan as an
+ * embedded mcd-runspec-v1 options object (the same option names
+ * --config files use; values stay JSON strings so the text
+ * round-trips byte-identically).
  */
 void writeRepro(std::ostream &os, const Scenario &s,
                 const std::string &signature);

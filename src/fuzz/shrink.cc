@@ -45,7 +45,8 @@ sizeOf(const Scenario &s)
     n += 1000 * spec::split(s.legsSpec, '|').size();
     n += 1000 * spec::split(s.faultSpec, ';').size();
     n += 1000 * spec::split(s.plantedSpec, ';').size();
-    n += s.configSpec.size();
+    for (const auto &[name, text] : s.options)
+        n += name.size() + text.size();
     return n;
 }
 
@@ -118,20 +119,10 @@ candidatesOf(const Scenario &s)
     }
 
     // Strip sampling (one less moving part in the repro).
-    {
-        std::vector<std::string> kept;
-        bool had = false;
-        for (const std::string &item : spec::split(s.configSpec, ';')) {
-            if (item.rfind("sampling=", 0) == 0)
-                had = true;
-            else
-                kept.push_back(item);
-        }
-        if (had) {
-            Scenario c = s;
-            c.configSpec = join(kept, ';');
-            out.push_back(std::move(c));
-        }
+    if (s.options.count("sampling")) {
+        Scenario c = s;
+        c.options.erase("sampling");
+        out.push_back(std::move(c));
     }
     return out;
 }

@@ -47,25 +47,6 @@ nanosBetween(std::chrono::steady_clock::time_point a,
 
 } // namespace
 
-struct HostProfiler::Summary
-{
-    struct Phase
-    {
-        std::uint64_t count = 0;
-        std::int64_t selfNs = 0;
-        std::int64_t maxNs = 0;
-    };
-
-    // std::map iteration gives the name-sorted, job-count-independent
-    // key order the merged stats JSON requires.
-    std::map<std::string, Phase> phases;
-    /** Leg site → its simulate slice (the latest, if run twice). */
-    std::map<std::string, const Slice *> legs;
-    std::size_t lanes = 0;
-    std::int64_t wallNs = 0;    //!< first slice start to last end
-    std::int64_t selfNs = 0;    //!< summed over every slice
-};
-
 HostProfiler &
 HostProfiler::instance()
 {
@@ -161,35 +142,43 @@ HostProfiler::peakRssKb()
 #endif
 }
 
-HostProfiler::Summary
-HostProfiler::summarize() const
+HostProfiler::Snapshot
+HostProfiler::snapshot() const
 {
-    Summary sum;
-    sum.lanes = lanes.size();
+    Snapshot snap;
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        snap.slices = slices;
+        snap.lanes = lanes.size();
+    }
+    snap.peakRssKb = peakRssKb();
     std::int64_t first = std::numeric_limits<std::int64_t>::max();
     std::int64_t last = 0;
-    for (const Slice &s : slices) {
-        Summary::Phase &ph = sum.phases[s.kind];
+    for (const Slice &s : snap.slices) {
+        Snapshot::Phase &ph = snap.phases[s.kind];
         ++ph.count;
         ph.selfNs += s.selfNs;
         ph.maxNs = std::max(ph.maxNs, s.durNs);
         if (s.kind == "simulate")
-            sum.legs[s.detail] = &s;
+            snap.legs[s.detail] = s;
         first = std::min(first, s.startNs);
         last = std::max(last, s.startNs + s.durNs);
-        sum.selfNs += s.selfNs;
+        snap.selfNs += s.selfNs;
     }
-    sum.wallNs = slices.empty() ? 0 : last - first;
-    return sum;
+    snap.wallNs = snap.slices.empty() ? 0 : last - first;
+    std::stable_sort(snap.slices.begin(), snap.slices.end(),
+                     [](const Slice &a, const Slice &b) {
+                         if (a.startNs != b.startNs)
+                             return a.startNs < b.startNs;
+                         return a.lane < b.lane;
+                     });
+    return snap;
 }
 
 void
-HostProfiler::publish(StatsRegistry &reg) const
+HostProfiler::Snapshot::publish(StatsRegistry &reg) const
 {
-    std::lock_guard<std::mutex> lock(mtx);
-    const Summary sum = summarize();
-
-    for (const auto &[kind, ph] : sum.phases) {
+    for (const auto &[kind, ph] : phases) {
         std::string p = "host.phase." + kind;
         reg.counter(p + ".count", "host phases of this kind entered")
             .inc(ph.count);
@@ -202,46 +191,33 @@ HostProfiler::publish(StatsRegistry &reg) const
             .set(toMs(ph.maxNs));
     }
 
-    for (const auto &[site, s] : sum.legs) {
+    for (const auto &[site, s] : legs) {
         std::string p = "host.leg." + site;
         reg.gauge(p + ".wall_ms", "host wall time simulating the leg")
-            .set(toMs(s->durNs));
+            .set(toMs(s.durNs));
         reg.gauge(p + ".peak_rss_kb", "process peak RSS after the leg")
-            .set(static_cast<double>(s->rssKb));
+            .set(static_cast<double>(s.rssKb));
     }
 
     reg.gauge("host.peak_rss_kb", "process peak resident set size")
-        .set(static_cast<double>(peakRssKb()));
+        .set(static_cast<double>(peakRssKb));
 
-    if (sum.wallNs) {
+    if (wallNs) {
         reg.gauge("host.pool.lanes", "host threads that recorded phases")
-            .set(static_cast<double>(sum.lanes));
+            .set(static_cast<double>(lanes));
         reg.gauge("host.pool.wall_ms",
                   "first phase start to last phase end")
-            .set(toMs(sum.wallNs));
+            .set(toMs(wallNs));
         reg.gauge("host.pool.self_ms",
                   "self time summed over every phase; at most "
                   "wall_ms * lanes")
-            .set(toMs(sum.selfNs));
+            .set(toMs(selfNs));
     }
 }
 
 void
-HostProfiler::writeProfile(std::ostream &os) const
+HostProfiler::Snapshot::writeProfile(std::ostream &os) const
 {
-    std::lock_guard<std::mutex> lock(mtx);
-
-    std::vector<const Slice *> ordered;
-    ordered.reserve(slices.size());
-    for (const Slice &s : slices)
-        ordered.push_back(&s);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const Slice *a, const Slice *b) {
-                         if (a->startNs != b->startNs)
-                             return a->startNs < b->startNs;
-                         return a->lane < b->lane;
-                     });
-
     json::Writer w(os);
     auto metadata = [&](const char *kind, int tid,
                         const std::string &name) {
@@ -254,46 +230,43 @@ HostProfiler::writeProfile(std::ostream &os) const
     };
     w.beginObject().key("traceEvents").beginArray();
     metadata("process_name", 0, "host");
-    std::vector<int> laneIds;
-    for (const auto &kv : lanes)
-        laneIds.push_back(kv.second);
-    std::sort(laneIds.begin(), laneIds.end());
-    for (int lane : laneIds)
-        metadata("thread_name", lane, "host " + std::to_string(lane));
-    for (const Slice *s : ordered) {
+    // laneOf() numbers lanes densely from 0.
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+        metadata("thread_name", static_cast<int>(lane),
+                 "host " + std::to_string(lane));
+    for (const Slice &s : slices) {
         w.beginObject(json::Inline)
-            .field("name", s->kind).field("cat", "host")
-            .field("ph", "X").field("pid", 1).field("tid", s->lane)
-            .field("ts", toUs(s->startNs)).field("dur", toUs(s->durNs));
-        if (!s->detail.empty()) {
+            .field("name", s.kind).field("cat", "host")
+            .field("ph", "X").field("pid", 1).field("tid", s.lane)
+            .field("ts", toUs(s.startNs)).field("dur", toUs(s.durNs));
+        if (!s.detail.empty()) {
             w.key("args").beginObject(json::Inline)
-                .field("detail", s->detail).endObject();
+                .field("detail", s.detail).endObject();
         }
         w.endObject();
     }
     w.endArray();
 
-    const Summary sum = summarize();
     w.key("host").beginObject().key("phases").beginObject();
-    for (const auto &[kind, ph] : sum.phases) {
+    for (const auto &[kind, ph] : phases) {
         w.key(kind).beginObject(json::Inline)
             .field("count", ph.count)
             .field("selfMs", toMs(ph.selfNs))
             .field("maxMs", toMs(ph.maxNs)).endObject();
     }
     w.endObject().key("legs").beginArray();
-    for (const auto &[site, s] : sum.legs) {
+    for (const auto &[site, s] : legs) {
         w.beginObject(json::Inline)
-            .field("site", site).field("wallMs", toMs(s->durNs))
-            .field("peakRssKb", s->rssKb).endObject();
+            .field("site", site).field("wallMs", toMs(s.durNs))
+            .field("peakRssKb", s.rssKb).endObject();
     }
     w.endArray();
     w.key("pool").beginObject(json::Inline)
-        .field("lanes", sum.lanes)
-        .field("wallMs", toMs(sum.wallNs))
-        .field("selfMs", toMs(sum.selfNs))
+        .field("lanes", lanes)
+        .field("wallMs", toMs(wallNs))
+        .field("selfMs", toMs(selfNs))
         .endObject();
-    w.field("peakRssKb", peakRssKb()).endObject().endObject();
+    w.field("peakRssKb", peakRssKb).endObject().endObject();
     os << '\n';
 }
 

@@ -6,9 +6,9 @@
  * The simulator's own telemetry (obs/telemetry.hh) measures simulated
  * time; nothing so far measured the machine running it beyond one
  * micro_speed number. The HostProfiler records scoped phases
- * (validate, per-leg simulate, cache read/write, schedule analysis,
- * figure render) as slices, and every host-time figure it reports is
- * read from those slices:
+ * (validate, per-leg simulate, cache read/write, the shake and
+ * schedule analysis) as slices, and every host-time figure it reports
+ * is read from those slices:
  *
  *  - a slice's *self* time is its wall time minus the slices nested
  *    inside it on the same thread (a task a helping wait runs inside
@@ -21,8 +21,9 @@
  *    one's end, and the summed self time, so self/(wall × lanes) is
  *    the host's busy share.
  *
- * Two views: publish() merges deterministically ordered host.* stats
- * into the matrix stats JSON (keys are stable across job counts; the
+ * Both views print one Snapshot, taken once under the lock, so they
+ * agree: publish() merges deterministically ordered host.* stats into
+ * the matrix stats JSON (keys are stable across job counts; the
  * measured values naturally are not), and writeProfile() writes a
  * standalone Chrome trace (MCD_PROF_OUT) with one "host" process, one
  * thread lane per host thread, inclusive slice durations, and a
@@ -113,28 +114,14 @@ class HostProfiler
 
     /**
      * Open a phase of @p kind ("validate", "simulate", "cache.read",
-     * "cache.write", "analyze", "render") with an optional free-form
-     * @p detail (the leg site for "simulate", else typically the
-     * benchmark or figure title).
+     * "cache.write", "analyze") with an optional free-form @p detail
+     * (the leg site for "simulate", else typically the benchmark or
+     * the analyzed site).
      */
     Scope phase(std::string kind, std::string detail = {});
 
     /** Process peak RSS in KiB (getrusage), 0 where unsupported. */
     static std::uint64_t peakRssKb();
-
-    /**
-     * Merge aggregated host.* stats into @p reg: per-kind phase
-     * count, self time and longest phase, per-leg wall time and peak
-     * RSS, the pool lanes/window/self time, and the current peak RSS.
-     * Key set and order depend only on the recorded names.
-     */
-    void publish(StatsRegistry &reg) const;
-
-    /** Write the standalone Chrome-trace profile (MCD_PROF_OUT). */
-    void writeProfile(std::ostream &os) const;
-
-  private:
-    HostProfiler() = default;
 
     struct Slice
     {
@@ -147,9 +134,12 @@ class HostProfiler
         std::uint64_t rssKb;    //!< process peak RSS at close
     };
 
-    struct Summary;
-    /** The one aggregation both views print; caller holds mtx. */
-    Summary summarize() const;
+    struct Snapshot;
+    /** The recorded slices and their aggregates, as of now. */
+    Snapshot snapshot() const;
+
+  private:
+    HostProfiler() = default;
 
     void record(Slice s);
     int laneOf(std::thread::id id);
@@ -159,6 +149,43 @@ class HostProfiler
     std::chrono::steady_clock::time_point epoch;
     std::map<std::thread::id, int> lanes;
     std::vector<Slice> slices;
+};
+
+/**
+ * One reading of the profiler, printed by both views. Every figure in
+ * it is read from the slices, except the process peak RSS, which is
+ * read when the snapshot is taken.
+ */
+struct HostProfiler::Snapshot
+{
+    struct Phase
+    {
+        std::uint64_t count = 0;
+        std::int64_t selfNs = 0;
+        std::int64_t maxNs = 0;
+    };
+
+    std::vector<Slice> slices;  //!< by start time, then lane
+    // std::map iteration gives the name-sorted, job-count-independent
+    // key order the merged stats JSON requires.
+    std::map<std::string, Phase> phases;
+    /** Leg site → its simulate slice (the latest, if run twice). */
+    std::map<std::string, Slice> legs;
+    std::size_t lanes = 0;      //!< threads that recorded slices
+    std::int64_t wallNs = 0;    //!< first slice start to last end
+    std::int64_t selfNs = 0;    //!< summed over every slice
+    std::uint64_t peakRssKb = 0;
+
+    /**
+     * Merge aggregated host.* stats into @p reg: per-kind phase
+     * count, self time and longest phase, per-leg wall time and peak
+     * RSS, the pool lanes/window/self time, and the peak RSS. Key set
+     * and order depend only on the recorded names.
+     */
+    void publish(StatsRegistry &reg) const;
+
+    /** Write the standalone Chrome-trace profile (MCD_PROF_OUT). */
+    void writeProfile(std::ostream &os) const;
 };
 
 } // namespace obs

@@ -17,9 +17,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -692,9 +695,15 @@ TEST(SpecGrammars, AcceptTableParsesToTheDocumentedValues)
 
     fuzz::Scenario sc;
     sc.workload = gp;
-    sc.configSpec = "model=Transmeta;timescale=0.2;dillo=0.01;"
-        "dilhi=0.030000;seed=606953;attempts=3;wdedges=1000000;"
-        "wdticks=0;sampling=detailed=1000,ff=4000,warmup=250";
+    sc.options = {{"model", "Transmeta"},
+                  {"dvfsTimeScale", "0.2"},
+                  {"dilationLow", "0.01"},
+                  {"dilationHigh", "0.030000"},
+                  {"seed", "606953"},
+                  {"legAttempts", "3"},
+                  {"watchdogEdges", "1000000"},
+                  {"watchdogTicks", "0"},
+                  {"sampling", "detailed=1000,ff=4000,warmup=250"}};
     sc.legsSpec = "dyn5=replay:0.03";
     ExperimentConfig cfg = sc.toConfig();
     EXPECT_EQ(cfg.model, DvfsKind::Transmeta);
@@ -764,13 +773,17 @@ TEST(SpecGrammars, RejectTableFailsWithAStructuredError)
                              "dilation<="})
         throws([&] { obs::InvariantEngine::parseSpec(text); },
                "MCD_INVARIANTS", text);
-    for (const char *text : {"seed=", "dilhi= 0.05", "timescale=inf",
-                             "attempts=-1"}) {
+    for (const auto &[name, text] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"seed", ""},
+             {"dilationHigh", " 0.05"},
+             {"dvfsTimeScale", "inf"},
+             {"legAttempts", "-1"}}) {
         fuzz::Scenario sc;
         sc.workload = fuzz::GenParams::fromSpec(
             "seed=5;phase=int:1500:4:256:1:50");
-        sc.configSpec = text;
-        throws([&] { sc.toConfig(); }, "Scenario config", text);
+        sc.options = {{name, text}};
+        throws([&] { sc.toConfig(); }, "Scenario config", name);
     }
 
     for (const char *jobs : {"\"4x\"", "0", "100000", "-1", "\"\""})
@@ -790,6 +803,117 @@ TEST(SpecGrammars, LegDilationsRoundTripBitExactly)
         LegSpec l = LegSpec::scheduleReplay("x", d);
         EXPECT_EQ(LegSpec::fromSpec(l.toSpec()).dilation, d) << l.toSpec();
     }
+}
+
+// --- the ExperimentConfig option table -------------------------------
+
+/** The result-shaping options that pick benchmarks or legs instead of
+ *  setting an ExperimentConfig field. */
+bool
+pickerOption(std::string_view name)
+{
+    return name == "benchmarks" || name == "controllers" ||
+        name == "tournament";
+}
+
+TEST(ConfigOptions, EveryResultShapingOptionIsBoundOrAPicker)
+{
+    std::vector<std::string> bound;
+    for (const config::OptionDef &o : config::options()) {
+        if (o.affectsResults && !pickerOption(o.name))
+            bound.emplace_back(o.name);
+    }
+    std::vector<std::string> table;
+    for (const ConfigOption &c : configOptions()) {
+        table.emplace_back(c.name);
+        const config::OptionDef *o = config::find(c.name);
+        ASSERT_NE(o, nullptr) << c.name;
+        EXPECT_TRUE(o->affectsResults) << c.name;
+    }
+    // Same options, and in registry order.
+    EXPECT_EQ(table, bound);
+    EXPECT_EQ(table.size(), 13u);
+}
+
+TEST(ConfigOptions, NonDefaultTextRoundTripsThroughReadAndPrint)
+{
+    const std::map<std::string, std::string> text = {
+        {"dilationHigh", "0.07"},
+        {"dilationLow", "0.02"},
+        {"dvfsTimeScale", "0.1"},
+        {"faultPlan", "leg:adpcm/dyn1=throw;seed=42"},
+        {"invariants", "dilation<=0.12;queue_fill<=capacity"},
+        {"legAttempts", "3"},
+        {"legs", goldenLegs},
+        {"model", "Transmeta"},
+        {"sampling", "detailed=2000,ff=18000,warmup=500,tol=0.05"},
+        {"scale", "2"},
+        {"seed", "606953"},
+        {"watchdogEdges", "1000000"},
+        {"watchdogTicks", "5000000"},
+    };
+    ASSERT_EQ(text.size(), configOptions().size());
+    for (const ConfigOption &c : configOptions()) {
+        const std::string &t = text.at(c.name);
+        ExperimentConfig cfg;
+        EXPECT_NE(c.print(cfg), t) << c.name << " text is the default";
+        c.read(cfg, c.name, t);
+        EXPECT_EQ(c.print(cfg), t) << c.name;
+        // Reading the printed text back is a fixed point.
+        ExperimentConfig again;
+        c.read(again, c.name, c.print(cfg));
+        EXPECT_EQ(c.print(again), t) << c.name;
+        EXPECT_EQ(&configOption(c.name), &c);
+    }
+}
+
+TEST(ConfigOptions, DefaultConfigPrintsTheRegistryDefaults)
+{
+    // The two sources of defaults, ExperimentConfig's initializers and
+    // the registry's defaultValue column, must not drift. The model is
+    // the documented exception: its registry default is empty (the
+    // binary's built-in choice), and the config's is XScale.
+    const ExperimentConfig cfg;
+    for (const ConfigOption &c : configOptions()) {
+        const config::OptionDef *o = config::find(c.name);
+        ASSERT_NE(o, nullptr) << c.name;
+        if (std::string_view(c.name) == "model") {
+            EXPECT_STREQ(o->defaultValue, "");
+            EXPECT_EQ(c.print(cfg), "XScale");
+            continue;
+        }
+        EXPECT_EQ(config::canonicalValue(*o, c.name, c.print(cfg)),
+                  config::canonicalValue(*o, c.name, o->defaultValue))
+            << c.name;
+    }
+}
+
+TEST(ConfigOptions, MalformedTextIsAFatalErrorNamingTheOption)
+{
+    for (const auto &[name, text] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"dilationHigh", "0.05x"},
+             {"legAttempts", "0"},
+             {"scale", "99999999999"},
+             {"model", "bogus"},
+             {"seed", "-1"},
+             {"watchdogTicks", "1e3"}}) {
+        ExperimentConfig cfg;
+        try {
+            configOption(name).read(cfg, std::string("opt ") + name, text);
+            ADD_FAILURE() << name << " accepted '" << text << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("opt ") +
+                                                 name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // An empty model keeps the config's own.
+    ExperimentConfig cfg;
+    cfg.model = DvfsKind::Transmeta;
+    configOption("model").read(cfg, "model", "");
+    EXPECT_EQ(cfg.model, DvfsKind::Transmeta);
 }
 
 /** Apply one seeded byte mutation to @p s. */
@@ -854,7 +978,12 @@ TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
           "seed=9235374536318864070;phase=branch:3327:1:16:2:41"},
          [](const std::string &t) { fuzz::GenParams::fromSpec(t); }},
         {"repro", corpusTexts(),
-         [](const std::string &t) { reproFromText(t); }},
+         [](const std::string &t) {
+             // An accepted repro's option values reach the config
+             // table, which must parse them or fail structurally too.
+             if (std::optional<fuzz::Repro> r = reproFromText(t))
+                 r->scenario.toConfig();
+         }},
     };
     for (const Grammar &g : grammars) {
         ASSERT_FALSE(g.valid.empty()) << g.name;

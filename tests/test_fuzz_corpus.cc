@@ -103,7 +103,7 @@ TEST(FuzzCorpus, ReproStringsRoundTripThroughEscaping)
     fuzz::Scenario s;
     s.workload = fuzz::GenParams::fromSpec(
         "seed=77;phase=int:120:2:64:1:50");
-    s.configSpec = "model=Transmeta;seed=11";
+    s.options = {{"model", "Transmeta"}, {"seed", "11"}};
     s.legsSpec = "dyn5=replay:0.05";
     s.faultSpec = "leg:@/dyn5=flaky:1";
     s.plantedSpec = "leg:@/dyn5=vfmisorder;" + nasty;
@@ -118,7 +118,7 @@ TEST(FuzzCorpus, ReproStringsRoundTripThroughEscaping)
     EXPECT_EQ(r->signature, signature);
     EXPECT_EQ(r->scenario.plantedSpec, s.plantedSpec);
     EXPECT_EQ(r->scenario.workload.spec(), s.workload.spec());
-    EXPECT_EQ(r->scenario.configSpec, s.configSpec);
+    EXPECT_EQ(r->scenario.options, s.options);
     EXPECT_EQ(r->scenario.legsSpec, s.legsSpec);
     EXPECT_EQ(r->scenario.faultSpec, s.faultSpec);
     EXPECT_EQ(r->scenario.jobs, s.jobs);

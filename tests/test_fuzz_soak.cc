@@ -48,8 +48,9 @@ smallScenario()
     s.workload = GenParams::fromSpec(
         "seed=9235374536318864070;phase=branch:3327:1:16:2:41;"
         "phase=int:4270:4:2048:3:6");
-    s.configSpec = "model=XScale;timescale=0.05;dillo=0.01;dilhi=0.03;"
-        "seed=7;wdedges=1000000";
+    s.options = {{"model", "XScale"},       {"dvfsTimeScale", "0.05"},
+                 {"dilationLow", "0.01"},   {"dilationHigh", "0.03"},
+                 {"seed", "7"},             {"watchdogEdges", "1000000"}};
     s.legsSpec = "dyn5=replay:0.03";
     return s;
 }
@@ -76,7 +77,7 @@ TEST(FuzzSoak, TupleSamplingIsDeterministic)
         Scenario a = fz.tuple(i);
         Scenario b = fz.tuple(i);
         EXPECT_EQ(a.workload.spec(), b.workload.spec());
-        EXPECT_EQ(a.configSpec, b.configSpec);
+        EXPECT_EQ(a.options, b.options);
         EXPECT_EQ(a.legsSpec, b.legsSpec);
         EXPECT_EQ(a.faultSpec, b.faultSpec);
     }
@@ -88,10 +89,8 @@ TEST(FuzzSoak, TuplesAlternateDvfsModels)
     // at any budget >= 2, so the model axis cycles instead of being
     // sampled.
     ConfigFuzzer fz(3);
-    EXPECT_NE(fz.tuple(0).configSpec.find("model=XScale"),
-              std::string::npos);
-    EXPECT_NE(fz.tuple(1).configSpec.find("model=Transmeta"),
-              std::string::npos);
+    EXPECT_EQ(fz.tuple(0).options.at("model"), "XScale");
+    EXPECT_EQ(fz.tuple(1).options.at("model"), "Transmeta");
 }
 
 TEST(FuzzSoak, SampledTuplesAreValidByConstruction)
@@ -172,7 +171,7 @@ TEST(FuzzSoak, ReproRoundTripsThroughJson)
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r->signature, "invariant:voltage_leads_freq@dyn5");
     EXPECT_EQ(r->scenario.workload.spec(), s.workload.spec());
-    EXPECT_EQ(r->scenario.configSpec, s.configSpec);
+    EXPECT_EQ(r->scenario.options, s.options);
     EXPECT_EQ(r->scenario.legsSpec, s.legsSpec);
     EXPECT_EQ(r->scenario.faultSpec, s.faultSpec);
     EXPECT_EQ(r->scenario.plantedSpec, s.plantedSpec);
@@ -228,7 +227,7 @@ TEST(FuzzSoak, ShrinkerMinimizesWhilePreservingTheSignature)
     fat.legsSpec = "dyn5=replay:0.05|dyn1=replay:0.01|"
         "online=ctrl:online-queue";
     fat.faultSpec = "leg:@/dyn1=throw";
-    fat.configSpec += ";sampling=detailed=1000,ff=4000,warmup=250";
+    fat.options["sampling"] = "detailed=1000,ff=4000,warmup=250";
 
     Outcome baseline = stubOracle(fat);
     ASSERT_TRUE(baseline.failed());
@@ -242,8 +241,7 @@ TEST(FuzzSoak, ShrinkerMinimizesWhilePreservingTheSignature)
     // Everything droppable under this oracle is gone.
     EXPECT_EQ(r.minimized.legsSpec, "dyn5=replay:0.05");
     EXPECT_TRUE(r.minimized.faultSpec.empty());
-    EXPECT_EQ(r.minimized.configSpec.find("sampling"),
-              std::string::npos);
+    EXPECT_EQ(r.minimized.options.count("sampling"), 0u);
     EXPECT_EQ(r.minimized.workload.phases.size(), 1u);
 
     // The minimized scenario is still valid by construction.

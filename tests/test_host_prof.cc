@@ -13,9 +13,11 @@
 #include <future>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -84,7 +86,7 @@ TEST(HostProfiler, DisabledScopesRecordNothing)
     { HostProfiler::Scope s = prof.phase("simulate", "adpcm/dyn5"); }
 
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     EXPECT_EQ(reg.find("host.phase.simulate.count"), nullptr);
     EXPECT_EQ(reg.find("host.leg.adpcm/dyn5.wall_ms"), nullptr);
     EXPECT_EQ(reg.find("host.pool.lanes"), nullptr);
@@ -104,7 +106,7 @@ TEST(HostProfiler, PublishAggregatesPhasesLegsAndPool)
     }
 
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
 
     const auto *count = reg.find("host.phase.simulate.count");
     ASSERT_NE(count, nullptr);
@@ -132,7 +134,7 @@ TEST(HostProfiler, PublishAggregatesPhasesLegsAndPool)
     // The key set is deterministic: publishing twice into fresh
     // registries yields the same names in the same order.
     StatsRegistry reg2;
-    prof.publish(reg2);
+    prof.snapshot().publish(reg2);
     ASSERT_EQ(reg.size(), reg2.size());
     for (std::size_t i = 0; i < reg.size(); ++i)
         EXPECT_EQ(reg.entries()[i].name, reg2.entries()[i].name);
@@ -153,7 +155,7 @@ TEST(HostProfiler, NestedScopeSelfTimeExcludesChildren)
     }
 
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     // One slice per kind, so max_ms is each slice's inclusive time.
     const double parentMs = gauge(reg, "host.phase.simulate.max_ms");
     const double childMs = gauge(reg, "host.phase.analyze.max_ms");
@@ -181,7 +183,7 @@ TEST(HostProfiler, ScopeInsideInlinePoolTaskIsNotCountedTwice)
     }
 
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     const double wallMs = gauge(reg, "host.pool.wall_ms");
     EXPECT_GE(gauge(reg, "host.phase.analyze.self_ms"), 20.0);
     EXPECT_LE(gauge(reg, "host.phase.simulate.self_ms"),
@@ -218,7 +220,7 @@ TEST(HostProfiler, ScopeInTaskRunByHelpingWaitIsNested)
     pool.wait(blocker);
 
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     EXPECT_DOUBLE_EQ(gauge(reg, "host.pool.lanes"), 1.0);
     EXPECT_NEAR(gauge(reg, "host.phase.simulate.self_ms"),
                 gauge(reg, "host.phase.simulate.max_ms") -
@@ -240,7 +242,7 @@ TEST(HostProfiler, ProfiledMatrixSelfTimeFitsLanesAndLegsMatchSlices)
 
     HostProfiler &prof = HostProfiler::instance();
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     prof.reset(false);
 
     const double lanes = gauge(reg, "host.pool.lanes");
@@ -265,13 +267,113 @@ TEST(HostProfiler, ProfiledMatrixSelfTimeFitsLanesAndLegsMatchSlices)
     }
     in.close();
     std::filesystem::remove(out);
-    // Per benchmark: baseline, mcdBaseline, shake and the default legs.
-    EXPECT_GE(durUs.size(), 2 * (3 + ec.legs.size()));
+    // Per benchmark: baseline, mcdBaseline and the default legs.
+    EXPECT_GE(durUs.size(), 2 * (2 + ec.legs.size()));
     for (const auto &[site, us] : durUs) {
         EXPECT_NEAR(gauge(reg, "host.leg." + site + ".wall_ms"),
                     us / 1e3, 1e-9)
             << site;
     }
+}
+
+/** Every capture group 1 of @p re in @p text, in order. */
+std::vector<std::string>
+matches(const std::string &text, const std::string &re)
+{
+    std::vector<std::string> out;
+    const std::regex r(re);
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), r);
+         it != std::sregex_iterator(); ++it)
+        out.push_back((*it)[1]);
+    return out;
+}
+
+/** The stats document and the host profile of one profiled paper-leg
+ *  matrix over adpcm and mst, run once for the tests below. */
+struct ProfiledDocuments
+{
+    std::string stats;
+    std::string profile;
+};
+
+const ProfiledDocuments &
+profiledDocuments()
+{
+    static const ProfiledDocuments docs = [] {
+        const std::filesystem::path dir =
+            std::filesystem::temp_directory_path() /
+            ("mcd-host-docs-" + std::to_string(::getpid()));
+        std::filesystem::create_directories(dir);
+        const std::string stats = (dir / "stats.json").string();
+        const std::string prof = (dir / "prof.json").string();
+        ::setenv("MCD_STATS_OUT", stats.c_str(), 1);
+        ::setenv("MCD_PROF_OUT", prof.c_str(), 1);
+        runMatrix(ExperimentConfig{}, {"adpcm", "mst"}, /*jobs=*/2);
+        ::unsetenv("MCD_STATS_OUT");
+        ::unsetenv("MCD_PROF_OUT");
+        HostProfiler::instance().reset(false);
+        auto slurp = [](const std::string &path) {
+            std::ifstream in(path);
+            std::ostringstream ss;
+            ss << in.rdbuf();
+            return ss.str();
+        };
+        ProfiledDocuments d{slurp(stats), slurp(prof)};
+        std::filesystem::remove_all(dir);
+        return d;
+    }();
+    return docs;
+}
+
+TEST(HostProfiler, ProfileListsSixPaperLegsPerBenchmarkAndNoShake)
+{
+    const ProfiledDocuments &docs = profiledDocuments();
+    // baseline, mcdBaseline, dyn1, dyn5, global, online.
+    std::map<std::string, int> legsPerBench;
+    for (const std::string &site :
+         matches(docs.profile, "\"site\": \"([^\"]+)\"")) {
+        EXPECT_FALSE(site.size() >= 6 &&
+                     site.compare(site.size() - 6, 6, "/shake") == 0)
+            << site;
+        ++legsPerBench[site.substr(0, site.find('/'))];
+    }
+    EXPECT_EQ(legsPerBench,
+              (std::map<std::string, int>{{"adpcm", 6}, {"mst", 6}}));
+    // The shake is still profiled, as analysis.
+    EXPECT_NE(docs.profile.find("\"detail\": \"adpcm/shake\""),
+              std::string::npos);
+}
+
+TEST(HostProfiler, StatsAndProfilePrintOneSnapshot)
+{
+    const ProfiledDocuments &docs = profiledDocuments();
+    const std::vector<std::string> statsWall =
+        matches(docs.stats, "\"host\\.pool\\.wall_ms\": ([^,\n]+)");
+    const std::vector<std::string> profWall = matches(
+        docs.profile, "\"pool\": \\{\"lanes\": [0-9]+, "
+                      "\"wallMs\": ([^,]+),");
+    ASSERT_EQ(statsWall.size(), 1u) << docs.stats;
+    ASSERT_EQ(profWall.size(), 1u) << docs.profile;
+    EXPECT_EQ(std::stod(statsWall[0]), std::stod(profWall[0]));
+
+    // The peak RSS is part of the snapshot too. The profile's legs
+    // carry theirs inline; the summary's stands on its own line.
+    const std::vector<std::string> statsRss =
+        matches(docs.stats, "\"host\\.peak_rss_kb\": ([^,\n]+)");
+    const std::vector<std::string> profRss =
+        matches(docs.profile, "\"peakRssKb\": ([0-9]+)\n");
+    ASSERT_EQ(statsRss.size(), 1u);
+    ASSERT_EQ(profRss.size(), 1u);
+    EXPECT_EQ(std::stod(statsRss[0]), std::stod(profRss[0]));
+
+    const std::vector<std::string> statsPhases = matches(
+        docs.stats, "\"host\\.phase\\.([a-z.]+)\\.count\"");
+    const std::vector<std::string> profPhases =
+        matches(docs.profile, "\"([a-z.]+)\": \\{\"count\"");
+    EXPECT_FALSE(statsPhases.empty());
+    EXPECT_EQ(std::set<std::string>(statsPhases.begin(),
+                                    statsPhases.end()),
+              std::set<std::string>(profPhases.begin(), profPhases.end()));
 }
 
 TEST(HostProfiler, WriteProfileEmitsChromeTraceWithHostSummary)
@@ -287,7 +389,7 @@ TEST(HostProfiler, WriteProfileEmitsChromeTraceWithHostSummary)
     t.join();
 
     std::ostringstream os;
-    prof.writeProfile(os);
+    prof.snapshot().writeProfile(os);
     std::string text = os.str();
     for (const char *key :
          {"\"traceEvents\"", "\"process_name\"", "\"host\"",
@@ -314,7 +416,7 @@ TEST(HostProfiler, ResetDropsRecordedData)
     { HostProfiler::Scope s = prof.phase("render", "fig5"); }
     prof.reset(true);
     StatsRegistry reg;
-    prof.publish(reg);
+    prof.snapshot().publish(reg);
     EXPECT_EQ(reg.find("host.phase.render.count"), nullptr);
 }
 
