@@ -1,9 +1,48 @@
 #include "dep_graph.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
+#include <string>
+
+#include "common/log.hh"
 
 namespace mcd {
+
+void
+IntervalGraph::buildAdjacency()
+{
+    const std::size_t n = events.size();
+    // Count each node's edges into off[v + 1], prefix-sum into bucket
+    // starts, scatter in arc order (advancing off[v] to v's bucket
+    // end), then shift the offsets back down one slot.
+    succOff.assign(n + 1, 0);
+    predOff.assign(n + 1, 0);
+    for (const Arc &a : arcs) {
+        if (static_cast<std::size_t>(a.from) >= n ||
+            static_cast<std::size_t>(a.to) >= n)
+            panic("IntervalGraph: edge " + std::to_string(a.from) +
+                  " -> " + std::to_string(a.to) + " names no event (" +
+                  std::to_string(n) + " events)");
+        ++succOff[a.from + 1];
+        ++predOff[a.to + 1];
+    }
+    for (std::size_t v = 1; v <= n; ++v) {
+        succOff[v] += succOff[v - 1];
+        predOff[v] += predOff[v - 1];
+    }
+    succEdges.resize(arcs.size());
+    predEdges.resize(arcs.size());
+    for (const Arc &a : arcs) {
+        succEdges[succOff[a.from]++] = {a.to, a.lag};
+        predEdges[predOff[a.to]++] = {a.from, a.lag};
+    }
+    for (std::size_t v = n; v > 0; --v) {
+        succOff[v] = succOff[v - 1];
+        predOff[v] = predOff[v - 1];
+    }
+    succOff[0] = 0;
+    predOff[0] = 0;
+}
 
 bool
 IntervalGraph::isAcyclic() const
@@ -11,7 +50,7 @@ IntervalGraph::isAcyclic() const
     // Kahn's algorithm.
     std::vector<int> indeg(events.size(), 0);
     for (std::size_t i = 0; i < events.size(); ++i)
-        for (const DagEdge &s : out[i])
+        for (const DagEdge &s : succ(i))
             ++indeg[s.to];
     std::vector<std::int32_t> ready;
     for (std::size_t i = 0; i < events.size(); ++i)
@@ -22,7 +61,7 @@ IntervalGraph::isAcyclic() const
         std::int32_t v = ready.back();
         ready.pop_back();
         ++seen;
-        for (const DagEdge &s : out[v]) {
+        for (const DagEdge &s : succ(v)) {
             if (--indeg[s.to] == 0)
                 ready.push_back(s.to);
         }
@@ -30,21 +69,104 @@ IntervalGraph::isAcyclic() const
     return seen == events.size();
 }
 
-namespace {
-
-struct InstEvents
+void
+stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
+                std::vector<KeyedIndex> &scratch)
 {
-    std::int32_t execEvent = -1;    //!< execute or addr-calc
-    std::int32_t memEvent = -1;     //!< memory access (mem ops)
-    bool isLoad = false;
-};
+    constexpr int digitBits = 11;
+    constexpr std::size_t radix = std::size_t{1} << digitBits;
+    constexpr int maxDigits = (64 + digitBits - 1) / digitBits;
 
-} // namespace
+    const std::size_t n = items.size();
+    if (n < 2)
+        return;
+    std::uint64_t lo = items[0].key;
+    std::uint64_t hi = lo;
+    for (const KeyedIndex &it : items) {
+        lo = std::min(lo, it.key);
+        hi = std::max(hi, it.key);
+    }
+    const std::uint64_t span = hi - lo;
+    int digits = 0;
+    while (digits < maxDigits && (span >> (digits * digitBits)) != 0)
+        ++digits;
+    if (digits == 0)
+        return;     // all keys equal: already in stable order
+
+    // One scan counts every digit position.
+    std::vector<std::uint32_t> counts(digits * radix, 0);
+    for (const KeyedIndex &it : items) {
+        std::uint64_t k = it.key - lo;
+        for (int d = 0; d < digits; ++d)
+            ++counts[d * radix + ((k >> (d * digitBits)) & (radix - 1))];
+    }
+
+    scratch.resize(n);
+    KeyedIndex *src = items.data();
+    KeyedIndex *dst = scratch.data();
+    std::array<std::uint32_t, radix> next;
+    for (int d = 0; d < digits; ++d) {
+        const std::uint32_t *c = &counts[d * radix];
+        const int shift = d * digitBits;
+        if (c[((src[0].key - lo) >> shift) & (radix - 1)] == n)
+            continue;   // one bucket holds everything: order unchanged
+        // Bucket start offsets, in the requested direction; the scatter
+        // below keeps each bucket's items in their current order.
+        std::uint32_t sum = 0;
+        for (std::size_t b = 0; b < radix; ++b) {
+            std::size_t bucket = descending ? radix - 1 - b : b;
+            next[bucket] = sum;
+            sum += c[bucket];
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t bucket = ((src[i].key - lo) >> shift) & (radix - 1);
+            dst[next[bucket]++] = src[i];
+        }
+        std::swap(src, dst);
+    }
+    if (src != items.data())
+        items.swap(scratch);
+}
 
 IntervalGraphStream::IntervalGraphStream(
     const std::vector<InstTrace> &trace, const DepGraphConfig &cfg)
     : trace(trace), cfg(cfg)
 {}
+
+std::int32_t
+IntervalGraphStream::find(std::uint64_t seq, std::size_t hint) const
+{
+    // Gallop from bySeq[hint] to bracket the first key >= seq in
+    // [lo, hi], then binary-search the bracket.
+    const std::size_t n = bySeq.size();
+    if (n == 0)
+        return -1;
+    hint = std::min(hint, n - 1);
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    std::size_t step = 1;
+    if (bySeq[hint].key < seq) {
+        lo = hint + 1;
+        while (lo + step - 1 < n && bySeq[lo + step - 1].key < seq) {
+            lo += step;
+            step *= 2;
+        }
+        hi = std::min(n, lo + step - 1);
+    } else {
+        hi = hint;
+        while (hi >= step && bySeq[hi - step].key >= seq) {
+            hi -= step;
+            step *= 2;
+        }
+        lo = hi >= step ? hi - step + 1 : 0;
+    }
+    auto it = std::lower_bound(
+        bySeq.begin() + lo, bySeq.begin() + hi, seq,
+        [](const KeyedIndex &k, std::uint64_t s) { return k.key < s; });
+    if (it == bySeq.end() || it->key != seq)
+        return -1;
+    return it->idx;
+}
 
 bool
 IntervalGraphStream::next(IntervalGraph &g)
@@ -55,7 +177,7 @@ IntervalGraphStream::next(IntervalGraph &g)
     const Tick len = cfg.intervalLength;
     // Interval of the first remaining instruction.
     Tick k = trace[pos].dispatchTime / len;
-    g = IntervalGraph{};
+    g.clear();
     g.intervalStart = k * len;
     g.intervalEnd = (k + 1) * len;
 
@@ -64,8 +186,8 @@ IntervalGraphStream::next(IntervalGraph &g)
     while (pos < trace.size() && trace[pos].dispatchTime / len == k)
         ++pos;
 
-    std::unordered_map<std::uint64_t, InstEvents> bySeq;
-    bySeq.reserve(pos - first);
+    insts.clear();
+    bySeq.clear();
     // Worst case two events (exec + mem) per instruction.
     g.events.reserve(2 * (pos - first));
 
@@ -119,8 +241,17 @@ IntervalGraphStream::next(IntervalGraph &g)
             if (ie.memEvent >= 0)
                 g.events[ie.memEvent].endCeiling = ceil;
         }
-        bySeq.emplace(t.seq, ie);
+        bySeq.push_back({t.seq, static_cast<std::int32_t>(insts.size())});
+        insts.push_back(ie);
     }
+    // Commit order nearly always lists seqs ascending; otherwise a
+    // stable sort keeps the first instruction of a duplicated seq
+    // first, and find() returns it.
+    if (!std::is_sorted(bySeq.begin(), bySeq.end(),
+                        [](const KeyedIndex &a, const KeyedIndex &b) {
+                            return a.key < b.key;
+                        }))
+        stableRadixSort(bySeq, /*descending=*/false, sortScratch);
 
     // A partial final interval must not pretend to own a full
     // interval's dilation budget: clamp its end to the actual end
@@ -130,16 +261,14 @@ IntervalGraphStream::next(IntervalGraph &g)
         maxEnd = std::max(maxEnd, ev.end);
     g.intervalEnd = std::min(g.intervalEnd, maxEnd);
 
-    g.out.resize(g.events.size());
-    g.in.resize(g.events.size());
-
-    // Data and intra-instruction dependences.
+    // Data and intra-instruction dependences. Lookups search from the
+    // current instruction's own entry: its producers sit just before.
+    std::size_t hint = 0;
     auto resultEvent = [&](std::uint64_t seq) -> std::int32_t {
-        auto it = bySeq.find(seq);
-        if (it == bySeq.end())
+        std::int32_t p = find(seq, hint);
+        if (p < 0)
             return -1;  // producer outside the interval
-        const InstEvents &p = it->second;
-        return p.isLoad ? p.memEvent : p.execEvent;
+        return insts[p].isLoad ? insts[p].memEvent : insts[p].execEvent;
     };
 
     // Control dependences: a mispredicted branch stalls fetch, so
@@ -149,10 +278,11 @@ IntervalGraphStream::next(IntervalGraph &g)
 
     for (std::size_t i = first; i < pos; ++i) {
         const InstTrace &t = trace[i];
-        auto it = bySeq.find(t.seq);
-        if (it == bySeq.end())
+        std::int32_t self = find(t.seq, hint);
+        if (self < 0)
             continue;
-        const InstEvents &ie = it->second;
+        hint = static_cast<std::size_t>(self);
+        const InstEvents &ie = insts[self];
         if (controlBarrier >= 0) {
             // The pipeline-refill gap after a misprediction is
             // front-end time; carry it as a fixed lag so the
@@ -182,20 +312,13 @@ IntervalGraphStream::next(IntervalGraph &g)
 
     // Functional dependences (shared units) and structural
     // dependences (finite queues), per domain, in start order.
-    std::vector<std::int32_t> byDomain[numDomains];
     for (auto &v : byDomain)
-        v.reserve(g.events.size());
+        v.clear();
     for (std::size_t e = 0; e < g.events.size(); ++e)
         byDomain[domainIndex(g.events[e].domain)].push_back(
-            static_cast<std::int32_t>(e));
-    for (int d = 0; d < numDomains; ++d) {
-        auto &v = byDomain[d];
-        std::stable_sort(v.begin(), v.end(),
-                         [&](std::int32_t a, std::int32_t b) {
-                             return g.events[a].start <
-                                 g.events[b].start;
-                         });
-    }
+            {g.events[e].start, static_cast<std::int32_t>(e)});
+    for (auto &v : byDomain)
+        stableRadixSort(v, /*descending=*/false, sortScratch);
 
     auto queueCap = [&](Domain d) {
         switch (d) {
@@ -215,23 +338,25 @@ IntervalGraphStream::next(IntervalGraph &g)
         int cap = queueCap(static_cast<Domain>(d));
         for (std::size_t i2 = 0; i2 < v.size(); ++i2) {
             if (cap > 0 && i2 >= static_cast<std::size_t>(cap))
-                g.addEdge(v[i2 - cap], v[i2]);
+                g.addEdge(v[i2 - cap].idx, v[i2].idx);
             // Queue occupancy: entry i2 must issue before entry
             // i2 + margin*cap can be dispatched into the queue.
             int dcap = deratedCap(static_cast<Domain>(d));
             if (dcap > 0 &&
                 i2 + dcap < v.size()) {
-                DagEvent &ev = g.events[v[i2]];
+                DagEvent &ev = g.events[v[i2].idx];
                 ev.startCeiling = std::min(
                     ev.startCeiling,
-                    g.events[v[i2 + dcap]].floorStart);
+                    g.events[v[i2 + dcap].idx].floorStart);
             }
         }
         // Same-FU serialization.
-        std::unordered_map<int, std::vector<std::int32_t>> byFu;
-        for (std::int32_t e : v)
-            byFu[static_cast<int>(g.events[e].fu)].push_back(e);
-        for (auto &[fu, list] : byFu) {
+        for (auto &list : byFu)
+            list.clear();
+        for (const KeyedIndex &k : v)
+            byFu[static_cast<int>(g.events[k.idx].fu)].push_back(k.idx);
+        for (int fu = 0; fu < numFuClasses; ++fu) {
+            const auto &list = byFu[fu];
             int units = cfg.fuCount[fu];
             if (units <= 0)
                 continue;
@@ -239,6 +364,7 @@ IntervalGraphStream::next(IntervalGraph &g)
                 g.addEdge(list[i2 - units], list[i2]);
         }
     }
+    g.buildAdjacency();
     return true;
 }
 

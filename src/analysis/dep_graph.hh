@@ -16,6 +16,13 @@
  * Front-end events are not scalable (the front end is pinned at
  * 1 GHz, paper Section 3.2) and enter only as fixed anchors via each
  * event's dispatch time.
+ *
+ * The builder appends every edge to one flat (from, to, lag) list and
+ * then buckets that list by counting into compressed (CSR) successor
+ * and predecessor arrays, which the shaker walks in place. Producers
+ * are found by seq through a sorted (seq, instruction) array, so the
+ * build allocates in proportion to the interval, never to the range
+ * of seq values, and a stream reuses its buffers across intervals.
  */
 
 #ifndef MCD_ANALYSIS_DEP_GRAPH_HH
@@ -23,12 +30,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
 #include "trace/trace.hh"
 
 namespace mcd {
+
+/** The number of FuClass values. */
+inline constexpr int numFuClasses = 6;
 
 /** One scalable event in the DAG. */
 struct DagEvent
@@ -59,7 +70,9 @@ struct DagEdge
 };
 
 /**
- * The per-interval DAG: events plus in/out adjacency.
+ * The per-interval DAG: events plus CSR successor and predecessor
+ * adjacency. Edges are added to a flat list with addEdge() and become
+ * visible through succ()/pred() once buildAdjacency() buckets them.
  */
 class IntervalGraph
 {
@@ -68,10 +81,20 @@ class IntervalGraph
     Tick intervalEnd = 0;
 
     std::vector<DagEvent> events;
-    std::vector<std::vector<DagEdge>> out;      //!< successors
-    std::vector<std::vector<DagEdge>> in;       //!< predecessors
 
     std::size_t size() const { return events.size(); }
+
+    /** Drop the events and edges, keeping every buffer's capacity. */
+    void
+    clear()
+    {
+        events.clear();
+        arcs.clear();
+        succOff.clear();
+        predOff.clear();
+        succEdges.clear();
+        predEdges.clear();
+    }
 
     /**
      * Add an edge producer -> consumer (ignores self/negative).
@@ -88,15 +111,76 @@ class IntervalGraph
             return;
         if (lag < 0)
             lag = 0;
-        auto l32 = static_cast<std::int32_t>(
-            std::min<std::int64_t>(lag, 0x7fffffff));
-        out[from].push_back({to, l32});
-        in[to].push_back({from, l32});
+        arcs.push_back({from, to, static_cast<std::int32_t>(
+            std::min<std::int64_t>(lag, 0x7fffffff))});
+    }
+
+    /**
+     * Bucket the added edges into the CSR arrays by counting. Each
+     * node's edges keep the order they were added in. Every endpoint
+     * must name an event.
+     */
+    void buildAdjacency();
+
+    /** True once buildAdjacency() has seen every added edge and
+     *  every event. */
+    bool
+    hasAdjacency() const
+    {
+        return succOff.size() == events.size() + 1 &&
+            succEdges.size() == arcs.size();
+    }
+
+    /** Node @p v's successors (valid once hasAdjacency()). */
+    std::span<const DagEdge>
+    succ(std::size_t v) const
+    {
+        return {succEdges.data() + succOff[v], succOff[v + 1] - succOff[v]};
+    }
+
+    /** Node @p v's predecessors (valid once hasAdjacency()). */
+    std::span<const DagEdge>
+    pred(std::size_t v) const
+    {
+        return {predEdges.data() + predOff[v], predOff[v + 1] - predOff[v]};
     }
 
     /** Verify acyclicity (test hook; O(V+E)). */
     bool isAcyclic() const;
+
+  private:
+    /** One added edge, before bucketing. */
+    struct Arc
+    {
+        std::int32_t from;
+        std::int32_t to;
+        std::int32_t lag;
+    };
+
+    std::vector<Arc> arcs;
+    /** Node v's successors are succEdges[succOff[v] .. succOff[v + 1]),
+     *  its predecessors likewise in predEdges. */
+    std::vector<std::uint32_t> succOff, predOff;
+    std::vector<DagEdge> succEdges, predEdges;
 };
+
+/** One record for stableRadixSort: a key and the index it orders. */
+struct KeyedIndex
+{
+    std::uint64_t key = 0;
+    std::int32_t idx = 0;
+};
+
+/**
+ * Stable LSD radix sort of @p items by key, ascending or descending.
+ * Equal keys keep their input order, so the permutation is exactly
+ * the one std::stable_sort gives with < (or >) on the keys. Digits
+ * are taken from key - min(key), and a pass whose digit is the same
+ * for every item is skipped. @p scratch is resized as needed; reuse
+ * it across calls to avoid reallocation.
+ */
+void stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
+                     std::vector<KeyedIndex> &scratch);
 
 /** Configuration for DAG construction. */
 struct DepGraphConfig
@@ -120,7 +204,7 @@ struct DepGraphConfig
      * synchronization quantization.
      */
     double occupancyMargin = 0.5;
-    int fuCount[6] = {0, 4, 1, 2, 1, 2};    //!< indexed by FuClass
+    int fuCount[numFuClasses] = {0, 4, 1, 2, 1, 2}; //!< by FuClass
     /** Relative per-time power of each domain's events. */
     double domainPower[numDomains] = {0.8, 1.0, 1.15, 1.05};
 };
@@ -140,15 +224,35 @@ class IntervalGraphStream
 
     /**
      * Build the next interval's graph into @p g (replacing whatever
-     * it held). Returns false, leaving @p g untouched, once the trace
-     * is exhausted.
+     * it held, but keeping its buffers). Returns false, leaving @p g
+     * untouched, once the trace is exhausted.
      */
     bool next(IntervalGraph &g);
 
   private:
+    /** The events one instruction became. */
+    struct InstEvents
+    {
+        std::int32_t execEvent = -1;    //!< execute or addr-calc
+        std::int32_t memEvent = -1;     //!< memory access (mem ops)
+        bool isLoad = false;
+    };
+
+    /** The insts index of the first instruction of this interval
+     *  with @p seq, or -1 (producer outside the interval). The search
+     *  starts at bySeq[@p hint]; any hint gives the same answer. */
+    std::int32_t find(std::uint64_t seq, std::size_t hint) const;
+
     const std::vector<InstTrace> &trace;
     DepGraphConfig cfg;
     std::size_t pos = 0;
+
+    // Per-interval scratch, kept from one interval to the next.
+    std::vector<InstEvents> insts;      //!< in trace order
+    std::vector<KeyedIndex> bySeq;      //!< (seq, insts index), by seq
+    std::vector<KeyedIndex> byDomain[numDomains];  //!< (start, event)
+    std::vector<std::int32_t> byFu[numFuClasses];  //!< events, by FU
+    std::vector<KeyedIndex> sortScratch;
 };
 
 /**

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/log.hh"
+
 namespace mcd {
 
 int
@@ -22,104 +24,21 @@ histogramBinFreq(int bin, Hertz fmin, Hertz fmax)
     return fmin + (bin + 0.5) * (fmax - fmin) / DomainHistogram::bins;
 }
 
-void
-stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
-                std::vector<KeyedIndex> &scratch)
-{
-    constexpr int digitBits = 11;
-    constexpr std::size_t radix = std::size_t{1} << digitBits;
-    constexpr int maxDigits = (64 + digitBits - 1) / digitBits;
-
-    const std::size_t n = items.size();
-    if (n < 2)
-        return;
-    std::uint64_t lo = items[0].key;
-    std::uint64_t hi = lo;
-    for (const KeyedIndex &it : items) {
-        lo = std::min(lo, it.key);
-        hi = std::max(hi, it.key);
-    }
-    const std::uint64_t span = hi - lo;
-    int digits = 0;
-    while (digits < maxDigits && (span >> (digits * digitBits)) != 0)
-        ++digits;
-    if (digits == 0)
-        return;     // all keys equal: already in stable order
-
-    // One scan counts every digit position.
-    std::vector<std::uint32_t> counts(digits * radix, 0);
-    for (const KeyedIndex &it : items) {
-        std::uint64_t k = it.key - lo;
-        for (int d = 0; d < digits; ++d)
-            ++counts[d * radix + ((k >> (d * digitBits)) & (radix - 1))];
-    }
-
-    scratch.resize(n);
-    KeyedIndex *src = items.data();
-    KeyedIndex *dst = scratch.data();
-    std::array<std::uint32_t, radix> next;
-    for (int d = 0; d < digits; ++d) {
-        const std::uint32_t *c = &counts[d * radix];
-        const int shift = d * digitBits;
-        if (c[((src[0].key - lo) >> shift) & (radix - 1)] == n)
-            continue;   // one bucket holds everything: order unchanged
-        // Bucket start offsets, in the requested direction; the scatter
-        // below keeps each bucket's items in their current order.
-        std::uint32_t sum = 0;
-        for (std::size_t b = 0; b < radix; ++b) {
-            std::size_t bucket = descending ? radix - 1 - b : b;
-            next[bucket] = sum;
-            sum += c[bucket];
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            std::size_t bucket = ((src[i].key - lo) >> shift) & (radix - 1);
-            dst[next[bucket]++] = src[i];
-        }
-        std::swap(src, dst);
-    }
-    if (src != items.data())
-        items.swap(scratch);
-}
-
-namespace {
-
-/** Edges in compressed (CSR) form: node v's edges are
- *  edges[off[v] .. off[v + 1]). */
-struct FlatAdjacency
-{
-    std::vector<std::uint32_t> off;
-    std::vector<DagEdge> edges;
-
-    explicit FlatAdjacency(const std::vector<std::vector<DagEdge>> &lists)
-        : off(lists.size() + 1)
-    {
-        std::size_t total = 0;
-        for (std::size_t v = 0; v < lists.size(); ++v) {
-            off[v] = static_cast<std::uint32_t>(total);
-            total += lists[v].size();
-        }
-        off[lists.size()] = static_cast<std::uint32_t>(total);
-        edges.reserve(total);
-        for (const std::vector<DagEdge> &l : lists)
-            edges.insert(edges.end(), l.begin(), l.end());
-    }
-};
-
-} // namespace
-
 ShakeResult
 shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
 {
     ShakeResult result;
     if (g.events.empty())
         return result;
+    if (!g.hasAdjacency())
+        panic("shake: the interval graph's adjacency is not built");
 
     const double maxStretch = std::min(cfg.maxStretch, fmax / fmin);
     const std::size_t n = g.size();
 
     // Working copy, one array per field: the passes read neighbors'
-    // times through flat adjacency instead of chasing whole events and
-    // per-node edge vectors. Written back to g.events at the end.
+    // times through the graph's CSR adjacency instead of chasing whole
+    // events. Written back to g.events at the end.
     std::vector<Tick> start(n), end(n);
     std::vector<double> stretch(n), power(n);
     // Per-event constants: the slack bounds that do not depend on
@@ -147,8 +66,6 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
         maxPower = std::max(maxPower, basePower[i]);
         minPower = std::min(minPower, basePower[i]);
     }
-    const FlatAdjacency succ(g.out);
-    const FlatAdjacency pred(g.in);
 
     double threshold = maxPower * cfg.initialThresholdFactor;
     const double thresholdFloor =
@@ -158,8 +75,7 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
     // (bounded by the interval end).
     auto outSlack = [&](std::int32_t e) {
         Tick bound = outBound[e];
-        for (std::uint32_t j = succ.off[e]; j < succ.off[e + 1]; ++j) {
-            const DagEdge &s = succ.edges[j];
+        for (const DagEdge &s : g.succ(e)) {
             Tick limit = start[s.to];
             limit = limit > static_cast<Tick>(s.lag)
                 ? limit - static_cast<Tick>(s.lag) : 0;
@@ -173,10 +89,8 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
     // (bounded by the interval start).
     auto inSlack = [&](std::int32_t e) {
         Tick bound = inBound[e];
-        for (std::uint32_t j = pred.off[e]; j < pred.off[e + 1]; ++j) {
-            const DagEdge &p = pred.edges[j];
+        for (const DagEdge &p : g.pred(e))
             bound = std::max(bound, end[p.to] + static_cast<Tick>(p.lag));
-        }
         if (bound >= start[e])
             return 0.0;
         return static_cast<double>(start[e] - bound);
@@ -203,8 +117,35 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
     for (std::size_t i = 0; i < n; ++i)
         order[i].idx = static_cast<std::int32_t>(i);
 
+    // Fixed-point detection: the state at the start of each pass pair,
+    // and the slack each stretch of the pair absorbed, in order.
+    std::vector<Tick> pairStart, pairEnd;
+    std::vector<double> pairStretch, pairPower;
+    std::vector<std::int32_t> pairOrder(n);
+    std::vector<double> adds;
+    // A decay in [0, 1] never raises a non-negative threshold, which
+    // the fixed-point exit below relies on.
+    const bool thresholdFalls =
+        cfg.thresholdDecay >= 0.0 && cfg.thresholdDecay <= 1.0;
+
+    bool blocked = true;
     for (int pass = 0; pass < cfg.maxPasses; ++pass) {
         bool scaled = false;
+        // Snapshot only after an unblocked pair: while the threshold
+        // still holds stretches back, a fixed point is unlikely, and
+        // missing one delays the exit by a single pair.
+        const bool watch = !blocked;
+        // Some event with slack stayed below the threshold unstretched.
+        blocked = false;
+        if (watch) {
+            pairStart = start;
+            pairEnd = end;
+            pairStretch = stretch;
+            pairPower = power;
+            for (std::size_t i = 0; i < n; ++i)
+                pairOrder[i] = order[i].idx;
+        }
+        adds.clear();
 
         // Backward pass: latest-ending events first; slack sits on
         // outgoing edges and migrates to incoming ones.
@@ -216,11 +157,16 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
             double slack = outSlack(e);
             if (slack <= 0.0)
                 continue;
-            if (power[e] >= threshold && stretch[e] < maxStretch) {
-                double add = stretchBy(e, slack, /*later=*/true);
-                slack -= add;
-                result.slackConsumed += add;
-                scaled = true;
+            if (stretch[e] < maxStretch) {
+                if (power[e] >= threshold) {
+                    double add = stretchBy(e, slack, /*later=*/true);
+                    slack -= add;
+                    result.slackConsumed += add;
+                    adds.push_back(add);
+                    scaled = true;
+                } else {
+                    blocked = true;
+                }
             }
             if (slack > 0.0) {
                 // Move the event later, handing slack to predecessors
@@ -247,11 +193,16 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
             double slack = inSlack(e);
             if (slack <= 0.0)
                 continue;
-            if (power[e] >= threshold && stretch[e] < maxStretch) {
-                double add = stretchBy(e, slack, /*later=*/false);
-                slack -= add;
-                result.slackConsumed += add;
-                scaled = true;
+            if (stretch[e] < maxStretch) {
+                if (power[e] >= threshold) {
+                    double add = stretchBy(e, slack, /*later=*/false);
+                    slack -= add;
+                    result.slackConsumed += add;
+                    adds.push_back(add);
+                    scaled = true;
+                } else {
+                    blocked = true;
+                }
             }
             if (slack > 0.0) {
                 Tick shift = static_cast<Tick>(slack);
@@ -261,9 +212,36 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
         }
         threshold *= cfg.thresholdDecay;
         result.passesRun = pass + 1;
+        result.passesWalked = pass + 1;
 
         if (!scaled && threshold < thresholdFloor)
             break;
+
+        // Fixed point: the pair mapped its starting state onto itself,
+        // and the threshold held back no stretch. A later pair starts
+        // from that same state with a threshold no higher, so every
+        // comparison comes out the same and the pair repeats exactly,
+        // adds included. Replay the remaining pairs' bookkeeping
+        // instead of walking them.
+        const bool fixedPoint = watch && !blocked && thresholdFalls &&
+            threshold >= 0.0 && start == pairStart && end == pairEnd &&
+            stretch == pairStretch && power == pairPower &&
+            std::equal(order.begin(), order.end(), pairOrder.begin(),
+                       [](const KeyedIndex &k, std::int32_t idx) {
+                           return k.idx == idx;
+                       });
+        if (fixedPoint) {
+            for (int rest = pass + 1; rest < cfg.maxPasses; ++rest) {
+                for (double add : adds)
+                    result.slackConsumed += add;
+                threshold *= cfg.thresholdDecay;
+                threshold *= cfg.thresholdDecay;
+                result.passesRun = rest + 1;
+                if (!scaled && threshold < thresholdFloor)
+                    break;
+            }
+            break;
+        }
     }
 
     for (std::size_t i = 0; i < n; ++i) {

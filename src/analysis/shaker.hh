@@ -10,7 +10,15 @@
  * Each pass visits the events in time order (latest end first going
  * backward, earliest start first going forward); that order comes
  * from a stable radix sort, and the passes walk a flat working copy
- * of the event times and adjacency rather than the graph itself.
+ * of the event times over the graph's CSR adjacency.
+ *
+ * A pass pair that leaves the times, stretches, power factors and
+ * visiting order as it found them, while the threshold held back no
+ * stretch, is a fixed point: every later pair would repeat it exactly,
+ * because a lower threshold cannot flip a comparison that already
+ * passed. The shake stops walking there and replays the remaining
+ * pairs' bookkeeping (their slack, threshold decay and exit test), so
+ * its result is bit-identical to walking all of them.
  */
 
 #ifndef MCD_ANALYSIS_SHAKER_HH
@@ -62,27 +70,12 @@ struct DomainHistogram
 struct ShakeResult
 {
     std::array<DomainHistogram, numDomains> histogram;
-    int passesRun = 0;
+    int passesRun = 0;              //!< pass pairs the result accounts for
+    /** Pass pairs actually walked: fewer than passesRun when the shake
+     *  reached a fixed point and replayed the remaining pairs. */
+    int passesWalked = 0;
     double slackConsumed = 0.0;     //!< ps of slack absorbed by scaling
 };
-
-/** One record for stableRadixSort: a key and the index it orders. */
-struct KeyedIndex
-{
-    std::uint64_t key = 0;
-    std::int32_t idx = 0;
-};
-
-/**
- * Stable LSD radix sort of @p items by key, ascending or descending.
- * Equal keys keep their input order, so the permutation is exactly
- * the one std::stable_sort gives with < (or >) on the keys. Digits
- * are taken from key - min(key), and a pass whose digit is the same
- * for every item is skipped. @p scratch is resized as needed; reuse
- * it across calls to avoid reallocation.
- */
-void stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
-                     std::vector<KeyedIndex> &scratch);
 
 /**
  * Run the shaker on one interval graph (mutates event times,
