@@ -22,6 +22,7 @@
 #include "common/spec.hh"
 #include "config/runspec.hh"
 #include "control/registry.hh"
+#include "core/global_search.hh"
 #include "obs/host_prof.hh"
 #include "workloads/workloads.hh"
 
@@ -1333,35 +1334,37 @@ ExperimentRunner::globalLeg(const Program &prog,
 {
     // Global voltage scaling: single clock at the table frequency
     // whose degradation best matches the reference leg (paper
-    // Section 4; dynamic-5% in the default matrix).
-    double target = r.perfDegradation(reference);
-    DvfsTable table;
-    int lo = 0;
-    int hi = table.numPoints() - 1;
-    // Degradation decreases monotonically with frequency: find the
-    // slowest point whose degradation does not exceed the target.
+    // Section 4; dynamic-5% in the default matrix): of the points a
+    // binary search visits, the closest one, first visited on a tie.
+    // Predictions anchored on the baseline's clock settle most visits;
+    // the rest are simulated (global_search.hh).
+    const double target = r.perfDegradation(reference);
+    const DvfsTable table;
+    SimConfig sc = makeSimConfig(ClockingStyle::SingleClock, site);
+    const Hertz baseFreq = sc.domainFrequency[0];
+    sc.mem.dramScalesWithClock = true;
+    std::vector<double> predicted(table.numPoints());
+    for (int i = 0; i < table.numPoints(); ++i)
+        predicted[i] = baseFreq / table.point(i).frequency - 1.0;
+
+    std::vector<RunResult> runs(table.numPoints());
+    GlobalPick pick = searchGlobalPoint(
+        predicted, target,
+        config.sampling ? globalBandSampled : globalBandDetailed,
+        [&](int i) {
+            const Hertz f = table.point(i).frequency;
+            char detail[32];
+            std::snprintf(detail, sizeof(detail), "@%.0f", f / 1e6);
+            obs::HostProfiler::Scope prof =
+                obs::HostProfiler::instance().phase("probe",
+                                                    site + detail);
+            sc.domainFrequency = {f, f, f, f};
+            runs[i] = runOnce(prog, sc);
+            return r.perfDegradation(runs[i]);
+        });
     GlobalOut best;
-    best.frequency = table.fastest().frequency;
-    double bestDist = 1e300;
-    while (lo <= hi) {
-        int mid = (lo + hi) / 2;
-        Hertz f = table.point(mid).frequency;
-        SimConfig sc = makeSimConfig(ClockingStyle::SingleClock, site);
-        sc.domainFrequency = {f, f, f, f};
-        sc.mem.dramScalesWithClock = true;
-        RunResult res = runOnce(prog, sc);
-        double deg = r.perfDegradation(res);
-        double dist = std::fabs(deg - target);
-        if (dist < bestDist) {
-            bestDist = dist;
-            best.result = res;
-            best.frequency = f;
-        }
-        if (deg > target)
-            lo = mid + 1;   // too slow; raise frequency
-        else
-            hi = mid - 1;   // within target; try slower
-    }
+    best.result = std::move(runs[pick.index]);
+    best.frequency = table.point(pick.index).frequency;
     return best;
 }
 
@@ -1567,8 +1570,8 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
     }
 
     // Global-search legs need the baseline plus their reference leg;
-    // they run last, on this thread (each is itself a serial binary
-    // search of full simulations).
+    // they run last, on this thread (each simulates its probes
+    // serially).
     r.baseline = pool.wait(baseFut);
     for (std::size_t i = 0; i < r.legs.size(); ++i) {
         const LegSpec &spec = r.legs[i].spec;

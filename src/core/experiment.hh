@@ -11,8 +11,9 @@
  *    the synchronization cost; doubles as the profiling run) (fixed);
  *  - dyn1 / dyn5: per-domain DVFS driven by the offline tool's
  *    schedule with a 1% / 5% dilation target (schedule-replay legs);
- *  - global: the baseline with a single reduced frequency/voltage
- *    chosen so its performance degradation matches dyn5 (search leg);
+ *  - global: the baseline with a single reduced frequency/voltage:
+ *    of the table points a binary search visits, the one whose
+ *    degradation is closest to dyn5's (search leg);
  *  - online: per-domain DVFS driven at runtime by the queue-occupancy
  *    attack/decay controller (controller leg).
  *
@@ -531,6 +532,13 @@ class ExperimentRunner
     DynLeg dynamicLeg(const Program &prog, const ShakenTrace &shaken,
                       double target_dilation,
                       const std::string &site) const;
+    /**
+     * The table point, among those a binary search over degradation
+     * visits, whose single-clock degradation is closest to
+     * @p reference's (the first visited on a tie), and its run.
+     * Predicted degradations settle most visits; only the points the
+     * prediction cannot settle are simulated (global_search.hh).
+     */
     GlobalOut globalLeg(const Program &prog,
                         const BenchmarkResults &r,
                         const RunResult &reference,

@@ -7,7 +7,8 @@
  * time; nothing so far measured the machine running it beyond one
  * micro_speed number. The HostProfiler records scoped phases
  * (validate, per-leg simulate, cache read/write, the shake and
- * schedule analysis) as slices, and every host-time figure it reports
+ * schedule analysis, global-search probes) as slices, and every
+ * host-time figure it reports
  * is read from those slices:
  *
  *  - a slice's *self* time is its wall time minus the slices nested
@@ -114,9 +115,10 @@ class HostProfiler
 
     /**
      * Open a phase of @p kind ("validate", "simulate", "cache.read",
-     * "cache.write", "analyze") with an optional free-form @p detail
-     * (the leg site for "simulate", else typically the benchmark or
-     * the analyzed site).
+     * "cache.write", "analyze", "probe") with an optional free-form
+     * @p detail (the leg site for "simulate", the site and table
+     * frequency for a global leg's "probe", else typically the
+     * benchmark or the analyzed site).
      */
     Scope phase(std::string kind, std::string detail = {});
 
