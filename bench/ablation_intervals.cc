@@ -65,8 +65,9 @@ runWithInterval(const Program &p, Tick interval, double dilation,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchutil::parseFigureArgs(argc, argv);
     ExperimentConfig ec = benchutil::configFromEnv();
     const char *benches[] = {"art", "gcc", "power"};
     const Tick intervals[] = {10'000'000, 25'000'000, 50'000'000,

@@ -71,8 +71,9 @@ fmt(const char *format, double v)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchutil::parseFigureArgs(argc, argv);
     ExperimentConfig ec = benchutil::configFromEnv();
     std::vector<std::string> names = benchutil::benchmarkNamesFromEnv();
 

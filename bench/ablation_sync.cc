@@ -44,8 +44,9 @@ mcdDegradation(const Program &p, double sync_fraction,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchutil::parseFigureArgs(argc, argv);
     ExperimentConfig ec = benchutil::configFromEnv();
 
     std::printf("Ablation: baseline-MCD performance cost vs "

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hh"
 #include "common/stats.hh"
 #include "cpu/params.hh"
 #include "mem/hierarchy.hh"
@@ -29,8 +30,9 @@ require(bool ok, const char *what)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchutil::parseFigureArgs(argc, argv);
     CoreParams c;
     MemParams m;
 

@@ -15,8 +15,9 @@
 using namespace mcd;
 
 int
-main()
+main(int argc, char **argv)
 {
+    benchutil::parseFigureArgs(argc, argv);
     ExperimentConfig ec = benchutil::configFromEnv();
 
     std::printf("Table 2: Benchmarks (paper roster + measured kernel "

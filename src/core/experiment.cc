@@ -41,21 +41,6 @@ legKindName(LegSpec::Kind k)
     return "?";
 }
 
-/**
- * Visit every run of a row in canonical order: the two fixed
- * reference runs, then the leg vector. @p f is called with
- * (name, run).
- */
-template <typename F>
-void
-forEachRun(const BenchmarkResults &r, F &&f)
-{
-    f(std::string("baseline"), r.baseline);
-    f(std::string("mcdBaseline"), r.mcdBaseline);
-    for (const ControllerLeg &l : r.legs)
-        f(l.spec.name, l.run);
-}
-
 } // namespace
 
 LegSpec
@@ -93,24 +78,6 @@ LegSpec::controllerLeg(std::string name, std::string controller,
     l.controller = std::move(controller);
     l.params = std::move(params);
     return l;
-}
-
-std::string
-LegSpec::keyToken() const
-{
-    // display is presentation-only; everything else shapes the run.
-    switch (kind) {
-      case Kind::ScheduleReplay: {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), ":r%.6f", dilation);
-        return name + buf;
-      }
-      case Kind::GlobalSearch:
-        return name + ":g:" + reference;
-      case Kind::Controller:
-        return name + ":c:" + controller + ":" + params;
-    }
-    return name;
 }
 
 std::string
@@ -1093,47 +1060,30 @@ ExperimentRunner::runOnce(const Program &prog, const SimConfig &sc) const
 std::string
 ExperimentRunner::cacheKey(const std::string &name) const
 {
-    // The online law's tuning parameters all shape the cached online
-    // record, so fold them into the key to prevent stale aliasing.
+    // Every result-shaping field, as its option's canonical text (so
+    // two configs share a file only when every option would print the
+    // same), plus the online-queue defaults, which have no option.
+    // Faults and telemetry never reach a stored row: injected rows are
+    // not stored, telemetry does not perturb the simulation, and a
+    // cache fault must damage the file the clean run reads.
+    ExperimentConfig keyed = config;
+    keyed.faults.reset();
+    keyed.telemetry = {};
+    std::string text;
+    for (const ConfigOption &o : configOptions())
+        text += std::string(o.name) + "=" + o.print(keyed) + "\n";
     const OnlineQueueParams &oq = config.online;
-    char buf[288];
-    std::snprintf(buf, sizeof(buf),
-                  "%s-s%d-%s-ts%.4f-d%.3f-%.3f"
-                  "-oi%.2f-oa%.2f-%d-%d-%d-ow%.2f-%.2f-%.2f-%d"
-                  "-seed%llu",
-                  name.c_str(), config.scale, dvfsKindName(config.model),
-                  config.dvfsTimeScale, config.dilationLow,
-                  config.dilationHigh,
-                  static_cast<double>(oq.interval) / 1e6,
-                  oq.attackThreshold, oq.attackPoints, oq.decayPoints,
-                  oq.idleDecayPoints, oq.highWater, oq.holdWater,
-                  oq.idleWater, oq.scaleFrontEnd ? 1 : 0,
-                  static_cast<unsigned long long>(config.seed));
-    std::string key = buf;
-    // The leg set shapes every cached record, so two matrices with
-    // different legs (or the same leg names with different params)
-    // must never share a file: fold a hash of the full leg-spec set
-    // plus the leg count into the key.
-    {
-        std::string tokens;
-        for (const LegSpec &l : config.legs) {
-            tokens += l.keyToken();
-            tokens += '|';
-        }
-        char legBuf[48];
-        std::snprintf(legBuf, sizeof(legBuf), "-L%016llx-n%llu",
-                      static_cast<unsigned long long>(fnv1a(tokens)),
-                      static_cast<unsigned long long>(
-                          config.legs.size()));
-        key += legBuf;
-    }
-    // Sampled matrices are never cached (see loadCache/storeCache),
-    // but fold the operating point into the key anyway so a sampled
-    // and a full-detail matrix can never collide even if the bypass
-    // rule changes.
-    if (config.sampling)
-        key += "-smp" + config.sampling->keyToken();
-    return key;
+    text += "online=" + std::to_string(oq.interval);
+    for (double v : {oq.attackThreshold, oq.highWater, oq.holdWater,
+                     oq.idleWater})
+        text += "," + config::canonicalDouble(v);
+    for (int v : {oq.attackPoints, oq.decayPoints, oq.idleDecayPoints,
+                  oq.scaleFrontEnd ? 1 : 0})
+        text += "," + std::to_string(v);
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "-%016llx",
+                  static_cast<unsigned long long>(fnv1a(text)));
+    return name + hex;
 }
 
 std::string

@@ -87,9 +87,6 @@ struct LegSpec
                                  std::string params = {},
                                  std::string display = {});
 
-    /** Everything result-shaping, folded into the cache key. */
-    std::string keyToken() const;
-
     /**
      * Canonical textual form, exactly round-tripping through
      * fromSpec():
@@ -268,6 +265,21 @@ struct BenchmarkResults
     /** True when any leg failed. */
     bool anyFailed() const { return failedLegs() != 0; }
 };
+
+/**
+ * Visit every run of a row in canonical order: the two fixed
+ * reference runs, then the leg vector. @p f is called with
+ * (name, run).
+ */
+template <typename F>
+void
+forEachRun(const BenchmarkResults &r, F &&f)
+{
+    f(std::string("baseline"), r.baseline);
+    f(std::string("mcdBaseline"), r.mcdBaseline);
+    for (const ControllerLeg &l : r.legs)
+        f(l.spec.name, l.run);
+}
 
 /**
  * Process exit codes for matrix drivers. Partial failure (some legs
@@ -566,6 +578,8 @@ class ExperimentRunner
                                const std::string &leg,
                                const std::string &upstream) const;
 
+    /** "<name>-<16 hex>": fnv1a over the canonical text of every
+     *  result-shaping option and the online-queue defaults. */
     std::string cacheKey(const std::string &name) const;
     std::optional<BenchmarkResults> loadCache(const std::string &name) const;
     void storeCache(const BenchmarkResults &r) const;

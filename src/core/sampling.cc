@@ -1,10 +1,10 @@
 #include "sampling.hh"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/log.hh"
 #include "common/spec.hh"
+#include "config/runspec.hh"
 #include "power/power_model.hh"
 
 namespace mcd {
@@ -46,25 +46,10 @@ SamplingParams::fromSpec(const std::string &text)
 std::string
 SamplingParams::spec() const
 {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "detailed=%llu,ff=%llu,warmup=%llu,tol=%g",
-                  static_cast<unsigned long long>(detailedInsts),
-                  static_cast<unsigned long long>(ffInsts),
-                  static_cast<unsigned long long>(warmupInsts),
-                  tolerance);
-    return buf;
-}
-
-std::string
-SamplingParams::keyToken() const
-{
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "d%lluf%lluw%llu",
-                  static_cast<unsigned long long>(detailedInsts),
-                  static_cast<unsigned long long>(ffInsts),
-                  static_cast<unsigned long long>(warmupInsts));
-    return buf;
+    return "detailed=" + std::to_string(detailedInsts) +
+        ",ff=" + std::to_string(ffInsts) +
+        ",warmup=" + std::to_string(warmupInsts) +
+        ",tol=" + config::canonicalDouble(tolerance);
 }
 
 void

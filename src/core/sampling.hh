@@ -70,9 +70,6 @@ struct SamplingParams
     /** Canonical spec string (round-trips through fromSpec). */
     std::string spec() const;
 
-    /** Compact token for cache keys ("d5000f45000w1000"). */
-    std::string keyToken() const;
-
     /** fatal() on out-of-range values. */
     void validate() const;
 };

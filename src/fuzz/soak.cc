@@ -93,17 +93,6 @@ ruleMetric(const std::string &rule)
     return rule.substr(0, end);
 }
 
-/** Visit (legName, run) over a row in canonical order. */
-template <typename F>
-void
-forEachRun(const BenchmarkResults &r, F &&f)
-{
-    f(std::string("baseline"), r.baseline);
-    f(std::string("mcdBaseline"), r.mcdBaseline);
-    for (const ControllerLeg &l : r.legs)
-        f(l.spec.name, l.run);
-}
-
 /**
  * Byte-level digest of a result row: the full cache serialization
  * (every numeric field of every leg) plus the per-leg invariant

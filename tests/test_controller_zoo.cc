@@ -276,17 +276,6 @@ TEST(LegSpecs, TournamentSetCoversRegistry)
     }
 }
 
-TEST(LegSpecs, KeyTokensDistinguishLegs)
-{
-    LegSpec pid = LegSpec::controllerLeg("pid", "pid");
-    LegSpec tuned = LegSpec::controllerLeg("pid", "pid", "kp=32");
-    LegSpec dyn = LegSpec::scheduleReplay("dyn5", 0.05);
-    EXPECT_NE(pid.keyToken(), tuned.keyToken());
-    EXPECT_NE(pid.keyToken(), dyn.keyToken());
-    EXPECT_NE(LegSpec::scheduleReplay("dyn5", 0.05).keyToken(),
-              LegSpec::scheduleReplay("dyn5", 0.01).keyToken());
-}
-
 TEST(Matrix, CacheKeySeparatesLegSets)
 {
     ExperimentConfig base;
@@ -308,9 +297,26 @@ TEST(Matrix, CacheKeySeparatesLegSets)
     EXPECT_NE(a.cachePath("adpcm"), c.cachePath("adpcm"));
     EXPECT_NE(b.cachePath("adpcm"), c.cachePath("adpcm"));
 
+    // Controller params and replay dilations are exact parts of the
+    // key: a tuned controller, and dilations that differ only past
+    // the third decimal, get files of their own.
+    auto pathFor = [&](std::vector<LegSpec> legs) {
+        ExperimentConfig ec = base;
+        ec.legs = std::move(legs);
+        return ExperimentRunner(ec).cachePath("adpcm");
+    };
+    EXPECT_NE(pathFor({LegSpec::controllerLeg("pid", "pid")}),
+              pathFor({LegSpec::controllerLeg("pid", "pid", "kp=32")}));
+    std::string d05 = pathFor({LegSpec::scheduleReplay("dyn5", 0.05)});
+    std::string d01 = pathFor({LegSpec::scheduleReplay("dyn5", 0.01)});
+    std::string d05x =
+        pathFor({LegSpec::scheduleReplay("dyn5", 0.0500001)});
+    EXPECT_NE(d05, d01);
+    EXPECT_NE(d05, d05x);
+    EXPECT_NE(d01, d05x);
+
     // An explicit default leg set keys identically to the implicit
-    // one, so the refactor did not orphan pre-existing cache entries
-    // beyond the format bump.
+    // one.
     ExperimentConfig expl = base;
     expl.legs = defaultLegs(base);
     EXPECT_EQ(a.cachePath("adpcm"),

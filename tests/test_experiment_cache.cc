@@ -287,5 +287,43 @@ TEST(ExperimentCache, TelemetryBypassesAWarmCache)
     fs::remove_all(dir);
 }
 
+TEST(ExperimentCache, KeyCoversEveryResultShapingOption)
+{
+    ExperimentConfig base;
+    base.cacheDir = "/tmp/mcd-cache-keys";
+    auto pathFor = [](const ExperimentConfig &ec) {
+        return ExperimentRunner(ec).cachePath("adpcm");
+    };
+    const std::string plain = pathFor(base);
+    EXPECT_EQ(fs::path(plain).filename().string().size(),
+              std::string("adpcm-0123456789abcdef.txt").size());
+
+    // Each of these shapes the stored rows, so each needs its own file.
+    ExperimentConfig ec = base;
+    ec.dvfsTimeScale = 0.20001;
+    EXPECT_NE(pathFor(ec), plain);
+    ec = base;
+    ec.watchdogMaxTicks = 1000;
+    EXPECT_NE(pathFor(ec), plain);
+    ec = base;
+    ec.watchdogNoProgressEdges += 1;
+    EXPECT_NE(pathFor(ec), plain);
+    ec = base;
+    ec.online.attackThreshold = 0.0800001;
+    EXPECT_NE(pathFor(ec), plain);
+
+    // These never reach a stored row, so they share the clean file.
+    ec = base;
+    ec.telemetry.freqSeries = true;
+    EXPECT_EQ(pathFor(ec), plain);
+    ec = base;
+    ec.telemetry.invariants = "default";
+    EXPECT_EQ(pathFor(ec), plain);
+    ec = base;
+    ec.faults = std::make_shared<const fault::FaultPlan>(
+        fault::FaultPlan::parse("cache:adpcm=corrupt"));
+    EXPECT_EQ(pathFor(ec), plain);
+}
+
 } // namespace
 } // namespace mcd
