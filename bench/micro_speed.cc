@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks for the simulator infrastructure
- * itself: functional execution, timing simulation, cache and branch
- * predictor throughput, DAG construction, and the shaker.
+ * itself: functional execution, timing simulation, clock edge
+ * generation, cache and branch predictor throughput, DAG
+ * construction, and the shaker.
  */
 
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include "bench_util.hh"
 
 #include "analysis/analyzer.hh"
+#include "clock/clock_domain.hh"
 #include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/processor.hh"
@@ -81,6 +83,25 @@ BM_SampledSimulation(benchmark::State &state)
         static_cast<double>(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SampledSimulation)
+    ->Apply(benchutil::kernelBenchDefaults);
+
+/**
+ * One clock at the paper's 110 ps jitter producing 1M edges: the
+ * per-edge jitter draw and period arithmetic alone, no pipeline.
+ */
+void
+BM_ClockEdges(benchmark::State &state)
+{
+    constexpr int edges = 1000000;
+    for (auto _ : state) {
+        ClockDomain c(Domain::Integer, 1e9, 42);
+        for (int i = 0; i < edges; ++i)
+            c.advance();
+        benchmark::DoNotOptimize(c.now());
+    }
+    state.SetItemsProcessed(state.iterations() * edges);
+}
+BENCHMARK(BM_ClockEdges)
     ->Apply(benchutil::kernelBenchDefaults);
 
 void

@@ -13,6 +13,7 @@
 #ifndef MCD_CLOCK_CLOCK_DOMAIN_HH
 #define MCD_CLOCK_CLOCK_DOMAIN_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -24,6 +25,34 @@ namespace mcd {
 /** Paper value: jitter standard deviation in picoseconds. */
 inline constexpr double defaultJitterSigmaPs = 110.0;
 
+/** A Box-Muller pair: r cos(theta) and r sin(theta). */
+struct NormalPair
+{
+    double c = 0.0;
+    double s = 0.0;
+};
+
+/**
+ * Box-Muller pair for uniforms @p u1 in [1e-300, 1) and @p u2 in
+ * [0, 1): r = sqrt(-2 ln u1), theta = 2 pi u2, with ln, sin and cos
+ * evaluated from tables plus short polynomials instead of libm. Each
+ * component lies within fastNormalBound * r of what Rng::normal's
+ * libm form gives for the same uniforms (derivation: DESIGN.md §10).
+ */
+NormalPair fastNormalPair(double u1, double u2);
+
+/** Relative bound of fastNormalPair: |fast - libm| <= this * r. */
+inline constexpr double fastNormalBound = 0x1p-48;
+
+/**
+ * Guard band of the fast jitter path, per picosecond of (sigma +
+ * period): an edge whose fast (period + jitter) lies within
+ * jitterGuardScale * (sigma + period) of an integer tick, or of the
+ * quarter-period floor, is recomputed with libm. That band is about
+ * 7000 times the largest possible fast-vs-libm difference.
+ */
+inline constexpr double jitterGuardScale = 0x1p-30;
+
 /**
  * One clock domain: an edge generator on the global Tick axis.
  *
@@ -32,6 +61,13 @@ inline constexpr double defaultJitterSigmaPs = 110.0;
  * hardware bound to it. Frequency changes take effect when computing
  * the edge after the currently scheduled one (a real PLL's output
  * period cannot change retroactively mid-cycle).
+ *
+ * Jitter: the clock draws its uniforms in Box-Muller pairs, exactly
+ * as Rng::normalClamped(0, sigma, 3) would, a block at a time. Each
+ * edge takes the fast value of its draw when the guard band proves
+ * that it truncates to the same Tick as the libm value, and
+ * recomputes the libm value otherwise, so every edge time is
+ * bit-identical to the plain libm generator.
  */
 class ClockDomain
 {
@@ -75,18 +111,45 @@ class ClockDomain
     void setVoltage(Volt v) { volt = v; }
 
     /** Nominal period at the current frequency, in picoseconds. */
-    double period() const { return periodPs(freq); }
+    double period() const { return per; }
+
+    /** Edges whose jitter the guard sent to the libm path. */
+    std::uint64_t jitterFallbacks() const { return fallbacks; }
+
+    /**
+     * Test hook: from the next edge on, send every jittered edge to
+     * the libm path (@p on false takes effect at the next block).
+     */
+    void forceJitterFallback(bool on);
 
   private:
+    static constexpr int jitterBlock = 64;  //!< values per refill
+
     Domain domainId;
     Hertz freq;
+    double per = 0.0;           //!< periodPs(freq)
+    double quarterPer = 0.0;    //!< per * 0.25, the edge-spacing floor
+    double guard = 0.0;         //!< guard band M, in picoseconds
+    bool forceFallback = false;
     Volt volt = 1.2;
     double jitterSigma;
+    double jitterHi;            //!< the +3 sigma clamp
     Rng rng;
     Tick curEdge = 0;
     Tick nextEdge = 0;
     std::uint64_t edgeCount = 0;
+    std::uint64_t fallbacks = 0;
 
+    // The current block: fast clamped jitter values, in draw order,
+    // and the uniform pairs they came from (for the libm fallback).
+    int jitterPos = jitterBlock;
+    std::array<double, jitterBlock> fastJitter{};
+    std::array<double, jitterBlock / 2> pairU1{};
+    std::array<double, jitterBlock / 2> pairU2{};
+
+    void setPeriod(Hertz f);
+    void refillJitter();
+    double exactJitter(int i) const;
     Tick scheduleAfter(Tick from);
 };
 

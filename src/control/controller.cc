@@ -22,6 +22,14 @@ ScheduleController::observe(const DomainStats &stats, Tick now)
     }
 }
 
+Tick
+ScheduleController::nextObservation(Domain d, Tick) const
+{
+    int di = domainIndex(d);
+    const auto &list = perDomain[di];
+    return cursor[di] < list.size() ? list[cursor[di]].when : never;
+}
+
 std::size_t
 ScheduleController::pendingEntries() const
 {

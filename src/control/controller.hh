@@ -67,23 +67,38 @@ struct FreqRequest
  * Protocol, per domain-clock edge of domain d (MCD runs only):
  *
  *   1. the processor advances d's DVFS transition engine;
- *   2. if at least samplePeriod() has elapsed since d's last
- *      observation, the processor calls observe() with d's stats;
+ *   2. if the edge has reached the time nextObservation() returned
+ *      after d's last observation (d's first edge always has), the
+ *      processor calls observe() with d's stats;
  *   3. the processor forwards every pending request to the matching
  *      domain's transition engine and clears the list.
  *
- * samplePeriod() == 0 means "observe at every edge" (what the offline
- * schedule replay needs for cycle-exact request times).
+ * By default the next observation is samplePeriod() after the last
+ * one; samplePeriod() == 0 means "observe at every edge".
  */
 class DvfsController
 {
   public:
+    /** nextObservation() result that stops observing a domain. */
+    static constexpr Tick never = ~Tick{0};
+
     virtual ~DvfsController() = default;
 
     virtual const char *name() const = 0;
 
     /** Minimum picoseconds between observations of one domain. */
     virtual Tick samplePeriod() const { return 0; }
+
+    /**
+     * Given an observation of a domain at @p now, the earliest edge
+     * time at which its next observation can matter; observe() runs at
+     * the domain's first edge at or after it.
+     */
+    virtual Tick
+    nextObservation(Domain, Tick now) const
+    {
+        return now + samplePeriod();
+    }
 
     /** Digest one observation; queue requests via request(). */
     virtual void observe(const DomainStats &stats, Tick now) = 0;
@@ -126,6 +141,9 @@ class ScheduleController : public DvfsController
 
     const char *name() const override { return "schedule"; }
     void observe(const DomainStats &stats, Tick now) override;
+
+    /** The domain's next entry time: earlier edges have nothing to emit. */
+    Tick nextObservation(Domain d, Tick now) const override;
 
     /** Entries not yet emitted (test hook). */
     std::size_t pendingEntries() const;

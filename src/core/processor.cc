@@ -145,8 +145,7 @@ McdProcessor::observeAndControl(Domain d, int di, Tick now)
         }
         controller->clearRequests();
     }
-    if (Tick period = controller->samplePeriod())
-        nextObserve[di] = now + period;
+    nextObserve[di] = controller->nextObservation(d, now);
 }
 
 /** Snapshot all domains for the periodic telemetry sampler. */
@@ -342,7 +341,7 @@ McdProcessor::run()
     // legacy [edge; sample; budget] iteration did.
     sched.clear();
     // The actor population is fixed: one edge actor per clock plus
-    // the two monitors. Pre-sizing keeps the heap allocation-free.
+    // the two monitors. Pre-sizing keeps the queue allocation-free.
     sched.reserve(numDomains + 2);
     if (mcd) {
         for (int d = 0; d < numDomains; ++d) {
@@ -512,7 +511,7 @@ McdProcessor::publishSummaryStats(const RunResult &r)
     reg.counter("pipeline.ports.ring_grows",
                 "ring reallocations forced by undersized reservations")
         .inc(pipe->ringGrows());
-    reg.gauge("sched.heap.peak", "event-heap high-water mark")
+    reg.gauge("sched.heap.peak", "event-queue high-water mark")
         .set(static_cast<double>(sched.peakSize()));
 
     if (r.sampling) {

@@ -1,7 +1,5 @@
 #include "sched.hh"
 
-#include <utility>
-
 namespace mcd {
 
 void
@@ -9,26 +7,23 @@ EventScheduler::schedule(Actor *a, Tick when, int priority)
 {
     if (when == Actor::never)
         return;
-    heap.push_back({when, priority, nextSeq++, a});
-    if (heap.size() > peak)
-        peak = heap.size();
-    siftUp(heap.size() - 1);
+    events.push_back({when, priority, nextSeq++, a});
+    if (events.size() > peak)
+        peak = events.size();
 }
 
 bool
 EventScheduler::runOne()
 {
-    if (heap.empty())
+    if (events.empty())
         return false;
 
     // Pop before firing: fire() may schedule new events (edge-latched
-    // monitors re-enter themselves at a different priority), which
-    // would reshuffle the heap under a replace-top of index 0.
-    Event ev = heap[0];
-    heap[0] = heap.back();
-    heap.pop_back();
-    if (!heap.empty())
-        siftDown(0);
+    // monitors re-enter themselves at a different priority).
+    std::size_t i = earliest();
+    Event ev = events[i];
+    events[i] = events.back();
+    events.pop_back();
 
     curTick = ev.tick;
     curPriority = ev.priority;
@@ -36,37 +31,6 @@ EventScheduler::runOne()
     if (next != Actor::never)
         schedule(ev.actor, next, ev.priority);
     return true;
-}
-
-void
-EventScheduler::siftUp(std::size_t i)
-{
-    while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        if (!heap[i].before(heap[parent]))
-            break;
-        std::swap(heap[i], heap[parent]);
-        i = parent;
-    }
-}
-
-void
-EventScheduler::siftDown(std::size_t i)
-{
-    const std::size_t n = heap.size();
-    for (;;) {
-        std::size_t l = 2 * i + 1;
-        std::size_t r = l + 1;
-        std::size_t best = i;
-        if (l < n && heap[l].before(heap[best]))
-            best = l;
-        if (r < n && heap[r].before(heap[best]))
-            best = r;
-        if (best == i)
-            break;
-        std::swap(heap[i], heap[best]);
-        i = best;
-    }
 }
 
 } // namespace mcd

@@ -5,9 +5,9 @@
  * Every time-based activity in the simulator — clock edges, DVFS
  * transition service points, controller observations, telemetry
  * sampling, and the watchdog time budget — is an Actor on one
- * EventScheduler. The queue is a stable min-heap over
- * {tick, priority, seq}: ties on tick break on priority, ties on both
- * break on insertion sequence, so the pop order (and therefore every
+ * EventScheduler. The queue pops in the total order {tick, priority,
+ * seq}: ties on tick break on priority, ties on both break on
+ * insertion sequence, so the pop order (and therefore every
  * downstream result) is byte-identical regardless of the order actors
  * were scheduled in.
  *
@@ -55,10 +55,10 @@ class Actor
 };
 
 /**
- * Deterministic min-heap event queue. The steady state of a run is
- * tiny (four clock actors plus at most a handful of monitors), so one
- * pop and one re-arm per edge stay within a cache line of heap
- * storage.
+ * Deterministic event queue. A run never holds more than six actors
+ * (four clock actors plus two monitors), so the queue is an unordered
+ * flat array: schedule() appends, and runOne() takes the minimum by a
+ * linear scan. At that size the scan beats a binary heap's sifts.
  */
 class EventScheduler
 {
@@ -83,10 +83,12 @@ class EventScheduler
     bool runOne();
 
     /** Tick of the earliest pending event (never when empty). */
-    Tick nextTick() const { return heap.empty() ? Actor::never : heap[0].tick; }
+    Tick nextTick() const
+    { return events.empty() ? Actor::never : events[earliest()].tick; }
 
     /** Priority of the earliest pending event (meaningless when empty). */
-    int nextPriority() const { return heap.empty() ? 0 : heap[0].priority; }
+    int nextPriority() const
+    { return events.empty() ? 0 : events[earliest()].priority; }
 
     /** Tick of the most recently fired event (never before the first). */
     Tick currentTick() const { return curTick; }
@@ -94,17 +96,17 @@ class EventScheduler
     /** Priority of the most recently fired event. */
     int currentPriority() const { return curPriority; }
 
-    bool empty() const { return heap.empty(); }
-    std::size_t size() const { return heap.size(); }
+    bool empty() const { return events.empty(); }
+    std::size_t size() const { return events.size(); }
 
-    /** Pre-size the heap (the actor population is known up front). */
-    void reserve(std::size_t n) { heap.reserve(n); }
+    /** Pre-size the queue (the actor population is known up front). */
+    void reserve(std::size_t n) { events.reserve(n); }
 
-    /** Largest heap size ever observed (pre-sizing proof). */
+    /** Largest queue size ever observed (pre-sizing proof). */
     std::size_t peakSize() const { return peak; }
 
     /** Drop every pending event (between runs). */
-    void clear() { heap.clear(); }
+    void clear() { events.clear(); }
 
   private:
     struct Event
@@ -126,10 +128,19 @@ class EventScheduler
         }
     };
 
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    /** Index of the earliest event. Requires a non-empty queue. */
+    std::size_t
+    earliest() const
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < events.size(); ++i) {
+            if (events[i].before(events[best]))
+                best = i;
+        }
+        return best;
+    }
 
-    std::vector<Event> heap;
+    std::vector<Event> events;
     std::size_t peak = 0;
     std::uint64_t nextSeq = 0;
     Tick curTick = Actor::never;

@@ -50,8 +50,23 @@ enum class Unit : int {
 
 inline constexpr int numUnits = static_cast<int>(Unit::NumUnits);
 
+/** Clock domain of each unit, indexed by Unit. */
+inline constexpr Domain unitDomains[numUnits] = {
+    Domain::FrontEnd, Domain::FrontEnd, Domain::FrontEnd,
+    Domain::FrontEnd, Domain::FrontEnd,
+    Domain::Integer, Domain::Integer, Domain::Integer,
+    Domain::Integer, Domain::Integer, Domain::Integer,
+    Domain::FloatingPoint, Domain::FloatingPoint, Domain::FloatingPoint,
+    Domain::FloatingPoint, Domain::FloatingPoint, Domain::FloatingPoint,
+    Domain::LoadStore, Domain::LoadStore, Domain::LoadStore,
+};
+
 /** Clock domain that powers a given unit. */
-Domain unitDomain(Unit u);
+inline Domain
+unitDomain(Unit u)
+{
+    return unitDomains[static_cast<int>(u)];
+}
 
 /** Display name for a unit. */
 const char *unitName(Unit u);

@@ -4,26 +4,6 @@
 
 namespace mcd {
 
-Domain
-unitDomain(Unit u)
-{
-    switch (u) {
-      case Unit::Icache: case Unit::Bpred: case Unit::Rename:
-      case Unit::Rob: case Unit::FetchQueue:
-        return Domain::FrontEnd;
-      case Unit::IntIqWrite: case Unit::IntIqIssue: case Unit::IntRegRead:
-      case Unit::IntRegWrite: case Unit::IntAlu: case Unit::IntMulDiv:
-        return Domain::Integer;
-      case Unit::FpIqWrite: case Unit::FpIqIssue: case Unit::FpRegRead:
-      case Unit::FpRegWrite: case Unit::FpAlu: case Unit::FpMulDiv:
-        return Domain::FloatingPoint;
-      case Unit::Lsq: case Unit::Dcache: case Unit::L2:
-        return Domain::LoadStore;
-      default:
-        return Domain::FrontEnd;
-    }
-}
-
 const char *
 unitName(Unit u)
 {

@@ -70,11 +70,23 @@ class PowerModel
     const EnergyParams &params() const { return cfg; }
 
   private:
+    /**
+     * (V/Vnom)^2 of domain @p d. Voltage changes are rare next to
+     * accesses, so the square is cached per domain and recomputed,
+     * with the same expression, only when the clock's voltage differs
+     * from the one it was computed at.
+     */
     double
-    vsq(Domain d) const
+    vsq(Domain d)
     {
-        double v = clocks[domainIndex(d)]->voltage() / cfg.nominalVoltage;
-        return v * v;
+        int di = domainIndex(d);
+        Volt v = clocks[di]->voltage();
+        if (v != vsqAt[di]) {
+            double rel = v / cfg.nominalVoltage;
+            vsqCache[di] = rel * rel;
+            vsqAt[di] = v;
+        }
+        return vsqCache[di];
     }
 
     EnergyParams cfg;
@@ -84,6 +96,8 @@ class PowerModel
     std::array<double, numDomains> domEnergy{};
     std::array<double, numDomains> clockEnergy{};
     std::array<bool, numDomains> activeThisCycle{};
+    std::array<Volt, numDomains> vsqAt{};   //!< voltage vsqCache is for
+    std::array<double, numDomains> vsqCache{};
 };
 
 } // namespace mcd

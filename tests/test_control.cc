@@ -129,6 +129,99 @@ TEST(ScheduleController, ExplicitControllerMatchesScheduleConfigPath)
     }
 }
 
+TEST(ScheduleController, NextObservationIsTheNextEntry)
+{
+    ReconfigSchedule sched;
+    sched.add(1000, Domain::Integer, 500e6);
+    sched.add(5000, Domain::Integer, 750e6);
+    sched.finalize();
+    ScheduleController c(sched);
+    EXPECT_EQ(c.nextObservation(Domain::Integer, 0), 1000u);
+    EXPECT_EQ(c.nextObservation(Domain::LoadStore, 0),
+              DvfsController::never);
+
+    c.observe(statsFor(Domain::Integer, 0.0, 1e9), 1200);
+    EXPECT_EQ(c.nextObservation(Domain::Integer, 1200), 5000u);
+    c.observe(statsFor(Domain::Integer, 0.0, 1e9), 5000);
+    EXPECT_EQ(c.nextObservation(Domain::Integer, 5000),
+              DvfsController::never);
+}
+
+/**
+ * Replays a schedule through an inner ScheduleController, counting
+ * observe() calls; with @p latch false it keeps the default
+ * nextObservation(), which observes every edge.
+ */
+class CountingReplay final : public DvfsController
+{
+  public:
+    CountingReplay(const ReconfigSchedule &s, bool latch)
+        : inner(s), latched(latch)
+    {}
+
+    const char *name() const override { return "counting"; }
+
+    void
+    observe(const DomainStats &stats, Tick now) override
+    {
+        ++calls;
+        inner.observe(stats, now);
+        for (const FreqRequest &q : inner.requests())
+            request(q.domain, q.frequency);
+        inner.clearRequests();
+    }
+
+    Tick
+    nextObservation(Domain d, Tick now) const override
+    {
+        return latched ? inner.nextObservation(d, now)
+                       : DvfsController::nextObservation(d, now);
+    }
+
+    std::uint64_t calls = 0;
+
+  private:
+    ScheduleController inner;
+    bool latched;
+};
+
+TEST(ScheduleController, LatchedObservationsMatchEveryEdge)
+{
+    Program p = workloads::build("epic", 1);
+    ReconfigSchedule sched;
+    sched.add(fromMicroseconds(5.0), Domain::FloatingPoint, 250e6);
+    sched.add(fromMicroseconds(10.0), Domain::Integer, 750e6);
+    sched.add(fromMicroseconds(10.0), Domain::Integer, 500e6);
+    sched.add(fromMicroseconds(40.0), Domain::Integer, 1e9);
+    sched.finalize();
+
+    SimConfig cfg;
+    cfg.clocking = ClockingStyle::Mcd;
+    cfg.dvfs = DvfsKind::XScale;
+    cfg.dvfsTimeScale = 0.2;
+
+    CountingReplay everyEdge(sched, false);
+    cfg.controller = &everyEdge;
+    RunResult a = McdProcessor(cfg, p).run();
+
+    CountingReplay latched(sched, true);
+    cfg.controller = &latched;
+    RunResult b = McdProcessor(cfg, p).run();
+
+    EXPECT_EQ(a.execTime, b.execTime);
+    EXPECT_EQ(a.committed, b.committed);
+    EXPECT_EQ(a.totalEnergy, b.totalEnergy);
+    for (int di = 0; di < numDomains; ++di) {
+        EXPECT_EQ(a.domains[di].reconfigurations,
+                  b.domains[di].reconfigurations);
+        EXPECT_EQ(a.domains[di].avgFrequency, b.domains[di].avgFrequency);
+    }
+    // One observation at each domain's first edge, then at most one
+    // per distinct entry time.
+    EXPECT_LE(latched.calls, numDomains + 3u);
+    EXPECT_GT(everyEdge.calls, 1000u);
+}
+
 TEST(StaticController, PinsEachDomainOnce)
 {
     StaticController c({0.0, 500e6, 250e6, 0.0});

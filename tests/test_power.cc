@@ -58,6 +58,43 @@ TEST(Power, VoltageScalingIsExactlyQuadratic)
     EXPECT_DOUBLE_EQ(pm.domainEnergy(Domain::Integer), 4 * e * 0.25);
 }
 
+TEST(Power, VoltageChangeTakesEffectAtNextAccess)
+{
+    // The cached V^2 must follow the clock's voltage from the very
+    // next access and cycle, bit for bit the uncached expression.
+    Rig rig;
+    PowerModel pm = rig.make();
+    const double e = rig.params.accessEnergy[static_cast<int>(Unit::IntAlu)];
+    const double tree = rig.params.clockTreeEnergy[1];
+    auto vsq = [&](Volt v) {
+        double rel = v / rig.params.nominalVoltage;
+        return rel * rel;
+    };
+
+    pm.access(Unit::IntAlu);
+    double want = e * 1 * vsq(1.2);
+    EXPECT_EQ(pm.domainEnergy(Domain::Integer), want);
+
+    rig.intc.setVoltage(0.9);
+    pm.access(Unit::IntAlu, 2);
+    want += e * 2 * vsq(0.9);
+    EXPECT_EQ(pm.domainEnergy(Domain::Integer), want);
+    pm.domainCycle(Domain::Integer);
+    want += tree * vsq(0.9);
+    EXPECT_EQ(pm.domainEnergy(Domain::Integer), want);
+
+    rig.intc.setVoltage(1.2);
+    pm.access(Unit::IntAlu);
+    want += e * 1 * vsq(1.2);
+    EXPECT_EQ(pm.domainEnergy(Domain::Integer), want);
+
+    // Another domain's voltage never leaks into this one.
+    rig.fp.setVoltage(0.65);
+    pm.access(Unit::IntAlu);
+    want += e * 1 * vsq(1.2);
+    EXPECT_EQ(pm.domainEnergy(Domain::Integer), want);
+}
+
 TEST(Power, DomainEnergiesSumToTotal)
 {
     Rig rig;

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/random.hh"
 #include "core/sched.hh"
 
 namespace mcd {
@@ -199,6 +203,139 @@ TEST(EventScheduler, PriorityBandHelpers)
                   EventScheduler::afterEdgePriority(d));
         EXPECT_LT(EventScheduler::afterEdgePriority(d),
                   EventScheduler::edgePriority(d + 1));
+    }
+}
+
+/**
+ * The scheduler as a binary heap: std::priority_queue over the same
+ * total order (tick, priority, seq), with the same pop-fire-re-arm
+ * step. The oracle of the random differential test.
+ */
+class ReferenceScheduler
+{
+  public:
+    void
+    schedule(Actor *a, Tick when, int priority)
+    {
+        if (when != Actor::never)
+            q.push({when, priority, seq++, a});
+    }
+
+    bool
+    runOne()
+    {
+        if (q.empty())
+            return false;
+        Event ev = q.top();
+        q.pop();
+        Tick next = ev.actor->fire(ev.tick);
+        if (next != Actor::never)
+            schedule(ev.actor, next, ev.priority);
+        return true;
+    }
+
+    bool empty() const { return q.empty(); }
+    std::size_t size() const { return q.size(); }
+    Tick nextTick() const { return q.empty() ? Actor::never : q.top().tick; }
+    int nextPriority() const { return q.empty() ? 0 : q.top().priority; }
+
+  private:
+    struct Event
+    {
+        Tick tick;
+        int priority;
+        std::uint64_t seq;
+        Actor *actor;
+
+        /** Reversed, so the priority_queue's top is the minimum. */
+        bool
+        operator<(const Event &o) const
+        {
+            return std::tie(o.tick, o.priority, o.seq) <
+                std::tie(tick, priority, seq);
+        }
+    };
+
+    std::priority_queue<Event> q;
+    std::uint64_t seq = 0;
+};
+
+/**
+ * Fires by a fixed pseudo-random script keyed on (seed, id, firing):
+ * logs itself, sometimes schedules another actor of its set from
+ * inside fire() (same tick included), and re-arms after 0..40 ticks
+ * or leaves the queue.
+ */
+struct ScriptedActor final : Actor
+{
+    int id = 0;
+    std::uint64_t seed = 0;
+    std::uint64_t firings = 0;
+    std::vector<std::string> *log = nullptr;
+    std::vector<ScriptedActor> *peers = nullptr;
+    std::function<void(Actor *, Tick, int)> schedule;
+
+    Tick
+    fire(Tick now) override
+    {
+        std::uint64_t st = seed ^ (static_cast<std::uint64_t>(id) << 32) ^
+            firings++;
+        std::uint64_t roll = splitmix64(st);
+        log->push_back(std::to_string(id) + "@" + std::to_string(now));
+        if (roll % 4 == 0) {
+            ScriptedActor &other = (*peers)[(roll >> 8) % peers->size()];
+            int pri = static_cast<int>((roll >> 16) % 9) - 1;
+            schedule(&other, now + (roll >> 24) % 3, pri);
+        }
+        if (roll % 8 == 1)
+            return never;
+        return now + (roll >> 32) % 41;
+    }
+};
+
+TEST(EventScheduler, MatchesBinaryHeapOnRandomSequences)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::vector<std::string> logA, logB;
+        std::vector<ScriptedActor> actorsA(6), actorsB(6);
+        EventScheduler flat;
+        ReferenceScheduler heap;
+        for (int i = 0; i < 6; ++i) {
+            for (auto *set : {&actorsA, &actorsB}) {
+                ScriptedActor &a = (*set)[i];
+                a.id = i;
+                a.seed = seed;
+                a.peers = set;
+            }
+            actorsA[i].log = &logA;
+            actorsB[i].log = &logB;
+            actorsA[i].schedule = [&flat](Actor *x, Tick t, int p) {
+                flat.schedule(x, t, p);
+            };
+            actorsB[i].schedule = [&heap](Actor *x, Tick t, int p) {
+                heap.schedule(x, t, p);
+            };
+        }
+        Rng rng(seed);
+        for (int i = 0; i < 6; ++i) {
+            Tick t = rng.uniformInt(20);
+            int pri = static_cast<int>(rng.uniformInt(9)) - 1;
+            flat.schedule(&actorsA[i], t, pri);
+            heap.schedule(&actorsB[i], t, pri);
+        }
+        for (int step = 0; step < 5000; ++step) {
+            ASSERT_EQ(flat.size(), heap.size()) << "seed " << seed;
+            ASSERT_EQ(flat.nextTick(), heap.nextTick());
+            if (!flat.empty()) {
+                ASSERT_EQ(flat.nextPriority(), heap.nextPriority());
+            }
+            bool ranA = flat.runOne();
+            bool ranB = heap.runOne();
+            ASSERT_EQ(ranA, ranB);
+            if (!ranA)
+                break;
+        }
+        EXPECT_EQ(logA, logB) << "seed " << seed;
     }
 }
 
