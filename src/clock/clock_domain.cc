@@ -1,5 +1,6 @@
 #include "clock_domain.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -162,7 +163,7 @@ ClockDomain::refillJitter()
         };
         const JitterTables &t = jitterTables();
         for (int k = 0; k < jitterBlock / 2; ++k) {
-            double u1 = pairU1[k] < 1e-300 ? 1e-300 : pairU1[k];
+            double u1 = std::max(pairU1[k], Rng::minNormalU1);
             NormalPair z = fastPair(t, u1, pairU2[k]);
             fastJitter[2 * k] = clamp(jitterSigma * z.c);
             fastJitter[2 * k + 1] = clamp(jitterSigma * z.s);
@@ -180,11 +181,8 @@ ClockDomain::refillJitter()
 double
 ClockDomain::exactJitter(int i) const
 {
-    double u1 = pairU1[i / 2];
-    if (u1 < 1e-300)
-        u1 = 1e-300;
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = twoPi * pairU2[i / 2];
+    double r = Rng::normalRadius(pairU1[i / 2]);
+    double theta = Rng::normalAngle(pairU2[i / 2]);
     double v = i % 2 == 0 ? jitterSigma * r * std::cos(theta)
                           : jitterSigma * (r * std::sin(theta));
     if (v < -jitterHi)

@@ -132,8 +132,28 @@ class Rng
         return next() % n;
     }
 
+    /** Smallest u1 Box-Muller takes the log of (guards log(0)). */
+    static constexpr double minNormalU1 = 1e-300;
+
+    /** Box-Muller radius sqrt(-2 ln u1), u1 raised to minNormalU1. */
+    static double
+    normalRadius(double u1)
+    {
+        if (u1 < minNormalU1)
+            u1 = minNormalU1;
+        return std::sqrt(-2.0 * std::log(u1));
+    }
+
+    /** Box-Muller angle 2 pi u2. */
+    static double
+    normalAngle(double u2)
+    {
+        return 2.0 * 3.14159265358979323846 * u2;
+    }
+
     /**
-     * Gaussian sample via Box-Muller.
+     * Gaussian sample via Box-Muller: draws u1 then u2, returns the
+     * cos value and keeps r sin(theta) as the next call's spare.
      *
      * @param mean distribution mean
      * @param sigma standard deviation
@@ -147,11 +167,8 @@ class Rng
         }
         double u1 = uniform();
         double u2 = uniform();
-        // Guard against log(0).
-        if (u1 < 1e-300)
-            u1 = 1e-300;
-        double r = std::sqrt(-2.0 * std::log(u1));
-        double theta = 2.0 * 3.14159265358979323846 * u2;
+        double r = normalRadius(u1);
+        double theta = normalAngle(u2);
         spare = r * std::sin(theta);
         hasSpare = true;
         return mean + sigma * r * std::cos(theta);

@@ -241,8 +241,8 @@ double
 worstBoundRatio(double u1, double u2)
 {
     // The libm form, as Rng::normal evaluates it.
-    double r = std::sqrt(-2.0 * std::log(u1));
-    double theta = 2.0 * 3.14159265358979323846 * u2;
+    double r = Rng::normalRadius(u1);
+    double theta = Rng::normalAngle(u2);
     NormalPair z = fastNormalPair(u1, u2);
     double bound = fastNormalBound * r;
     if (bound == 0.0)
