@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/processor.hh"
 #include "workloads/workloads.hh"
 
@@ -166,6 +168,89 @@ TEST(Processor, EnergyScalesDownWithVoltage)
     // with runtime-extension overheads pulling the total up a little.
     EXPECT_LT(rs.totalEnergy, rf.totalEnergy * 0.75);
     EXPECT_GT(rs.totalEnergy, rf.totalEnergy * 0.40);
+}
+
+/** The WatchdogError text a run ends with ("" when it finishes). */
+std::string
+watchdogText(const SimConfig &cfg, const Program &p)
+{
+    try {
+        McdProcessor(cfg, p).run();
+    } catch (const WatchdogError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** A simulated-time budget of @p cap on @p clocking. */
+SimConfig
+budgetConfig(ClockingStyle clocking, Tick cap)
+{
+    SimConfig cfg;
+    cfg.clocking = clocking;
+    cfg.watchdogMaxTicks = cap;
+    return cfg;
+}
+
+// The time budget trips at the first clock edge strictly past the
+// cap; the message pins that edge's tick and the commits before it.
+TEST(ProcessorBudget, McdTripsAtFirstEdgePastTheCap)
+{
+    Program p = workloads::build("g721", 1);
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::Mcd,
+                                        fromMicroseconds(20.0)), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.000 us (20000189 ps) after 42608 commits");
+}
+
+TEST(ProcessorBudget, SingleClockTripsAtFirstEdgePastTheCap)
+{
+    Program p = workloads::build("g721", 1);
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::SingleClock,
+                                        fromMicroseconds(20.0)), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.001 us (20000514 ps) after 42662 commits");
+}
+
+// Telemetry only observes: with a sample due on the very edge the
+// budget trips at, the trip is the one the unsampled run reports.
+TEST(ProcessorBudget, SamplerDoesNotMoveTheTrip)
+{
+    Program p = workloads::build("g721", 1);
+    for (ClockingStyle c : {ClockingStyle::Mcd,
+                            ClockingStyle::SingleClock}) {
+        SimConfig cfg = budgetConfig(c, fromMicroseconds(20.0));
+        std::string plain = watchdogText(cfg, p);
+        cfg.telemetry.samplePeriod = cfg.watchdogMaxTicks + 1;
+        EXPECT_EQ(watchdogText(cfg, p), plain);
+        cfg.telemetry.samplePeriod = fromMicroseconds(1.0);
+        EXPECT_EQ(watchdogText(cfg, p), plain);
+    }
+}
+
+// A cap equal to an edge tick is not exceeded by that edge: the trip
+// lands on the next one.
+TEST(ProcessorBudget, CapOnAnEdgeTripsAtTheNextEdge)
+{
+    Program p = workloads::build("g721", 1);
+    // 20000189 ps is an MCD edge and 20000514 ps a single-clock edge
+    // (the trips above). One tick less trips on them; the MCD front
+    // end shares the single clock's seed, so its next edge is
+    // 20000514 ps too.
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::Mcd, 20000188), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.000 us (20000189 ps) after 42608 commits");
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::Mcd, 20000189), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.001 us (20000514 ps) after 42608 commits");
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::SingleClock,
+                                        20000513), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.001 us (20000514 ps) after 42662 commits");
+    EXPECT_EQ(watchdogText(budgetConfig(ClockingStyle::SingleClock,
+                                        20000514), p),
+              "McdProcessor watchdog: simulated-time budget exhausted "
+              "at t=20.001 us (20001491 ps) after 42663 commits");
 }
 
 } // namespace

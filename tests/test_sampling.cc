@@ -133,7 +133,8 @@ TEST(Sampling, WithinToleranceOnAdpcmAndMst)
 
 /**
  * Full-detail byte-identity: with sampling off, the adpcm+mst matrix
- * at jobs=1 reproduces the committed golden fixture byte for byte —
+ * at jobs=1 reproduces the committed results and stats fixtures byte
+ * for byte —
  * the memory-layout overhaul (and the sampling hooks) must not move
  * a single result bit of an unsampled run.
  */
@@ -169,12 +170,21 @@ TEST(Sampling, FullDetailMatchesGoldenFixture)
         ss << in.rdbuf();
         return ss.str();
     };
+    fs::path golden = fs::path(MCD_SOURCE_DIR) / "tests" / "golden";
     std::string got = slurp(results);
     ASSERT_FALSE(got.empty());
-    std::string want = slurp(fs::path(MCD_SOURCE_DIR) / "tests" /
-                             "golden" / "results_adpcm_mst.json");
+    std::string want = slurp(golden / "results_adpcm_mst.json");
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(got, want) << "full-detail results drifted from the "
+                            "golden fixture";
+
+    // The stats document carries every periodic sample's occupancy
+    // histogram, so it pins where the run loop places each sample.
+    got = slurp(dir / "stats.json");
+    ASSERT_FALSE(got.empty());
+    want = slurp(golden / "stats_adpcm_mst.json");
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(got, want) << "full-detail stats drifted from the "
                             "golden fixture";
     fs::remove_all(dir);
 }
