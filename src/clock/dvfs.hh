@@ -111,13 +111,10 @@ class DomainDvfs
     /** True while the PLL is re-locking (domain does no work). */
     bool executionBlocked(Tick now) const;
 
-    /** nextEventTime() value when no transition work is pending. */
-    static constexpr Tick never = ~Tick{0};
-
     /**
      * Earliest tick at which this engine has state-machine work to do
-     * (PLL re-lock expiry or the next voltage step), or @ref never
-     * when idle. The run loop's edge actors latch this so update() is
+     * (PLL re-lock expiry or the next voltage step), or neverTick
+     * when idle. The run loop latches this per domain so update() is
      * called only at edges where it can make progress, instead of at
      * every edge; the update(now) contract is unchanged — servicing
      * at the first edge at-or-after the returned tick gives exactly
@@ -138,7 +135,7 @@ class DomainDvfs
             return relockEnd;
         if (active)
             return ramping ? nextStepTime : 0;
-        return never;
+        return neverTick;
     }
 
     /** True while a transition is in progress. */

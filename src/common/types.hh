@@ -15,6 +15,9 @@ namespace mcd {
 /** Simulated time in picoseconds. All clock edges live on this axis. */
 using Tick = std::uint64_t;
 
+/** A tick no event reaches: "not scheduled" for every wake time. */
+inline constexpr Tick neverTick = ~Tick{0};
+
 /** Signed time difference in picoseconds. */
 using TickDelta = std::int64_t;
 

@@ -27,7 +27,7 @@ ScheduleController::nextObservation(Domain d, Tick) const
 {
     int di = domainIndex(d);
     const auto &list = perDomain[di];
-    return cursor[di] < list.size() ? list[cursor[di]].when : never;
+    return cursor[di] < list.size() ? list[cursor[di]].when : neverTick;
 }
 
 std::size_t

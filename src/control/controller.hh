@@ -79,9 +79,6 @@ struct FreqRequest
 class DvfsController
 {
   public:
-    /** nextObservation() result that stops observing a domain. */
-    static constexpr Tick never = ~Tick{0};
-
     virtual ~DvfsController() = default;
 
     virtual const char *name() const = 0;

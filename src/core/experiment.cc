@@ -1422,34 +1422,27 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         });
     });
 
+    // One future per leg that runs on the pool; a leg is settled by
+    // waiting on its future once, which leaves the future invalid.
+    std::vector<std::future<RunResult>> fut(r.legs.size());
+    auto settle = [&](std::size_t i) {
+        if (fut[i].valid())
+            r.legs[i].run = pool.wait(fut[i]);
+    };
+
     // Controller legs need neither the trace nor the baseline; fully
     // independent, so they fan out first.
-    struct CtrlFut
-    {
-        std::size_t idx;
-        std::future<RunResult> fut;
-        bool settled = false;
-    };
-    std::vector<CtrlFut> ctrlFuts;
     for (std::size_t i = 0; i < r.legs.size(); ++i) {
         const LegSpec *spec = &r.legs[i].spec;
         if (spec->kind != LegSpec::Kind::Controller)
             continue;
-        ctrlFuts.push_back({i, pool.submit([this, &name, &prog, spec] {
+        fut[i] = pool.submit([this, &name, &prog, spec] {
             return runGuarded(name, spec->name, [&] {
                 return controllerLeg(prog, *spec,
                                      name + "/" + spec->name);
             });
-        })});
+        });
     }
-    auto settleController = [&](const std::string &legName) {
-        for (CtrlFut &cf : ctrlFuts) {
-            if (!cf.settled && r.legs[cf.idx].spec.name == legName) {
-                r.legs[cf.idx].run = pool.wait(cf.fut);
-                cf.settled = true;
-            }
-        }
-    };
 
     // Baseline MCD / profiling run. It collects the trace only when a
     // schedule-replay leg will read it.
@@ -1492,8 +1485,6 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
     // via the pre-sized vector, each slot written only before its
     // lambda returns (i.e. before wait() synchronizes with it).
     std::vector<std::size_t> schedSizes(r.legs.size(), 0);
-    std::vector<std::pair<std::size_t, std::future<RunResult>>>
-        replayFuts;
     for (std::size_t i = 0; i < r.legs.size(); ++i) {
         const LegSpec *spec = &r.legs[i].spec;
         if (spec->kind != LegSpec::Kind::ScheduleReplay)
@@ -1503,20 +1494,21 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
                                              shakeUpstream);
             continue;
         }
-        replayFuts.emplace_back(
-            i, pool.submit([this, &name, &prog, &shaken, &schedSizes,
-                            spec, i] {
-                return runGuarded(name, spec->name, [&] {
-                    DynLeg leg = dynamicLeg(prog, shaken, spec->dilation,
-                                            name + "/" + spec->name);
-                    schedSizes[i] = leg.scheduleSize;
-                    return leg.result;
-                });
-            }));
+        fut[i] = pool.submit([this, &name, &prog, &shaken, &schedSizes,
+                              spec, i] {
+            return runGuarded(name, spec->name, [&] {
+                DynLeg leg = dynamicLeg(prog, shaken, spec->dilation,
+                                        name + "/" + spec->name);
+                schedSizes[i] = leg.scheduleSize;
+                return leg.result;
+            });
+        });
     }
-    for (auto &[idx, fut] : replayFuts) {
-        r.legs[idx].run = pool.wait(fut);
-        r.legs[idx].scheduleSize = schedSizes[idx];
+    for (std::size_t i = 0; i < r.legs.size(); ++i) {
+        if (r.legs[i].spec.kind != LegSpec::Kind::ScheduleReplay)
+            continue;
+        settle(i);
+        r.legs[i].scheduleSize = schedSizes[i];
     }
 
     // Global-search legs need the baseline plus their reference leg;
@@ -1529,8 +1521,9 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
             continue;
         // The reference may itself be a controller leg still in
         // flight — settle it (and only it) before deciding.
-        settleController(spec.reference);
         const ControllerLeg *ref = r.findLeg(spec.reference);
+        if (ref)
+            settle(static_cast<std::size_t>(ref - r.legs.data()));
         if (r.baseline.failed() || !ref || ref->run.failed()) {
             std::string upstream = spec.reference;
             if (r.baseline.failed()) {
@@ -1551,10 +1544,8 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         });
     }
 
-    for (CtrlFut &cf : ctrlFuts) {
-        if (!cf.settled)
-            r.legs[cf.idx].run = pool.wait(cf.fut);
-    }
+    for (std::size_t i = 0; i < r.legs.size(); ++i)
+        settle(i);
 
     storeCache(r);
     return r;

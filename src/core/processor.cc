@@ -116,7 +116,7 @@ McdProcessor::McdProcessor(const SimConfig &config, const Program &program)
  * pipeline's occupancy window into an observation, then forward every
  * request the controller produced to the matching transition engine.
  * Engines that accepted a request get their wake latch refreshed so
- * the edge actors service the new transition on time.
+ * the domain's edges service the new transition on time.
  */
 void
 McdProcessor::observeAndControl(Domain d, int di, Tick now)
@@ -181,7 +181,7 @@ McdProcessor::watchdogTripNow(const std::string &why, Tick at)
 
 /**
  * Lazy no-progress watchdog: instead of comparing the commit counter
- * at every edge, the edge actors count edges and this checkpoint runs
+ * at every edge, the edges are counted and this checkpoint runs
  * once per watchdogNoProgressEdges+1 of them. A window that ends with
  * the commit counter unchanged (or with an injected stall armed) trips
  * with the same message, tick, and edge count as the legacy per-edge
@@ -200,73 +200,6 @@ McdProcessor::progressCheckpoint(Tick t)
     progressCommits = pipe->committed();
     progressBaseEdge = edgeCount;
     nextProgressCheck = edgeCount + cfg.watchdogNoProgressEdges + 1;
-}
-
-/**
- * Hop @p a onto the first upcoming clock edge: same tick as that
- * edge, in the priority slot directly after it (ties across domains
- * resolve to the lowest domain index, matching the legacy loop's
- * min-scan).
- */
-void
-McdProcessor::scheduleAfterNextEdge(Actor *a)
-{
-    int d = 0;
-    if (cfg.clocking == ClockingStyle::Mcd) {
-        for (int i = 1; i < numDomains; ++i) {
-            if (nextEdgeCache[i] < nextEdgeCache[d])
-                d = i;
-        }
-    }
-    sched.schedule(a, nextEdgeCache[d], EventScheduler::afterEdgePriority(d));
-}
-
-Tick
-McdProcessor::EdgeActor::fire(Tick)
-{
-    ClockDomain *c = p->clocks[di];
-    Tick t = c->advance();
-    p->domainEdge(static_cast<Domain>(di), di, t);
-    Tick next = c->peekNextEdge();
-    p->nextEdgeCache[di] = next;
-    return next;
-}
-
-Tick
-McdProcessor::GlobalEdgeActor::fire(Tick)
-{
-    ClockDomain *c = p->clocks[0];
-    Tick t = c->advance();
-    p->globalEdge(t);
-    Tick next = c->peekNextEdge();
-    p->nextEdgeCache[0] = next;
-    return next;
-}
-
-Tick
-McdProcessor::SampleActor::fire(Tick now)
-{
-    if (!deferred) {
-        deferred = true;
-        p->scheduleAfterNextEdge(this);
-        return never;
-    }
-    deferred = false;
-    p->captureSample(now);
-    p->sched.schedule(this, p->telem->sampler().nextDue(),
-                      EventScheduler::armPriority);
-    return never;
-}
-
-Tick
-McdProcessor::BudgetActor::fire(Tick now)
-{
-    if (!deferred) {
-        deferred = true;
-        p->scheduleAfterNextEdge(this);
-        return never;
-    }
-    p->watchdogTripNow("simulated-time budget exhausted", now);
 }
 
 /** One MCD domain edge: DVFS service, controller step, domain work. */
@@ -313,7 +246,7 @@ McdProcessor::run()
     for (int d = 0; d < numDomains; ++d) {
         freqAcc[d] = obs::FreqAccumulator(clocks[d]->now(),
                                           clocks[d]->frequency());
-        dvfsWake[d] = dvfs[d] ? dvfs[d]->nextEventTime() : Actor::never;
+        dvfsWake[d] = dvfs[d] ? dvfs[d]->nextEventTime() : neverTick;
     }
 
     if (telem) {
@@ -335,58 +268,37 @@ McdProcessor::run()
     nextProgressCheck = cfg.watchdogNoProgressEdges
         ? cfg.watchdogNoProgressEdges + 1 : ~std::uint64_t{0};
 
-    // Populate the event queue: clock-edge actors first, then the
-    // monitors (sampler before time budget), so coincident events at
-    // one (tick, priority) resolve by insertion order exactly as the
-    // legacy [edge; sample; budget] iteration did.
-    sched.clear();
-    // The actor population is fixed: one edge actor per clock plus
-    // the two monitors. Pre-sizing keeps the queue allocation-free.
-    sched.reserve(numDomains + 2);
-    if (mcd) {
-        for (int d = 0; d < numDomains; ++d) {
-            edgeActors[d].p = this;
-            edgeActors[d].di = d;
-            nextEdgeCache[d] = clocks[d]->peekNextEdge();
-            sched.schedule(&edgeActors[d], nextEdgeCache[d],
-                           EventScheduler::edgePriority(d));
-        }
-    } else {
-        globalActor.p = this;
-        nextEdgeCache[0] = clocks[0]->peekNextEdge();
-        sched.schedule(&globalActor, nextEdgeCache[0],
-                       EventScheduler::edgePriority(0));
-    }
-    if (telem) {
-        sampleActor.p = this;
-        sampleActor.deferred = false;
-        sched.schedule(&sampleActor, telem->sampler().nextDue(),
-                       EventScheduler::armPriority);
-    }
-    if (cfg.watchdogMaxTicks &&
-        cfg.watchdogMaxTicks + 1 != Tick{0}) {
-        budgetActor.p = this;
-        budgetActor.deferred = false;
-        sched.schedule(&budgetActor, cfg.watchdogMaxTicks + 1,
-                       EventScheduler::armPriority);
-    }
+    // One pending edge per clock: four in MCD mode, one shared clock
+    // otherwise. Each iteration fires the earliest (the lowest domain
+    // index on a tie, so coincident edges tick in pipeline order),
+    // then takes a sample or trips the budget at the first edge at or
+    // after its due tick, observing the state after that edge.
+    const int numClocks = static_cast<int>(ownedClocks.size());
+    std::array<Tick, numDomains> nextEdge{};
+    for (int d = 0; d < numClocks; ++d)
+        nextEdge[d] = clocks[d]->peekNextEdge();
+    Tick sampleDue = telem ? telem->sampler().nextDue() : neverTick;
 
     while (!pipe->stopRequested()) {
-        if (!sched.runOne())
-            break;
+        int d = 0;
+        for (int i = 1; i < numClocks; ++i) {
+            if (nextEdge[i] < nextEdge[d])
+                d = i;
+        }
+        Tick t = clocks[d]->advance();
+        if (mcd)
+            domainEdge(static_cast<Domain>(d), d, t);
+        else
+            globalEdge(t);
+        nextEdge[d] = clocks[d]->peekNextEdge();
+
+        if (t >= sampleDue) {
+            captureSample(t);
+            sampleDue = telem->sampler().nextDue();
+        }
+        if (cfg.watchdogMaxTicks && t > cfg.watchdogMaxTicks)
+            watchdogTripNow("simulated-time budget exhausted", t);
     }
-    // The legacy loop handled [edge; sample; budget] within a single
-    // iteration before re-checking its stop condition: finish the
-    // monitors deferred onto the stopping edge before exiting, so the
-    // final sample (and a coincident budget trip) land exactly where
-    // they used to.
-    Tick stopTick = sched.currentTick();
-    int stopPri = sched.currentPriority();
-    while (!sched.empty() && sched.nextTick() == stopTick &&
-           sched.nextPriority() == stopPri + 1) {
-        sched.runOne();
-    }
-    sched.clear();
 
     // Assemble the result.
     RunResult r;
@@ -511,8 +423,16 @@ McdProcessor::publishSummaryStats(const RunResult &r)
     reg.counter("pipeline.ports.ring_grows",
                 "ring reallocations forced by undersized reservations")
         .inc(pipe->ringGrows());
-    reg.gauge("sched.heap.peak", "event-queue high-water mark")
-        .set(static_cast<double>(sched.peakSize()));
+    // The key predates the run loop; it still counts the run's event
+    // sources: one per clock, plus the sampler and the time budget
+    // when they are on.
+    std::size_t sources = ownedClocks.size();
+    if (telem->sampler().enabled())
+        ++sources;
+    if (cfg.watchdogMaxTicks && cfg.watchdogMaxTicks != neverTick)
+        ++sources;
+    reg.gauge("sched.heap.peak", "clocks plus sampler plus time budget")
+        .set(static_cast<double>(sources));
 
     if (r.sampling) {
         const SamplingSummary &ss = *r.sampling;

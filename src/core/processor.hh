@@ -4,15 +4,12 @@
  * engines, memory hierarchy, out-of-order core, power model, and
  * trace collector into one runnable simulated processor.
  *
- * The run loop is a deterministic discrete-event scheduler
- * (core/sched.hh): per-domain clock-edge actors carry the pipeline
- * work, DVFS service and controller observations are edge-latched
- * wake times refreshed from the engines, and the telemetry sampler
- * and simulated-time budget are arm/defer monitor actors that hop
- * from their due point onto the first edge at-or-after it — so no
- * per-edge polling of the controller, telemetry, or watchdog remains,
- * and the event order (hence every result byte) is independent of
- * scheduling insertion order. See DESIGN.md section 10.
+ * The run loop fires the earliest pending clock edge (the lowest
+ * domain index on a tie) and, right after it, takes a telemetry
+ * sample or trips the simulated-time budget once that is due, so each
+ * lands on the first edge at or after its due tick. DVFS service and
+ * controller observations are edge-latched wake times refreshed from
+ * the engines. See DESIGN.md section 10.
  */
 
 #ifndef MCD_CORE_PROCESSOR_HH
@@ -29,7 +26,6 @@
 #include "clock/operating_points.hh"
 #include "control/controller.hh"
 #include "core/sampling.hh"
-#include "core/sched.hh"
 #include "core/sim_config.hh"
 #include "cpu/core_units.hh"
 #include "isa/executor.hh"
@@ -88,51 +84,9 @@ class McdProcessor
     const obs::Telemetry *telemetry() const { return telem.get(); }
 
   private:
-    /** One per-domain clock-edge event (MCD configuration). */
-    struct EdgeActor final : Actor
-    {
-        McdProcessor *p = nullptr;
-        int di = 0;
-        Tick fire(Tick now) override;
-    };
-
-    /** The single shared clock edge (singly clocked configuration). */
-    struct GlobalEdgeActor final : Actor
-    {
-        McdProcessor *p = nullptr;
-        Tick fire(Tick now) override;
-    };
-
-    /**
-     * Arm/defer monitor base: the first firing lands at the monitor's
-     * exact due tick (armPriority, before any coincident edge) and
-     * re-schedules onto the first edge at-or-after it; the second
-     * firing — right after that edge — does the work. This reproduces
-     * the legacy loop's "first edge at-or-after the due time"
-     * observation points without a per-edge compare.
-     */
-    struct MonitorActor : Actor
-    {
-        McdProcessor *p = nullptr;
-        bool deferred = false;
-    };
-
-    /** Periodic telemetry sampling (obs::TimeSeriesSampler cadence). */
-    struct SampleActor final : MonitorActor
-    {
-        Tick fire(Tick now) override;
-    };
-
-    /** Simulated-time budget: trips at the first edge past the cap. */
-    struct BudgetActor final : MonitorActor
-    {
-        Tick fire(Tick now) override;
-    };
-
     void domainEdge(Domain d, int di, Tick t);
     void globalEdge(Tick t);
     void progressCheckpoint(Tick t);
-    void scheduleAfterNextEdge(Actor *a);
     [[noreturn]] void watchdogTripNow(const std::string &why, Tick at);
     void observeAndControl(Domain d, int di, Tick now);
     void captureSample(Tick now);
@@ -161,17 +115,7 @@ class McdProcessor
     DvfsController *controller = nullptr;
     std::unique_ptr<DvfsController> ownedController;
 
-    // ----- Event-driven run-loop state (valid during run()) -----
-
-    EventScheduler sched;
-    std::array<EdgeActor, numDomains> edgeActors;
-    GlobalEdgeActor globalActor;
-    SampleActor sampleActor;
-    BudgetActor budgetActor;
-
-    /** Pending edge time per clock, mirrored so monitor defers and the
-     *  edge actors re-arm without chasing ClockDomain pointers. */
-    std::array<Tick, numDomains> nextEdgeCache{};
+    // ----- Run-loop state (valid during run()) -----
 
     /** Edge-latched DVFS service times (DomainDvfs::nextEventTime). */
     std::array<Tick, numDomains> dvfsWake{};

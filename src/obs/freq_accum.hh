@@ -3,7 +3,7 @@
  * Time-weighted frequency accumulation shared by the run loop and the
  * telemetry sampler's frequency series.
  *
- * The per-domain clock-edge actors feed one accumulator each (the
+ * Each domain's clock edges feed one accumulator (the
  * bookkeeping that used to live inline in McdProcessor::run), and the
  * same arithmetic reconstructs a summary from a sampler
  * FreqTracePoint series via fromSeries() — so tests can check the

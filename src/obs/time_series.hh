@@ -43,9 +43,6 @@ struct TimeSample
 class TimeSeriesSampler
 {
   public:
-    /** nextDue() value when periodic sampling is disabled. */
-    static constexpr Tick never = ~Tick{0};
-
     TimeSeriesSampler() = default;
 
     /** @param period_ps sampling period; 0 disables periodic samples */
@@ -56,11 +53,9 @@ class TimeSeriesSampler
     bool enabled() const { return per != 0; }
     Tick period() const { return per; }
 
-    /** Earliest tick at which the next sample is due. */
-    Tick nextDue() const { return enabled() ? next : never; }
-
-    /** Is a periodic sample due at edge time @p now? */
-    bool due(Tick now) const { return enabled() && now >= next; }
+    /** Earliest tick at which the next sample is due (neverTick when
+     *  periodic sampling is disabled). */
+    Tick nextDue() const { return enabled() ? next : neverTick; }
 
     /**
      * Record a sample and advance the due time past s.when: one

@@ -137,14 +137,12 @@ TEST(ScheduleController, NextObservationIsTheNextEntry)
     sched.finalize();
     ScheduleController c(sched);
     EXPECT_EQ(c.nextObservation(Domain::Integer, 0), 1000u);
-    EXPECT_EQ(c.nextObservation(Domain::LoadStore, 0),
-              DvfsController::never);
+    EXPECT_EQ(c.nextObservation(Domain::LoadStore, 0), neverTick);
 
     c.observe(statsFor(Domain::Integer, 0.0, 1e9), 1200);
     EXPECT_EQ(c.nextObservation(Domain::Integer, 1200), 5000u);
     c.observe(statsFor(Domain::Integer, 0.0, 1e9), 5000);
-    EXPECT_EQ(c.nextObservation(Domain::Integer, 5000),
-              DvfsController::never);
+    EXPECT_EQ(c.nextObservation(Domain::Integer, 5000), neverTick);
 }
 
 /**

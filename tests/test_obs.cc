@@ -155,8 +155,6 @@ TEST(TimeSeriesSampler, PeriodSemantics)
     EXPECT_TRUE(s.enabled());
     // The first sample is due at one full period, not at t=0.
     EXPECT_EQ(s.nextDue(), 100u);
-    EXPECT_FALSE(s.due(99));
-    EXPECT_TRUE(s.due(100));
 
     TimeSample t;
     t.when = 105;
@@ -172,8 +170,7 @@ TEST(TimeSeriesSampler, PeriodSemantics)
 
     TimeSeriesSampler off(0);
     EXPECT_FALSE(off.enabled());
-    EXPECT_EQ(off.nextDue(), TimeSeriesSampler::never);
-    EXPECT_FALSE(off.due(1'000'000));
+    EXPECT_EQ(off.nextDue(), neverTick);
 }
 
 TEST(TraceExport, ChromeJsonIsWellFormedAndDeterministic)
