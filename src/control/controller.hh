@@ -89,7 +89,8 @@ class DvfsController
     /**
      * Given an observation of a domain at @p now, the earliest edge
      * time at which its next observation can matter; observe() runs at
-     * the domain's first edge at or after it.
+     * the domain's first edge at or after it. neverTick stops
+     * observing the domain.
      */
     virtual Tick
     nextObservation(Domain, Tick now) const
