@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
-
-#include "common/log.hh"
 
 namespace mcd {
 
@@ -40,38 +37,6 @@ ReconfigSchedule::toText() const
         out += buf;
     }
     return out;
-}
-
-ReconfigSchedule
-ReconfigSchedule::fromText(const std::string &text)
-{
-    ReconfigSchedule s;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        unsigned long long when;
-        std::string dom;
-        double freq;
-        if (!(ls >> when >> dom >> freq))
-            fatal("bad schedule line: " + line);
-        Domain d;
-        if (dom == "FE")
-            d = Domain::FrontEnd;
-        else if (dom == "INT")
-            d = Domain::Integer;
-        else if (dom == "FP")
-            d = Domain::FloatingPoint;
-        else if (dom == "LS")
-            d = Domain::LoadStore;
-        else
-            fatal("bad schedule domain: " + dom);
-        s.add(static_cast<Tick>(when), d, freq);
-    }
-    s.finalize();
-    return s;
 }
 
 } // namespace mcd

@@ -50,9 +50,6 @@ class ReconfigSchedule
     /** Serialize to the paper-style log text (one line per entry). */
     std::string toText() const;
 
-    /** Parse the toText() format. Throws FatalError on bad input. */
-    static ReconfigSchedule fromText(const std::string &text);
-
   private:
     std::vector<ReconfigEntry> entries;
 };

@@ -141,8 +141,6 @@ class DomainDvfs
     /** True while a transition is in progress. */
     bool transitioning() const { return active; }
 
-    Hertz targetFrequency() const { return targetFreq; }
-
     /**
      * Estimated wall time to move between two frequencies, used by
      * the offline clustering phase when computing transition lead
@@ -168,9 +166,6 @@ class DomainDvfs
      * Deterministic: the breach lands at the request tick itself.
      */
     void injectVfMisorder() { misorder = true; }
-
-    /** Current voltage level index (test hook). */
-    int voltageLevel() const { return level; }
 
   private:
     void applyFrequency(Tick now, Hertz f);

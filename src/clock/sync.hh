@@ -1,7 +1,8 @@
 /**
  * @file
  * Inter-domain synchronization: the T_s visibility rule and the
- * queue/channel primitives used at every clock-domain boundary.
+ * port, signal and credit primitives used at every clock-domain
+ * boundary.
  *
  * Following Sjogren & Myers' arbitration circuits as adopted by the
  * paper (Section 2.2): a value written in the source domain at time
@@ -84,72 +85,6 @@ class SyncRule
 };
 
 /**
- * A FIFO channel crossing (or not) a domain boundary.
- *
- * Producer side calls push() with its current edge time; consumer
- * side, at its own edges, observes only entries the SyncRule makes
- * visible. Capacity enforcement is left to the users (the hardware
- * queues use credits; see cpu/).
- */
-template <typename T>
-class SyncChannel
-{
-  public:
-    explicit SyncChannel(SyncRule rule_) : rule(rule_) {}
-
-    /** Replace the rule (when rebinding domains between configs). */
-    void setRule(SyncRule rule_) { rule = rule_; }
-    const SyncRule &syncRule() const { return rule; }
-
-    void
-    push(T value, Tick wrote)
-    {
-        entries.push_back({std::move(value), wrote});
-    }
-
-    /** Total entries, visible or not. */
-    std::size_t size() const { return entries.size(); }
-    bool empty() const { return entries.empty(); }
-
-    /** Is the head entry consumable at edge time @p edge? */
-    bool
-    frontVisible(Tick edge) const
-    {
-        return !entries.empty() && rule.visible(entries.front().wrote, edge);
-    }
-
-    /** Number of leading entries consumable at @p edge. */
-    std::size_t
-    visibleCount(Tick edge) const
-    {
-        std::size_t n = 0;
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (!rule.visible(entries[i].wrote, edge))
-                break;
-            ++n;
-        }
-        return n;
-    }
-
-    const T &front() const { return entries.front().value; }
-    T &front() { return entries.front().value; }
-
-    void pop() { entries.pop_front(); }
-
-    void clear() { entries.clear(); }
-
-  private:
-    struct Entry
-    {
-        T value;
-        Tick wrote;
-    };
-
-    SyncRule rule;
-    RingDeque<Entry> entries;
-};
-
-/**
  * A hardware queue crossing a domain boundary: the producer writes
  * entries stamped with its edge time, the consumer — at its own edges
  * — may act only on entries the SyncRule makes visible, and every
@@ -157,13 +92,12 @@ class SyncChannel
  * statistics fall out of the boundary layer instead of being
  * hand-threaded through stage code.
  *
- * Unlike SyncChannel (a strict FIFO), SyncPort exposes indexed
- * consumer-side access because the hardware structures it models scan
- * out of order: issue queues pick any ready entry, and the LSQ walks
- * with store-forwarding look-back. The sequence container is a
- * template parameter so each structure keeps the layout its scan
- * pattern wants (vector + erase-compaction for the issue queues,
- * deque + head-pop for the LSQ).
+ * SyncPort exposes indexed consumer-side access because the hardware
+ * structures it models scan out of order: issue queues pick any ready
+ * entry, and the LSQ walks with store-forwarding look-back. The
+ * sequence container is a template parameter so each structure keeps
+ * the layout its scan pattern wants (vector + erase-compaction for the
+ * issue queues, deque + head-pop for the LSQ).
  */
 template <typename T, template <typename...> class Seq = std::vector>
 class SyncPort
@@ -212,10 +146,6 @@ class SyncPort
         ++waitCount;
         return false;
     }
-
-    /** Visibility test without wait accounting (test hook). */
-    bool peek(const Entry &e, Tick now) const
-    { return rule.visible(e.wrote, now); }
 
     /** Consumer dequeues the head (deque-backed ports). */
     void popFront() { q.pop_front(); }

@@ -181,13 +181,6 @@ const std::vector<OptionDef> table = {
     {"config", "MCD_CONFIG", "--config", Type::Path, "",
      "Load a mcd-runspec-v1 JSON document as the config-file layer "
      "(defaults < file < env < flags).", "meta", false, nullptr},
-    {"envAllow", "MCD_ENV_ALLOW", "--env-allow", Type::String, "",
-     "Comma-separated allowlist of unregistered MCD_* environment "
-     "variables to accept silently (trailing '*' matches a prefix); "
-     "the escape hatch for CI wrappers.", "meta", false, nullptr},
-    {"strictEnv", "MCD_STRICT_ENV", "--strict-env", Type::Bool, "0",
-     "Make unregistered MCD_* environment variables fatal instead of "
-     "warn-once.", "meta", false, nullptr},
 };
 
 std::mutex overrideMutex;
@@ -278,9 +271,7 @@ writeSchemaMarkdown(std::ostream &os)
           "value-\n"
        << "checked (`0/false/no/off` vs `1/true/yes/on`; DESIGN.md "
           "§15), and\n"
-       << "unregistered `MCD_*` environment variables warn once "
-          "(fatal under\n"
-       << "`strictEnv`; silenced per-name by `envAllow`).\n";
+       << "unregistered `MCD_*` environment variables warn once.\n";
     const char *section = "";
     const char *blurb[] = {
         "matrix", "Result-shaping options; these (and only these) "

@@ -137,27 +137,9 @@ warnedEnvNames()
 
 std::mutex warnMutex;
 
-bool
-allowlisted(const std::string &name,
-            const std::vector<std::string> &allow)
-{
-    for (const std::string &pat : allow) {
-        if (!pat.empty() && pat.back() == '*') {
-            if (name.compare(0, pat.size() - 1, pat, 0,
-                             pat.size() - 1) == 0)
-                return true;
-        } else if (name == pat) {
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 scanEnviron(RunSpec &spec)
 {
-    std::vector<std::string> allow = splitList(spec.str("envAllow"));
-    bool strict = spec.boolean("strictEnv");
     std::vector<std::string> unknown;
     for (char **e = environ; e && *e; ++e) {
         std::string_view entry(*e);
@@ -165,30 +147,19 @@ scanEnviron(RunSpec &spec)
             continue;
         std::size_t eq = entry.find('=');
         std::string name(entry.substr(0, eq));
-        if (findByEnv(name) || allowlisted(name, allow))
-            continue;
-        unknown.push_back(std::move(name));
+        if (!findByEnv(name))
+            unknown.push_back(std::move(name));
     }
     if (unknown.empty())
         return;
     spec.unknownEnv = unknown;
-    if (strict) {
-        std::string msg = "config: unregistered MCD_* environment "
-            "variable(s):";
-        for (const std::string &n : unknown)
-            msg += " " + n;
-        msg += " (valid: " + validEnvNames() +
-            "; allowlist with MCD_ENV_ALLOW)";
-        fatal(msg);
-    }
     std::lock_guard<std::mutex> lk(warnMutex);
     for (const std::string &n : unknown) {
         if (!warnedEnvNames().insert(n).second)
             continue;
         warn("config: environment variable " + n + " matches no "
              "registered option and is ignored (a typo? valid names: " +
-             validEnvNames() + "; silence with MCD_ENV_ALLOW=" + n +
-             " or make fatal with MCD_STRICT_ENV=1)");
+             validEnvNames() + ")");
     }
 }
 

@@ -7,8 +7,7 @@
  * (`--config` / `MCD_CONFIG`, a `mcd-runspec-v1` JSON document) < env
  * vars < CLI flags, records where each value came from, rejects
  * unknown config-file keys outright, and scans the environment for
- * unregistered MCD_* variables (warn-once typo canary; fatal under
- * strictEnv; silenced per-name by the envAllow list).
+ * unregistered MCD_* variables (a warn-once typo canary).
  *
  * resolve() re-reads the environment and flag store every call — a
  * RunSpec is a snapshot, not a singleton — so tests that setenv() /
@@ -44,12 +43,12 @@ struct RunSpec
     /** One entry per registered option, keyed by canonical name. */
     std::map<std::string, Entry, std::less<>> entries;
 
-    /** Unregistered MCD_* env names seen at resolution (after the
-     *  allowlist), exposed so the typo canary is testable. */
+    /** Unregistered MCD_* env names seen at resolution, exposed so
+     *  the typo canary is testable. */
     std::vector<std::string> unknownEnv;
 
-    /** Resolve all layers; fatal() on invalid values, unknown
-     *  config-file keys, or (under strictEnv) unknown MCD_* vars. */
+    /** Resolve all layers; fatal() on invalid values or unknown
+     *  config-file keys. */
     static RunSpec resolve();
 
     const Entry &entry(std::string_view name) const;

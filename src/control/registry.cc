@@ -1,6 +1,7 @@
 #include "registry.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/spec.hh"
@@ -16,7 +17,18 @@ parseControllerParams(const std::string &text, const std::string &what)
     std::vector<ControllerParam> out;
     for (const std::string &item : spec::split(text, ',')) {
         auto [key, val] = spec::keyValue(what, item);
-        double v = spec::parseDouble(what + ": param '" + key + "'", val);
+        const std::string name = what + ": param '" + key + "'";
+        // A "*-points" key counts operating-point steps, which the
+        // factories store as int; interval-us becomes an unsigned Tick
+        // of picoseconds.
+        double v = key.ends_with("-points")
+            ? static_cast<double>(spec::parseInt(
+                  name, val, std::numeric_limits<int>::min(),
+                  std::numeric_limits<int>::max()))
+            : spec::parseDouble(name, val);
+        if (key == "interval-us" && !(v > 0.0 && v * 1e6 < 0x1p64))
+            fatal(name + ": must be > 0 and fit a Tick (got '" + val +
+                  "')");
         out.emplace_back(std::move(key), v);
     }
     return out;
@@ -236,19 +248,6 @@ ControllerRegistry::describe(std::string_view name) const
     std::lock_guard<std::mutex> lk(mutex);
     const Entry *e = find(name);
     return e ? e->description : std::string();
-}
-
-std::string
-ControllerRegistry::namesJoined() const
-{
-    std::lock_guard<std::mutex> lk(mutex);
-    std::string out;
-    for (const Entry &e : entries) {
-        if (!out.empty())
-            out += ", ";
-        out += e.name;
-    }
-    return out;
 }
 
 std::unique_ptr<DvfsController>

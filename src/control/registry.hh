@@ -55,14 +55,16 @@ struct ControllerContext
 
 /**
  * One parsed "key=value" pair of a controller param spec. Values are
- * numeric; booleans are 0/1.
+ * numeric; booleans are 0/1; a "*-points" key is a whole number in
+ * int range, and interval-us is positive and fits a Tick.
  */
 using ControllerParam = std::pair<std::string, double>;
 
 /**
  * Parse a comma-separated "key=value[,key=value...]" spec. Fatal on
- * malformed items (missing '=', empty key, non-numeric value), naming
- * @p what in the message. An empty spec parses to an empty list.
+ * malformed items (missing '=', empty key, non-numeric value, an
+ * out-of-range "*-points" or interval-us value), naming @p what in
+ * the message. An empty spec parses to an empty list.
  */
 std::vector<ControllerParam>
 parseControllerParams(const std::string &text, const std::string &what);
@@ -96,9 +98,6 @@ class ControllerRegistry
     std::unique_ptr<DvfsController>
     make(const std::string &name, const ControllerContext &ctx,
          const std::string &params = {}) const;
-
-    /** The registered names joined ", " (for error messages). */
-    std::string namesJoined() const;
 
   private:
     ControllerRegistry() = default;

@@ -1,6 +1,5 @@
 #include "processor.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <string>
 
@@ -47,26 +46,12 @@ McdProcessor::McdProcessor(const SimConfig &config, const Program &program)
         std::array<const ClockDomain *, numDomains>{
             clocks[0], clocks[1], clocks[2], clocks[3]});
 
-    collector.enable(cfg.collectTrace);
-    if (cfg.collectTrace) {
-        // Pre-size the event trace so profiling runs do not pay
-        // repeated mid-run reallocations (the records are ~100 bytes
-        // each and the kernels commit 100K+ instructions). With no
-        // explicit cap, estimate the dynamic length from the static
-        // program size; clamped so a pathological ratio cannot
-        // balloon the reservation.
-        std::size_t hint = cfg.maxInstructions;
-        if (!hint) {
-            hint = std::clamp<std::size_t>(prog.textSize() * 1024,
-                                           std::size_t{1} << 16,
-                                           std::size_t{1} << 22);
-        }
-        collector.reserve(hint);
-    }
+    if (cfg.collectTrace)
+        collector.reserve(traceReserveRecords);
 
     pipe = std::make_unique<CoreUnits>(
-        cfg.core, oracle, *memory, clocks, cfg.syncFraction,
-        power.get(), &collector, cfg.maxInstructions);
+        cfg.core, oracle, *memory, clocks, cfg.syncFraction, power.get(),
+        cfg.collectTrace ? &collector : nullptr, cfg.maxInstructions);
 
     if (cfg.sampling) {
         samplingPolicy = std::make_unique<SamplingPolicy>(*cfg.sampling,

@@ -174,9 +174,9 @@ struct CoreShared
     produceResult(DynInst *in, Tick when, Domain producer)
     {
         if (in->dest == DestKind::Int)
-            intRename.markReady(in->destPhys, when, producer, in->seq);
+            intRename.markReady(in->destPhys, when, producer);
         else if (in->dest == DestKind::Fp)
-            fpRename.markReady(in->destPhys, when, producer, in->seq);
+            fpRename.markReady(in->destPhys, when, producer);
     }
 };
 

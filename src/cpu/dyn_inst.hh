@@ -87,8 +87,6 @@ struct DynInst
     bool isLoadOp() const { return isLoad(inst.op); }
     bool isStoreOp() const { return isStore(inst.op); }
     bool isMemOp() const { return isMem(inst.op); }
-    bool isBranchOp() const { return isBranch(inst.op); }
-    bool isControlOp() const { return isControl(inst.op); }
 
     /** The time at which this instruction is ready to retire, and the
      *  domain that produced that signal. */

@@ -369,7 +369,7 @@ FrontEndUnit::warmFastForward(const ExecResult &er)
 void
 FrontEndUnit::recordTrace(const DynInst *in)
 {
-    if (!s.tracer || !s.tracer->isEnabled())
+    if (!s.tracer)
         return;
     InstTrace t;
     t.seq = in->seq;

@@ -31,7 +31,6 @@ class RenameState
 {
   public:
     RenameState(int arch_regs, int phys_regs)
-        : archRegs(arch_regs)
     {
         map.resize(arch_regs);
         lastWriter.assign(arch_regs, 0);
@@ -42,7 +41,6 @@ class RenameState
         ready.assign(phys_regs, true);
         readyTime.assign(phys_regs, 0);
         producer.assign(phys_regs, static_cast<int>(Domain::FrontEnd));
-        producerSeq.assign(phys_regs, 0);
     }
 
     bool hasFree() const { return !freeList.empty(); }
@@ -80,31 +78,25 @@ class RenameState
 
     /** Mark a physical register's value produced. */
     void
-    markReady(int phys, Tick when, Domain prod, std::uint64_t seq)
+    markReady(int phys, Tick when, Domain prod)
     {
         ready[phys] = true;
         readyTime[phys] = when;
         producer[phys] = static_cast<int>(prod);
-        producerSeq[phys] = seq;
     }
 
     bool isReady(int phys) const { return ready[phys]; }
     Tick readyAt(int phys) const { return readyTime[phys]; }
     Domain producedBy(int phys) const
     { return static_cast<Domain>(producer[phys]); }
-    std::uint64_t producerOf(int phys) const { return producerSeq[phys]; }
-
-    int freeCount() const { return static_cast<int>(freeList.size()); }
 
   private:
-    int archRegs;
     std::vector<int> map;
     std::vector<std::uint64_t> lastWriter;
     std::vector<int> freeList;
     std::vector<char> ready;
     std::vector<Tick> readyTime;
     std::vector<int> producer;
-    std::vector<std::uint64_t> producerSeq;
 };
 
 } // namespace mcd

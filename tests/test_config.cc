@@ -30,6 +30,7 @@
 #include "common/json_writer.hh"
 #include "common/log.hh"
 #include "common/random.hh"
+#include "config/jsonlite.hh"
 #include "config/registry.hh"
 #include "config/runspec.hh"
 #include "control/registry.hh"
@@ -309,41 +310,13 @@ TEST(RunSpec, RejectsEveryInvalidValueAndUnknownKeyPath)
     fs::remove_all(dir);
 }
 
-TEST(RunSpec, UnregisteredEnvVarsWarnStrictFatalAllowlistSilences)
+TEST(RunSpec, UnregisteredEnvVarsAreRecordedAndWarned)
 {
-    {   // Recorded (and warned once) by default.
-        ConfigSandbox sandbox;
-        sandbox.set("MCD_TYPO_XYZ", "1");
-        config::RunSpec spec = config::RunSpec::resolve();
-        ASSERT_EQ(spec.unknownEnv.size(), 1u);
-        EXPECT_EQ(spec.unknownEnv[0], "MCD_TYPO_XYZ");
-    }
-    {   // strictEnv makes it fatal, enumerating the offenders.
-        ConfigSandbox sandbox;
-        sandbox.set("MCD_TYPO_XYZ", "1");
-        sandbox.set("MCD_STRICT_ENV", "1");
-        try {
-            config::RunSpec::resolve();
-            ADD_FAILURE() << "expected FatalError";
-        } catch (const FatalError &e) {
-            EXPECT_NE(std::string(e.what()).find("MCD_TYPO_XYZ"),
-                      std::string::npos);
-        }
-    }
-    {   // Exact-name allowlist.
-        ConfigSandbox sandbox;
-        sandbox.set("MCD_TYPO_XYZ", "1");
-        sandbox.set("MCD_STRICT_ENV", "1");
-        sandbox.set("MCD_ENV_ALLOW", "MCD_TYPO_XYZ");
-        EXPECT_TRUE(config::RunSpec::resolve().unknownEnv.empty());
-    }
-    {   // Trailing-* prefix allowlist (the CI-wrapper escape hatch).
-        ConfigSandbox sandbox;
-        sandbox.set("MCD_TYPO_XYZ", "1");
-        sandbox.set("MCD_STRICT_ENV", "1");
-        sandbox.set("MCD_ENV_ALLOW", "MCD_TYPO_*");
-        EXPECT_TRUE(config::RunSpec::resolve().unknownEnv.empty());
-    }
+    ConfigSandbox sandbox;
+    sandbox.set("MCD_TYPO_XYZ", "1");
+    config::RunSpec spec = config::RunSpec::resolve();
+    ASSERT_EQ(spec.unknownEnv.size(), 1u);
+    EXPECT_EQ(spec.unknownEnv[0], "MCD_TYPO_XYZ");
 }
 
 TEST(RunSpec, SchemaReferenceListsEveryOption)
@@ -765,6 +738,13 @@ TEST(SpecGrammars, RejectTableFailsWithAStructuredError)
                              "kp= 1,setpoint=0x10", "kp=nan", "kp"})
         throws([&] { parseControllerParams(text, "controller 'pid'"); },
                "controller 'pid'", text);
+    for (const char *text :
+         {"interval-us=-1", "attack-points=2.9", "attack-points=1e20",
+          "interval-us=1e300"})
+        throws([&] {
+            ControllerRegistry::instance().make("online-queue",
+                                                ControllerContext{}, text);
+        }, "controller 'online-queue'", text);
     for (const char *text : {"dyn5=replay: 0.05", "dyn5=replay:inf",
                              "dyn5=replay:+0.05", "dyn5="})
         throws([&] { legsFromSpec(text); }, "LegSpec: malformed spec",
@@ -942,6 +922,23 @@ mutate(std::string s, Rng &rng)
     return s;
 }
 
+/** A cache file's payload: everything before its "sum" line. */
+std::string
+cachePayload()
+{
+    BenchmarkResults r;
+    r.globalFrequency = 625e6;
+    r.baseline.execTime = 217434567;
+    r.baseline.ipc = 0.6180339887498949;
+    r.mcdBaseline.totalEnergy = 1.4142135623730951e-3;
+    for (const LegSpec &spec : defaultLegs(ExperimentConfig{}))
+        r.legs.push_back({spec, RunResult{}, 42});
+    std::ostringstream os;
+    expcache::write(os, r);
+    const std::string text = os.str();
+    return text.substr(0, text.rfind("sum "));
+}
+
 TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
 {
     struct Grammar
@@ -962,8 +959,21 @@ TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
           "pid~PID=ctrl:pid@setpoint=0.5,kp=32"},
          [](const std::string &t) { legsFromSpec(t); }},
         {"controllerParams",
-         {"setpoint=0.5,kp=32", "interval-us=50,scale-fe=1"},
-         [](const std::string &t) { parseControllerParams(t, "c"); }},
+         {"setpoint=0.5,kp=32", "interval-us=50,scale-fe=1",
+          "attack-points=2,decay-points=1,idle-decay-points=3",
+          "step-points=2,up-threshold=0.8"},
+         [](const std::string &t) {
+             parseControllerParams(t, "c");
+             // An accepted spec reaches every factory's casts, which
+             // must build or fail structurally too.
+             const ControllerRegistry &reg = ControllerRegistry::instance();
+             for (const std::string &name : reg.names()) {
+                 try {
+                     reg.make(name, ControllerContext{}, t);
+                 } catch (const FatalError &) {
+                 }
+             }
+         }},
         {"faultPlan",
          {"leg:adpcm/dyn1=throw;leg:adpcm/online=flaky",
           "leg:a/b=flaky:3;leg:a/c=stall;cache:a=truncate;seed=42",
@@ -977,6 +987,24 @@ TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
          {"seed=5;phase=int:1500:4:256:1:50;phase=mem:1200:2:512:4:50",
           "seed=9235374536318864070;phase=branch:3327:1:16:2:41"},
          [](const std::string &t) { fuzz::GenParams::fromSpec(t); }},
+        {"jsonlite", corpusTexts(),
+         [](const std::string &t) {
+             config::jsonlite::Value v;
+             std::string err;
+             if (!config::jsonlite::parse(t, v, err))
+                 fatal("jsonlite: " + err);
+         }},
+        {"expcache", {cachePayload()},
+         [](const std::string &payload) {
+             // Re-sign the mutant so it gets past the checksum to the
+             // record parser.
+             std::ostringstream file;
+             file << payload << "sum " << std::hex << fnv1a(payload)
+                  << '\n';
+             std::istringstream in(file.str());
+             if (!expcache::read(in, "x"))
+                 fatal("expcache: rejected");
+         }},
         {"repro", corpusTexts(),
          [](const std::string &t) {
              // An accepted repro's option values reach the config

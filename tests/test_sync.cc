@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the inter-domain synchronization rule, channels, and
- * credit returns (paper Section 2.2).
+ * Tests for the inter-domain synchronization rule, ports, signals
+ * and credit returns (paper Section 2.2).
  */
 
 #include <gtest/gtest.h>
@@ -46,40 +46,6 @@ TEST(SyncRule, DefaultIsSameDomain)
     SyncRule r;
     EXPECT_FALSE(r.isCrossDomain());
     EXPECT_TRUE(r.visible(10, 11));
-}
-
-TEST(SyncChannel, FifoOrderAndVisibility)
-{
-    SyncChannel<int> ch(SyncRule(true, 300.0));
-    ch.push(1, 1000);
-    ch.push(2, 2000);
-    EXPECT_EQ(ch.size(), 2u);
-    EXPECT_FALSE(ch.frontVisible(1200));
-    EXPECT_TRUE(ch.frontVisible(1400));
-    EXPECT_EQ(ch.visibleCount(1400), 1u);
-    EXPECT_EQ(ch.visibleCount(2400), 2u);
-    EXPECT_EQ(ch.front(), 1);
-    ch.pop();
-    EXPECT_EQ(ch.front(), 2);
-    ch.pop();
-    EXPECT_TRUE(ch.empty());
-}
-
-TEST(SyncChannel, SameDomainVisibleNextTick)
-{
-    SyncChannel<int> ch(SyncRule(false, 300.0));
-    ch.push(5, 1000);
-    EXPECT_FALSE(ch.frontVisible(1000));
-    EXPECT_TRUE(ch.frontVisible(1001));
-}
-
-TEST(SyncChannel, ClearEmpties)
-{
-    SyncChannel<int> ch(SyncRule(false, 0.0));
-    ch.push(1, 0);
-    ch.push(2, 0);
-    ch.clear();
-    EXPECT_TRUE(ch.empty());
 }
 
 TEST(CreditReturn, InitialCreditsAvailable)
@@ -167,14 +133,6 @@ TEST(SyncPort, EraseIfCompactsIssuedEntries)
     ASSERT_EQ(port.size(), 2u);
     EXPECT_EQ(port[0].value, 1);
     EXPECT_EQ(port[1].value, 3);
-}
-
-TEST(SyncPort, PeekDoesNotCount)
-{
-    SyncPort<int> port(SyncRule(true, 300.0));
-    port.push(9, 1000);
-    EXPECT_FALSE(port.peek(port[0], 1100));
-    EXPECT_EQ(port.waits(), 0u);
 }
 
 // ---------------------------------------------------------------------

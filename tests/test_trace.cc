@@ -7,7 +7,9 @@
 
 #include "core/processor.hh"
 #include "isa/builder.hh"
+#include "isa/executor.hh"
 #include "trace/trace.hh"
+#include "workloads/workloads.hh"
 
 namespace mcd {
 namespace {
@@ -135,17 +137,28 @@ TEST(Trace, EventKindNames)
     EXPECT_STREQ(eventKindName(EventKind::Commit), "commit");
 }
 
-TEST(TraceCollector, EnableDisable)
+TEST(TraceReserve, HoldsEveryWorkloadAtScaleOne)
 {
-    TraceCollector c;
-    EXPECT_FALSE(c.isEnabled());
-    c.record(InstTrace{});
-    EXPECT_EQ(c.size(), 0u);
-    c.enable();
-    c.record(InstTrace{});
-    EXPECT_EQ(c.size(), 1u);
-    c.clear();
-    EXPECT_EQ(c.size(), 0u);
+    // A profiling run records one InstTrace per committed instruction,
+    // and a run to HALT commits what the functional executor executes.
+    for (const WorkloadInfo &w : workloads::all()) {
+        Program p = w.build(1);
+        Executor ex(p);
+        while (!ex.halted())
+            ex.step();
+        EXPECT_LE(ex.instsExecuted(), traceReserveRecords) << w.name;
+    }
+}
+
+TEST(TraceReserve, ProfilingRunNeverRegrows)
+{
+    // treeadd commits the most instructions of any workload.
+    SimConfig cfg;
+    cfg.collectTrace = true;
+    McdProcessor proc(cfg, workloads::build("treeadd", 1));
+    RunResult r = proc.run();
+    EXPECT_EQ(proc.trace().size(), r.committed);
+    EXPECT_EQ(proc.trace().trace().capacity(), traceReserveRecords);
 }
 
 } // namespace
