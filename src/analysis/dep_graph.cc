@@ -211,10 +211,12 @@ IntervalGraphStream::next(IntervalGraph &g)
             continue;
         InstEvents ie;
         Tick skew = cfg.completionSkew;
+        // A memory op's address calculation runs on an integer ALU.
+        ie.execEvent = addEvent(t.execEventDomain(), t.issueTime,
+                                t.execDone + skew,
+                                t.isMem() ? FuClass::IntAlu
+                                          : fuClass(t.op));
         if (t.isMem()) {
-            ie.execEvent = addEvent(Domain::Integer, t.issueTime,
-                                    t.execDone + skew,
-                                    FuClass::IntAlu);
             ie.memEvent = addEvent(Domain::LoadStore, t.memIssue,
                                    t.memDone + skew,
                                    FuClass::MemPort);
@@ -222,10 +224,6 @@ IntervalGraphStream::next(IntervalGraph &g)
             me.fixedPortion =
                 std::min(t.memFixed, me.origDuration - 1);
             ie.isLoad = t.isLoadOp();
-        } else {
-            ie.execEvent = addEvent(execDomain(t.op), t.issueTime,
-                                    t.execDone + skew,
-                                    fuClass(t.op));
         }
         // Events cannot be rescheduled before their dispatch: the
         // front end is pinned at full speed (paper Section 3.2).

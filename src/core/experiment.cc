@@ -225,30 +225,52 @@ writeRunBody(std::ostream &os, const RunResult &r)
     os << '\n';
 }
 
-bool
-readRunBody(std::istream &is, RunResult &r)
+/**
+ * The payload's whitespace-separated tokens. Each number must be a
+ * whole token that spec::parseU64 / spec::parseDouble accepts (so a
+ * '-' on an unsigned field is refused, not wrapped); any refusal or a
+ * missing token throws FatalError, which read() turns into nullopt.
+ */
+struct Tokens
 {
-    if (!(is >> r.execTime >> r.committed >> r.ipc >> r.totalEnergy >>
-          r.energyDelay)) {
-        return false;
-    }
-    for (int d = 0; d < numDomains; ++d) {
-        DomainSummary &s = r.domains[d];
-        if (!(is >> s.cycles >> s.energy >> s.avgFrequency >>
-              s.minFrequency >> s.maxFrequency >> s.reconfigurations)) {
-            return false;
-        }
-    }
-    return true;
-}
+    std::istream &is;
 
-bool
-readRun(std::istream &is, const char *tag, RunResult &r)
+    std::string
+    next()
+    {
+        std::string t;
+        if (!(is >> t))
+            fatal("expcache: truncated payload");
+        return t;
+    }
+
+    std::uint64_t u64() { return spec::parseU64("expcache", next()); }
+    double real() { return spec::parseDouble("expcache", next()); }
+
+    void
+    expect(const char *tag)
+    {
+        if (next() != tag)
+            fatal(std::string("expcache: expected '") + tag + "'");
+    }
+};
+
+void
+readRunBody(Tokens &tok, RunResult &r)
 {
-    std::string t;
-    if (!(is >> t) || t != tag)
-        return false;
-    return readRunBody(is, r);
+    r.execTime = tok.u64();
+    r.committed = tok.u64();
+    r.ipc = tok.real();
+    r.totalEnergy = tok.real();
+    r.energyDelay = tok.real();
+    for (DomainSummary &s : r.domains) {
+        s.cycles = tok.u64();
+        s.energy = tok.real();
+        s.avgFrequency = tok.real();
+        s.minFrequency = tok.real();
+        s.maxFrequency = tok.real();
+        s.reconfigurations = tok.u64();
+    }
 }
 
 } // namespace
@@ -311,36 +333,33 @@ read(std::istream &is, const std::string &name)
         return std::nullopt;    // bit rot / torn write
 
     std::istringstream in(payload);
-    std::string ver;
-    if (!(in >> ver) || ver != version)
-        return std::nullopt;
-    BenchmarkResults r;
-    r.name = name;
-    std::size_t numLegs = 0;
-    if (!(in >> r.globalFrequency >> numLegs))
-        return std::nullopt;
-    if (numLegs > 1000)
-        return std::nullopt;    // implausible; refuse to allocate
-    if (!readRun(in, "baseline", r.baseline) ||
-        !readRun(in, "mcd", r.mcdBaseline)) {
+    Tokens tok{in};
+    try {
+        tok.expect(version);
+        BenchmarkResults r;
+        r.name = name;
+        r.globalFrequency = tok.real();
+        const std::uint64_t numLegs = tok.u64();
+        if (numLegs > 1000)
+            return std::nullopt;    // implausible; refuse to allocate
+        tok.expect("baseline");
+        readRunBody(tok, r.baseline);
+        tok.expect("mcd");
+        readRunBody(tok, r.mcdBaseline);
+        r.legs.reserve(numLegs);
+        for (std::uint64_t i = 0; i < numLegs; ++i) {
+            tok.expect("leg");
+            ControllerLeg leg;
+            leg.spec.name = tok.next();
+            leg.scheduleSize = tok.u64();
+            readRunBody(tok, leg.run);
+            r.legs.push_back(std::move(leg));
+        }
+        tok.expect("end");  // truncated mid-number or mid-record
+        return r;
+    } catch (const FatalError &) {
         return std::nullopt;
     }
-    r.legs.reserve(numLegs);
-    for (std::size_t i = 0; i < numLegs; ++i) {
-        std::string t;
-        if (!(in >> t) || t != "leg")
-            return std::nullopt;
-        ControllerLeg leg;
-        if (!(in >> leg.spec.name >> leg.scheduleSize))
-            return std::nullopt;
-        if (!readRunBody(in, leg.run))
-            return std::nullopt;
-        r.legs.push_back(std::move(leg));
-    }
-    std::string sentinel;
-    if (!(in >> sentinel) || sentinel != "end")
-        return std::nullopt;    // truncated mid-number or mid-record
-    return r;
 }
 
 } // namespace expcache
@@ -1407,7 +1426,7 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
     // Every leg runs under runGuarded *inside* its submitted lambda:
     // a leg never throws across the pool boundary, so one dead leg
     // can neither abort the matrix nor strand sibling tasks that
-    // still reference this frame's prog/trace.
+    // still reference this frame's prog/shaken trace.
     //
     // r.legs is fully sized above and never resized again, so element
     // pointers handed to lambdas stay valid for the frame's lifetime.
@@ -1445,40 +1464,40 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
     }
 
     // Baseline MCD / profiling run. It collects the trace only when a
-    // schedule-replay leg will read it.
+    // schedule-replay leg will read it. The target-independent half of
+    // the offline tool then runs in the same task, under a guard of
+    // its own (fault site <bench>/shake; an analyze slice, not a leg,
+    // in the host profile), so the whole-run trace is created, shaken
+    // and freed on one thread. Every schedule-replay leg clusters from
+    // the shaken result.
     const bool wantTrace = std::any_of(
         r.legs.begin(), r.legs.end(), [](const ControllerLeg &l) {
             return l.spec.kind == LegSpec::Kind::ScheduleReplay;
         });
-    std::vector<InstTrace> trace;
-    auto profFut = pool.submit([this, &name, &prog, &trace, wantTrace] {
-        return runGuarded(name, "mcdBaseline", [&] {
+    ShakenTrace shaken;
+    bool shakeFailed = false;
+    auto profFut = pool.submit([this, &name, &prog, &shaken, &shakeFailed,
+                                wantTrace] {
+        std::vector<InstTrace> trace;
+        RunResult prof = runGuarded(name, "mcdBaseline", [&] {
             return profileLeg(prog, wantTrace ? &trace : nullptr,
                               name + "/mcdBaseline");
         });
+        if (wantTrace && !prof.failed()) {
+            shakeFailed = runGuarded(name, "shake", [&] {
+                // Any target gives the same shake; clustering reads it.
+                shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
+                return RunResult{};
+            }, "analyze").failed();
+        }
+        return prof;
     });
     r.mcdBaseline = pool.wait(profFut);
-
-    // The target-independent half of the offline tool runs once, under
-    // a guard of its own (fault site <bench>/shake; an analyze slice,
-    // not a leg, in the host profile), and every schedule-replay leg
-    // clusters from its result. The trace is freed as soon as it has
-    // been shaken.
-    ShakenTrace shaken;
     std::string shakeUpstream;
-    if (r.mcdBaseline.failed()) {
-        // No profiling trace: the offline tool has nothing to chew on.
-        shakeUpstream = "mcdBaseline";
-    } else if (wantTrace) {
-        RunResult shook = runGuarded(name, "shake", [&] {
-            // Any target gives the same shake; clustering reads it.
-            shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
-            return RunResult{};
-        }, "analyze");
-        if (shook.failed())
-            shakeUpstream = "shake";
-    }
-    std::vector<InstTrace>().swap(trace);
+    if (r.mcdBaseline.failed())
+        shakeUpstream = "mcdBaseline";  // no trace to shake
+    else if (shakeFailed)
+        shakeUpstream = "shake";
 
     // Schedule-replay legs cluster and simulate independently off the
     // shared (now read-only) shaken trace. The schedule sizes ride out

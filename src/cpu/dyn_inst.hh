@@ -7,10 +7,13 @@
  * The record is split hot/cold: DynInst keeps only the fields the
  * timing loops read per cycle (status bits, physical registers, the
  * completion timestamps), while fields written once and read only at
- * trace-record time (oracle outcomes, dependence seqs, issue-side
- * timestamps) live in a parallel DynInstCold record owned by the
- * InstWindow arena. The issue-queue and LSQ scans walk roughly half
- * the bytes per instruction as a result.
+ * trace-record time (dependence seqs, issue-side timestamps) live in
+ * a parallel DynInstCold record owned by the InstWindow arena. The
+ * issue-queue and LSQ scans walk roughly half the bytes per
+ * instruction as a result.
+ *
+ * Every field has a reader; a field nothing reads costs a write per
+ * fetched instruction and window bytes for nothing.
  */
 
 #ifndef MCD_CPU_DYN_INST_HH
@@ -27,24 +30,18 @@ namespace mcd {
 inline constexpr int noReg = -1;
 
 /**
- * Cold half of one in-flight instruction: archival oracle outcomes
- * and timestamps read only when the trace record is emitted at
- * commit. Allocated alongside the DynInst in the InstWindow.
+ * Cold half of one in-flight instruction: producer links and
+ * timestamps read only when the trace record is emitted at commit.
+ * Allocated alongside the DynInst in the InstWindow.
  */
 struct DynInstCold
 {
-    std::uint64_t pc = 0;
-    bool taken = false;             //!< oracle branch outcome
-    std::uint64_t nextPc = 0;
-    bool predictedTaken = false;
-
     std::uint64_t src1Producer = 0; //!< seq of producing inst (0 = none)
     std::uint64_t src2Producer = 0;
 
     Tick issueTime = 0;
     Tick memIssueTime = 0;
     Tick memFixedLat = 0;           //!< DRAM (unscalable) part of latency
-    Tick commitTime = 0;
 };
 
 /** One in-flight instruction (hot half). */
@@ -59,12 +56,10 @@ struct DynInst
     bool mispredicted = false;
 
     // Pipeline status.
-    bool dispatched = false;
     bool issued = false;        //!< execute (or addr-gen) issued
     bool executed = false;      //!< execute event finished
     bool memIssued = false;
     bool memDone = false;
-    bool retired = false;
 
     // Rename state.
     int destPhys = noReg;

@@ -49,8 +49,6 @@ FrontEndUnit::commitStage(Tick now)
             break;
         }
 
-        in->cold->commitTime = now;
-        in->retired = true;
         s.lastCommit = now;
 
         // No pipeline structure may keep a pointer to a retired
@@ -90,8 +88,6 @@ FrontEndUnit::commitStage(Tick now)
             ++s.stat.committedBranches;
             if (in->mispredicted)
                 ++s.stat.mispredicts;
-        } else {
-            ++s.stat.committedInt;
         }
 
         recordTrace(in);
@@ -142,14 +138,10 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
     bool needLsq = isMem(op);
     DestKind dk = destKind(inst);
 
-    if (dk == DestKind::Int && !s.intRename.hasFree()) {
-        ++s.stat.regFullStalls;
+    if (dk == DestKind::Int && !s.intRename.hasFree())
         return false;
-    }
-    if (dk == DestKind::Fp && !s.fpRename.hasFree()) {
-        ++s.stat.regFullStalls;
+    if (dk == DestKind::Fp && !s.fpRename.hasFree())
         return false;
-    }
     if (needIntIq && p.intIqCredits.credits(now) <= 0) {
         ++s.stat.iqFullStalls;
         return false;
@@ -158,10 +150,8 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
         ++s.stat.iqFullStalls;
         return false;
     }
-    if (needLsq && lsqFree <= 0) {
-        ++s.stat.lsqFullStalls;
+    if (needLsq && lsqFree <= 0)
         return false;
-    }
 
     // Rename sources.
     if (readsIntRs1(op) && inst.rs1 != reg::zero) {
@@ -195,7 +185,6 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
         in->oldDestPhys = old;
     }
 
-    in->dispatched = true;
     in->dispatchTime = now;
     rob.push_back(in);
 
@@ -302,10 +291,7 @@ FrontEndUnit::fetchStage(Tick now)
         ExecResult er = s.oracle.step();
         DynInst *in = s.window.emplace_back();
         in->seq = er.seq;
-        in->cold->pc = er.pc;
         in->inst = er.inst;
-        in->cold->taken = er.taken;
-        in->cold->nextPc = er.nextPc;
         in->memAddr = er.memAddr;
         in->isHalt = er.halted;
         in->fetchTime = groupReady;
@@ -313,7 +299,6 @@ FrontEndUnit::fetchStage(Tick now)
         Opcode op = er.inst.op;
         if (isBranch(op)) {
             BpredLookup look = predictor.predictBranch(er.pc);
-            in->cold->predictedTaken = look.taken;
             bool correct;
             if (er.taken) {
                 correct = look.taken && look.btbHit &&
@@ -326,7 +311,6 @@ FrontEndUnit::fetchStage(Tick now)
                              true);
         } else if (op == Opcode::JALR) {
             BpredLookup look = predictor.predictIndirect(er.pc);
-            in->cold->predictedTaken = true;
             in->mispredicted = !(look.btbHit && look.target == er.nextPc);
             predictor.update(er.pc, true, er.nextPc, true, false);
         }
@@ -374,18 +358,15 @@ FrontEndUnit::recordTrace(const DynInst *in)
     InstTrace t;
     t.seq = in->seq;
     t.op = in->inst.op;
-    t.fu = fuClass(in->inst.op);
     t.dep1 = in->cold->src1Producer;
     t.dep2 = in->cold->src2Producer;
     t.mispredicted = in->mispredicted;
-    t.fetchTime = in->fetchTime;
     t.dispatchTime = in->dispatchTime;
     t.issueTime = in->cold->issueTime;
     t.execDone = in->execDoneTime;
     t.memIssue = in->cold->memIssueTime;
     t.memDone = in->memDoneTime;
     t.memFixed = in->cold->memFixedLat;
-    t.commitTime = in->cold->commitTime;
     s.tracer->record(t);
 }
 

@@ -66,8 +66,6 @@ IntUnit::tick(Tick now)
         // The issue-queue slot frees at issue; the credit crosses back
         // to the front end.
         p.intIqCredits.give(now);
-        ++s.stat.intIqIssues;
-        s.stat.intIqResidencePs += now - in->dispatchTime;
         ++issued;
     }
 

@@ -19,7 +19,6 @@ struct PipelineStats
 {
     std::uint64_t fetched = 0;
     std::uint64_t committed = 0;
-    std::uint64_t committedInt = 0;
     std::uint64_t committedFp = 0;
     std::uint64_t committedLoads = 0;
     std::uint64_t committedStores = 0;
@@ -30,10 +29,6 @@ struct PipelineStats
     std::uint64_t icacheMissStallCycles = 0;
     std::uint64_t robFullStalls = 0;
     std::uint64_t iqFullStalls = 0;
-    std::uint64_t intIqIssues = 0;
-    std::uint64_t intIqResidencePs = 0; //!< dispatch->issue, summed
-    std::uint64_t lsqFullStalls = 0;
-    std::uint64_t regFullStalls = 0;
 
     // Cross-domain synchronization waits (zero when singly clocked:
     // same-domain rules are always visible). Counted per blocked

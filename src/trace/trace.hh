@@ -4,12 +4,13 @@
  * run (paper Section 3.2).
  *
  * Each committed instruction yields one compact record carrying the
- * timestamps of its primitive events (fetch, dispatch, address
- * calculation, memory access, execute, commit) and the dynamic
- * sequence numbers of its register-data producers. The offline
- * analysis tool materializes the paper's dependence DAG from these
- * records plus the machine configuration (functional dependences
- * through shared hardware and finite queues are reconstructed there).
+ * timestamps of its primitive events (dispatch, address calculation,
+ * memory access, execute) and the dynamic sequence numbers of its
+ * register-data producers. The front end runs at full speed, so the
+ * offline analysis tool models fetch and commit through the dispatch
+ * time; it materializes the paper's dependence DAG from these records
+ * plus the machine configuration (functional dependences through
+ * shared hardware and finite queues are reconstructed there).
  */
 
 #ifndef MCD_TRACE_TRACE_HH
@@ -24,42 +25,32 @@
 
 namespace mcd {
 
-/** Primitive event kinds (paper's five-event decomposition). */
-enum class EventKind : std::uint8_t {
-    Fetch = 0,
-    Dispatch,
-    AddrCalc,   //!< memory ops only (integer-domain event)
-    MemAccess,  //!< memory ops only (load/store-domain event)
-    Execute,    //!< non-memory ops
-    Commit,
-};
-
-const char *eventKindName(EventKind k);
-
-/** Trace record for one committed instruction. */
+/**
+ * Trace record for one committed instruction. Every field has a reader
+ * in the offline tool; the 64-bit fields come first so the record packs
+ * into 80 bytes.
+ */
 struct InstTrace
 {
     std::uint64_t seq = 0;
-    Opcode op = Opcode::NOP;
-    FuClass fu = FuClass::None;
 
     /** Register-data producers (dynamic seq; 0 = none). */
     std::uint64_t dep1 = 0;
     std::uint64_t dep2 = 0;
 
-    /** This instruction was a mispredicted control transfer: fetch of
-     *  everything younger waited for its resolution. */
-    bool mispredicted = false;
-
     // Event timestamps, absolute picoseconds.
-    Tick fetchTime = 0;
     Tick dispatchTime = 0;
     Tick issueTime = 0;     //!< execute/addr-calc start
     Tick execDone = 0;      //!< execute/addr-calc result ready
     Tick memIssue = 0;      //!< memory access start (mem ops)
     Tick memDone = 0;       //!< memory access complete (mem ops)
     Tick memFixed = 0;      //!< main-memory (unscalable) latency part
-    Tick commitTime = 0;
+
+    Opcode op = Opcode::NOP;
+
+    /** This instruction was a mispredicted control transfer: fetch of
+     *  everything younger waited for its resolution. */
+    bool mispredicted = false;
 
     bool isMem() const { return mcd::isMem(op); }
     bool isLoadOp() const { return isLoad(op); }

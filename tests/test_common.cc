@@ -381,7 +381,7 @@ TEST(InstWindow, StableAddressesAndHighWater)
     // Slots arrive reset, with the cold record bound.
     ASSERT_NE(a->cold, nullptr);
     ASSERT_NE(a->cold, b->cold);
-    a->cold->pc = 0x1234;
+    a->cold->issueTime = 0x1234;
 
     // Addresses stay stable while the instruction is in flight, and
     // slots recycle after pop_front without invalidating the rest.
@@ -406,16 +406,18 @@ TEST(InstWindow, RecycledSlotsAreReset)
 {
     InstWindow w(2);
     DynInst *a = w.emplace_back();
-    a->cold->pc = 99;
+    a->cold->src1Producer = 99;
+    a->cold->memFixedLat = 7;
     a->seq = 42;
-    a->dispatched = true;
+    a->issued = true;
     w.pop_front();
     // The same physical slot comes back clean.
     DynInst *b = w.emplace_back();
     EXPECT_EQ(b, a);
-    EXPECT_EQ(b->cold->pc, 0u);
+    EXPECT_EQ(b->cold->src1Producer, 0u);
+    EXPECT_EQ(b->cold->memFixedLat, 0u);
     EXPECT_EQ(b->seq, 0u);
-    EXPECT_FALSE(b->dispatched);
+    EXPECT_FALSE(b->issued);
     w.pop_front();
     EXPECT_TRUE(w.empty());
 }

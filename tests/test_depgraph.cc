@@ -89,13 +89,10 @@ mkInst(std::uint64_t seq, Opcode op, Tick dispatch, Tick issue,
     InstTrace t;
     t.seq = seq;
     t.op = op;
-    t.fu = fuClass(op);
     t.dep1 = dep1;
-    t.fetchTime = dispatch > 2000 ? dispatch - 2000 : 0;
     t.dispatchTime = dispatch;
     t.issueTime = issue;
     t.execDone = done;
-    t.commitTime = done + 2000;
     return t;
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "core/experiment.hh"
 
 namespace mcd {
@@ -171,6 +172,27 @@ TEST(ExperimentCache, RejectsChecksumMismatch)
     // The unflipped original still reads fine.
     std::istringstream ok(text);
     EXPECT_TRUE(expcache::read(ok, "synthetic").has_value());
+}
+
+TEST(ExperimentCache, RejectsNegativeUnsignedFieldEvenWhenReSigned)
+{
+    std::stringstream ss;
+    BenchmarkResults r = synthetic();
+    expcache::write(ss, r);
+    std::string text = ss.str();
+    // Make the baseline's committed count negative, then recompute the
+    // checksum so the record parser, not the FNV-1a line, must refuse
+    // it: a wrapping read would load 18446744073709551611.
+    std::string payload = text.substr(0, text.rfind("sum "));
+    const std::string committed =
+        ' ' + std::to_string(r.baseline.committed) + ' ';
+    std::size_t pos = payload.find(committed, payload.find("baseline"));
+    ASSERT_NE(pos, std::string::npos);
+    payload.replace(pos, committed.size(), " -5 ");
+    std::ostringstream forged;
+    forged << payload << "sum " << std::hex << fnv1a(payload) << '\n';
+    std::istringstream in(forged.str());
+    EXPECT_FALSE(expcache::read(in, "synthetic").has_value());
 }
 
 TEST(ExperimentCache, RejectsMissingEndSentinel)

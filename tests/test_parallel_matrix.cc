@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "obs/host_prof.hh"
 
 namespace mcd {
 namespace {
@@ -38,6 +41,38 @@ expectRunsIdentical(const RunResult &a, const RunResult &b,
         EXPECT_EQ(a.domains[d].maxFrequency, b.domains[d].maxFrequency);
         EXPECT_EQ(a.domains[d].reconfigurations,
                   b.domains[d].reconfigurations);
+    }
+}
+
+/** Expect two matrix runs over the same benchmarks to match row for
+ *  row: every leg, schedule size and global pick. */
+void
+expectMatricesIdentical(const std::vector<BenchmarkResults> &serial,
+                        const std::vector<BenchmarkResults> &par,
+                        const std::vector<std::string> &names)
+{
+    ASSERT_EQ(serial.size(), names.size());
+    ASSERT_EQ(par.size(), names.size());
+
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        SCOPED_TRACE(names[i]);
+        EXPECT_EQ(serial[i].name, names[i]);    // workload order kept
+        EXPECT_EQ(par[i].name, names[i]);
+        expectRunsIdentical(serial[i].baseline, par[i].baseline,
+                            "baseline");
+        expectRunsIdentical(serial[i].mcdBaseline, par[i].mcdBaseline,
+                            "mcdBaseline");
+        ASSERT_EQ(serial[i].legs.size(), par[i].legs.size());
+        for (std::size_t l = 0; l < serial[i].legs.size(); ++l) {
+            EXPECT_EQ(serial[i].legs[l].spec.name,
+                      par[i].legs[l].spec.name);
+            expectRunsIdentical(serial[i].legs[l].run,
+                                par[i].legs[l].run,
+                                serial[i].legs[l].spec.name.c_str());
+            EXPECT_EQ(serial[i].legs[l].scheduleSize,
+                      par[i].legs[l].scheduleSize);
+        }
+        EXPECT_EQ(serial[i].globalFrequency, par[i].globalFrequency);
     }
 }
 
@@ -67,29 +102,7 @@ TEST(ParallelMatrix, ParallelRunBitIdenticalToSerial)
     ecPar.cacheDir = parDir.string();
     auto par = runMatrix(ecPar, names, /*jobs=*/4);
 
-    ASSERT_EQ(serial.size(), names.size());
-    ASSERT_EQ(par.size(), names.size());
-
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        SCOPED_TRACE(names[i]);
-        EXPECT_EQ(serial[i].name, names[i]);    // workload order kept
-        EXPECT_EQ(par[i].name, names[i]);
-        expectRunsIdentical(serial[i].baseline, par[i].baseline,
-                            "baseline");
-        expectRunsIdentical(serial[i].mcdBaseline, par[i].mcdBaseline,
-                            "mcdBaseline");
-        ASSERT_EQ(serial[i].legs.size(), par[i].legs.size());
-        for (std::size_t l = 0; l < serial[i].legs.size(); ++l) {
-            EXPECT_EQ(serial[i].legs[l].spec.name,
-                      par[i].legs[l].spec.name);
-            expectRunsIdentical(serial[i].legs[l].run,
-                                par[i].legs[l].run,
-                                serial[i].legs[l].spec.name.c_str());
-            EXPECT_EQ(serial[i].legs[l].scheduleSize,
-                      par[i].legs[l].scheduleSize);
-        }
-        EXPECT_EQ(serial[i].globalFrequency, par[i].globalFrequency);
-    }
+    expectMatricesIdentical(serial, par, names);
 
     // The cache files written by the two runs must match byte for
     // byte, and no temporary files may be left behind.
@@ -110,6 +123,45 @@ TEST(ParallelMatrix, ParallelRunBitIdenticalToSerial)
 
     fs::remove_all(serialDir);
     fs::remove_all(parDir);
+}
+
+TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
+{
+    // With more benchmarks than workers, a benchmark's helping wait
+    // picks up a whole queued benchmark and runs it nested inside its
+    // own frame. The rows must still match the serial run, and each
+    // shake must run in its profiling leg's task: on that leg's lane,
+    // after its simulate slice closes.
+    const std::vector<std::string> names{"adpcm", "mst", "g721"};
+    ExperimentConfig ec;                // no cache: every leg runs
+    auto serial = runMatrix(ec, names, /*jobs=*/1);
+
+    const fs::path prof = fs::temp_directory_path() /
+        ("mcd-par-nested-" + std::to_string(::getpid()) + ".json");
+    ::setenv("MCD_PROF_OUT", prof.string().c_str(), 1);
+    auto par = runMatrix(ec, names, /*jobs=*/2);
+    ::unsetenv("MCD_PROF_OUT");
+    const auto snap = obs::HostProfiler::instance().snapshot();
+    obs::HostProfiler::instance().reset(false);
+    fs::remove(prof);
+
+    expectMatricesIdentical(serial, par, names);
+
+    for (const std::string &n : names) {
+        SCOPED_TRACE(n);
+        const obs::HostProfiler::Slice *sim = nullptr;
+        const obs::HostProfiler::Slice *shake = nullptr;
+        for (const auto &sl : snap.slices) {
+            if (sl.kind == "simulate" && sl.detail == n + "/mcdBaseline")
+                sim = &sl;
+            if (sl.kind == "analyze" && sl.detail == n + "/shake")
+                shake = &sl;
+        }
+        ASSERT_NE(sim, nullptr);
+        ASSERT_NE(shake, nullptr);
+        EXPECT_EQ(shake->lane, sim->lane);
+        EXPECT_GE(shake->startNs, sim->startNs + sim->durNs);
+    }
 }
 
 TEST(ParallelMatrix, TaskGraphBenchmarkMatchesSerialBenchmark)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
+#include "cpu/dyn_inst.hh"
 #include "isa/builder.hh"
 #include "isa/executor.hh"
 #include "trace/trace.hh"
@@ -62,14 +63,13 @@ TEST(Trace, TimestampsAreOrderedWithinInstructions)
     for (const InstTrace &t : proc.trace().trace()) {
         if (t.op == Opcode::HALT || t.op == Opcode::NOP)
             continue;
-        EXPECT_LE(t.fetchTime, t.dispatchTime + 1);
         EXPECT_LT(t.dispatchTime, t.issueTime);
         EXPECT_LT(t.issueTime, t.execDone);
         if (t.isMem()) {
             EXPECT_LT(t.memIssue, t.memDone);
             EXPECT_LE(t.issueTime, t.memIssue);
+            EXPECT_LE(t.memFixed, t.memDone - t.memIssue);
         }
-        EXPECT_LE(t.execDone, t.commitTime + 1);
     }
 }
 
@@ -129,12 +129,16 @@ TEST(Trace, ExecEventDomainMapping)
     EXPECT_EQ(t.execEventDomain(), Domain::Integer);
 }
 
-TEST(Trace, EventKindNames)
+TEST(Trace, LayoutsHoldOnlyReadFields)
 {
-    EXPECT_STREQ(eventKindName(EventKind::Fetch), "fetch");
-    EXPECT_STREQ(eventKindName(EventKind::AddrCalc), "addr-calc");
-    EXPECT_STREQ(eventKindName(EventKind::MemAccess), "mem-access");
-    EXPECT_STREQ(eventKindName(EventKind::Commit), "commit");
+    // Every byte here is paid once per fetched instruction (the cold
+    // window record) or once per committed instruction of a profiling
+    // run (the trace record). A new field needs a reader: the offline
+    // tool for InstTrace, the trace writer for DynInstCold.
+    if constexpr (sizeof(void *) == 8) {
+        EXPECT_EQ(sizeof(InstTrace), 80u);
+        EXPECT_EQ(sizeof(DynInstCold), 40u);
+    }
 }
 
 TEST(TraceReserve, HoldsEveryWorkloadAtScaleOne)
