@@ -232,7 +232,7 @@ IntervalGraphStream::next(IntervalGraph &g)
         // (fixed-speed) front end dispatches entry i + robSize
         // (derated by the occupancy margin).
         std::size_t robPeer = i + static_cast<std::size_t>(
-            cfg.robSize * cfg.occupancyMargin);
+            cfg.core.robSize * cfg.occupancyMargin);
         if (robPeer < trace.size()) {
             Tick ceil = trace[robPeer].dispatchTime;
             g.events[ie.execEvent].endCeiling = ceil;
@@ -320,9 +320,9 @@ IntervalGraphStream::next(IntervalGraph &g)
 
     auto queueCap = [&](Domain d) {
         switch (d) {
-          case Domain::Integer: return cfg.intIssueQueueSize;
-          case Domain::FloatingPoint: return cfg.fpIssueQueueSize;
-          case Domain::LoadStore: return cfg.lsqSize;
+          case Domain::Integer: return cfg.core.intIssueQueueSize;
+          case Domain::FloatingPoint: return cfg.core.fpIssueQueueSize;
+          case Domain::LoadStore: return cfg.core.lsqSize;
           default: return 0;
         }
     };
@@ -355,7 +355,7 @@ IntervalGraphStream::next(IntervalGraph &g)
             byFu[static_cast<int>(g.events[k.idx].fu)].push_back(k.idx);
         for (int fu = 0; fu < numFuClasses; ++fu) {
             const auto &list = byFu[fu];
-            int units = cfg.fuCount[fu];
+            int units = cfg.fuCount(static_cast<FuClass>(fu));
             if (units <= 0)
                 continue;
             for (std::size_t i2 = units; i2 < list.size(); ++i2)
@@ -364,6 +364,20 @@ IntervalGraphStream::next(IntervalGraph &g)
     }
     g.buildAdjacency();
     return true;
+}
+
+int
+DepGraphConfig::fuCount(FuClass fu) const
+{
+    switch (fu) {
+      case FuClass::None: return 0;
+      case FuClass::IntAlu: return core.intAlus;
+      case FuClass::IntMulDiv: return core.intMulDivs;
+      case FuClass::FpAlu: return core.fpAlus;
+      case FuClass::FpMulDivSqrt: return core.fpMulDivs;
+      case FuClass::MemPort: return core.memPorts;
+    }
+    return 0;
 }
 
 std::vector<IntervalGraph>

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "cpu/params.hh"
 #include "trace/trace.hh"
 
 namespace mcd {
@@ -186,14 +187,12 @@ void stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
 struct DepGraphConfig
 {
     Tick intervalLength = 50'000'000;   //!< 50K cycles at 1 GHz, in ps
-    int intIssueQueueSize = 20;
-    int fpIssueQueueSize = 15;
-    int lsqSize = 64;
-    int robSize = 80;
+    /** The profiled machine: its queue sizes and functional units. */
+    CoreParams core;
     /**
      * The simulator encodes completion times half a clock period
      * early so jittered edge comparisons are robust (see
-     * cpu/pipeline.cc); at the 1 GHz profiling frequency the true
+     * cpu/issue_unit.cc); at the 1 GHz profiling frequency the true
      * result-latch time is this much later than the recorded one.
      */
     Tick completionSkew = 500;
@@ -204,9 +203,11 @@ struct DepGraphConfig
      * synchronization quantization.
      */
     double occupancyMargin = 0.5;
-    int fuCount[numFuClasses] = {0, 4, 1, 2, 1, 2}; //!< by FuClass
     /** Relative per-time power of each domain's events. */
     double domainPower[numDomains] = {0.8, 1.0, 1.15, 1.05};
+
+    /** Units of functional-unit class @p fu in core (0: None). */
+    int fuCount(FuClass fu) const;
 };
 
 /**

@@ -24,6 +24,7 @@
 
 #include "analysis/schedule.hh"
 #include "common/types.hh"
+#include "cpu/pipeline_stats.hh"
 
 namespace mcd {
 
@@ -36,22 +37,8 @@ namespace mcd {
 struct DomainStats
 {
     Domain domain = Domain::Integer;
-    std::uint64_t windowCycles = 0;     //!< domain edges in the window
-    std::uint64_t occupancySum = 0;     //!< Σ queue entries per edge
-    std::size_t queueLength = 0;        //!< instantaneous entries
-    int queueCapacity = 0;
+    OccupancyWindow window;             //!< the queue since last time
     Hertz frequency = 0.0;              //!< current domain frequency
-
-    /** Mean queue-fill fraction [0, 1] over the window. */
-    double
-    meanOccupancy() const
-    {
-        if (!windowCycles || queueCapacity <= 0)
-            return 0.0;
-        return static_cast<double>(occupancySum) /
-            (static_cast<double>(windowCycles) *
-             static_cast<double>(queueCapacity));
-    }
 };
 
 /** One operating-point request produced by a controller. */

@@ -56,7 +56,7 @@ GovernorController::observe(const DomainStats &stats, Tick)
 
     int di = domainIndex(stats.domain);
     int top = table.numPoints() - 1;
-    double u = stats.meanOccupancy();
+    double u = stats.window.meanOccupancy();
 
     if (!seen[di]) {
         seen[di] = true;

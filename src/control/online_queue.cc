@@ -36,7 +36,7 @@ OnlineQueueController::observe(const DomainStats &stats, Tick)
         return;
 
     int di = domainIndex(stats.domain);
-    double u = stats.meanOccupancy();
+    double u = stats.window.meanOccupancy();
 
     if (!seen[di]) {
         // First observation: latch the operating point the domain

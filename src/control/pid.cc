@@ -32,7 +32,7 @@ PidController::observe(const DomainStats &stats, Tick)
         return;
 
     int di = domainIndex(stats.domain);
-    double u = stats.meanOccupancy();
+    double u = stats.window.meanOccupancy();
     int top = table.numPoints() - 1;
 
     if (!seen[di]) {

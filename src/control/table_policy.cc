@@ -49,7 +49,7 @@ TablePolicyController::observe(const DomainStats &stats, Tick)
         return;
 
     int di = domainIndex(stats.domain);
-    double u = stats.meanOccupancy();
+    double u = stats.window.meanOccupancy();
 
     if (!seen[di]) {
         seen[di] = true;

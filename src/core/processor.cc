@@ -106,14 +106,7 @@ McdProcessor::McdProcessor(const SimConfig &config, const Program &program)
 void
 McdProcessor::observeAndControl(Domain d, int di, Tick now)
 {
-    OccupancyWindow w = pipe->takeOccupancyWindow(d);
-    DomainStats s;
-    s.domain = d;
-    s.windowCycles = w.cycles;
-    s.occupancySum = w.occupancySum;
-    s.queueLength = w.queueLength;
-    s.queueCapacity = w.capacity;
-    s.frequency = clocks[di]->frequency();
+    DomainStats s{d, pipe->takeOccupancyWindow(d), clocks[di]->frequency()};
     controller->observe(s, now);
 
     if (!controller->requests().empty()) {

@@ -3,8 +3,8 @@
  * State shared by the four per-domain execution units, and the typed
  * synchronization ports wiring them together.
  *
- * The units (front_end_unit / int_unit / fp_unit / ls_unit) model the
- * paper's GALS machine: each owns the structures clocked by its
+ * The units (front_end_unit / issue_unit / ls_unit) model the paper's
+ * GALS machine: each owns the structures clocked by its
  * domain and touches another domain's work only through the ports in
  * DomainPorts, where the SyncRule of the (source, destination) pair
  * is applied and blocked probes are counted. CoreShared carries the
@@ -12,6 +12,11 @@
  * (allocated at fetch, reclaimed at commit), the rename/scoreboard
  * state the result bus reads, and the references to the oracle,
  * memory hierarchy, power model, and trace collector.
+ *
+ * The integer and FP halves of the machine are one structure at two
+ * sizes, so their paired state is an array indexed by register class
+ * (regClass): the rename state, the issue queues, and their credit
+ * channels.
  */
 
 #ifndef MCD_CPU_CORE_SHARED_HH
@@ -37,6 +42,16 @@ namespace mcd {
 
 class SamplingPolicy;   // core/sampling.hh; only sampled runs bind one
 
+/** Register classes: 0 integer, 1 floating point. A DynInst's
+ *  src1Fp/src2Fp flag is a class index as it stands. */
+inline constexpr int numRegClasses = 2;
+
+/** The register class a destination of kind @p k is renamed in. */
+inline int regClass(DestKind k) { return k == DestKind::Fp ? 1 : 0; }
+
+/** One RenameState per register class. */
+using RenameFiles = std::array<RenameState, numRegClasses>;
+
 /**
  * Register-result visibility across domains: a consumer may read a
  * physical register only once the producing domain's write has
@@ -48,9 +63,7 @@ class SamplingPolicy;   // core/sampling.hh; only sampled runs bind one
 class ResultBus
 {
   public:
-    ResultBus(const RenameState &int_rename, const RenameState &fp_rename)
-        : intRename(int_rename), fpRename(fp_rename)
-    {}
+    explicit ResultBus(const RenameFiles &rename_) : rename(rename_) {}
 
     void
     setRule(Domain from, Domain to, SyncRule rule)
@@ -64,7 +77,7 @@ class ResultBus
     {
         if (phys == noReg)
             return true;
-        const RenameState &rs = is_fp ? fpRename : intRename;
+        const RenameState &rs = rename[is_fp];
         if (!rs.isReady(phys))
             return false;
         return rules[domainIndex(rs.producedBy(phys))]
@@ -73,8 +86,7 @@ class ResultBus
     }
 
   private:
-    const RenameState &intRename;
-    const RenameState &fpRename;
+    const RenameFiles &rename;
     std::array<std::array<SyncRule, numDomains>, numDomains> rules{};
 };
 
@@ -84,30 +96,30 @@ class ResultBus
  */
 struct DomainPorts
 {
-    DomainPorts(const RenameState &int_rename,
-                const RenameState &fp_rename,
-                int int_iq_credits, int fp_iq_credits, int lsq_capacity)
-        : intIqCredits(SyncRule(false, 0), int_iq_credits),
-          fpIqCredits(SyncRule(false, 0), fp_iq_credits),
-          results(int_rename, fp_rename)
+    DomainPorts(const RenameFiles &rename, int int_iq_size, int fp_iq_size,
+                int lsq_capacity)
+        : iqCredits{CreditReturnChannel(SyncRule(false, 0), int_iq_size),
+                    CreditReturnChannel(SyncRule(false, 0), fp_iq_size)},
+          results(rename)
     {
         // Pre-size every bounded queue so the steady state never
         // touches the allocator (growth is counted; see stats()).
-        intIq.reserve(static_cast<std::size_t>(int_iq_credits));
-        fpIq.reserve(static_cast<std::size_t>(fp_iq_credits));
+        for (int c = 0; c < numRegClasses; ++c) {
+            auto n = static_cast<std::size_t>(c ? fp_iq_size : int_iq_size);
+            iq[c].reserve(n);
+            iqCredits[c].reserve(n);
+        }
         lsq.reserve(static_cast<std::size_t>(lsq_capacity));
-        intIqCredits.reserve(static_cast<std::size_t>(int_iq_credits));
-        fpIqCredits.reserve(static_cast<std::size_t>(fp_iq_credits));
     }
 
-    /** Dispatch into the issue queues and LSQ (front end -> back end). */
-    SyncPort<DynInst *, std::vector> intIq;
-    SyncPort<DynInst *, std::vector> fpIq;
+    /** Dispatch into the issue queues, by register class, and the LSQ
+     *  (front end -> back end). */
+    std::array<SyncPort<DynInst *, std::vector>, numRegClasses> iq;
     SyncPort<DynInst *, RingDeque> lsq;
 
-    /** Issue-queue slot returns (back end -> front end). */
-    CreditReturnChannel intIqCredits;
-    CreditReturnChannel fpIqCredits;
+    /** Issue-queue slot returns, by register class (back end -> front
+     *  end). */
+    std::array<CreditReturnChannel, numRegClasses> iqCredits;
 
     /** Generated addresses (integer domain -> LSQ). */
     SyncSignal addr;
@@ -131,8 +143,8 @@ struct CoreShared
                PowerModel *power, TraceCollector *collector)
         : cfg(params), oracle(oracle_), mem(memory), clk(clocks),
           powerModel(power), tracer(collector),
-          intRename(numArchIntRegs, params.physIntRegs),
-          fpRename(numArchFpRegs, params.physFpRegs),
+          rename{RenameState(numArchIntRegs, params.physIntRegs),
+                 RenameState(numArchFpRegs, params.physFpRegs)},
           window(params.robSize + params.fetchQueueSize)
     {}
 
@@ -143,8 +155,7 @@ struct CoreShared
     PowerModel *powerModel;
     TraceCollector *tracer;
 
-    RenameState intRename;
-    RenameState fpRename;
+    RenameFiles rename;     //!< by register class
 
     // Instruction window storage (fetch order; popped at commit):
     // a fixed-capacity ring arena with stable slot addresses
@@ -173,10 +184,8 @@ struct CoreShared
     void
     produceResult(DynInst *in, Tick when, Domain producer)
     {
-        if (in->dest == DestKind::Int)
-            intRename.markReady(in->destPhys, when, producer);
-        else if (in->dest == DestKind::Fp)
-            fpRename.markReady(in->destPhys, when, producer);
+        if (in->dest != DestKind::None)
+            rename[regClass(in->dest)].markReady(in->destPhys, when, producer);
     }
 };
 

@@ -12,10 +12,11 @@ CoreUnits::CoreUnits(const CoreParams &params, Executor &oracle,
                      double sync_fraction, PowerModel *power,
                      TraceCollector *collector, std::uint64_t commit_cap)
     : shared(params, oracle, memory, clocks, power, collector),
-      ports(shared.intRename, shared.fpRename,
-            params.intIssueQueueSize, params.fpIssueQueueSize,
-            params.lsqSize),
-      fe(shared, ports), intUnit(shared, ports), fpUnit(shared, ports),
+      ports(shared.rename, params.intIssueQueueSize,
+            params.fpIssueQueueSize, params.lsqSize),
+      fe(shared, ports),
+      issue{IssueUnit(shared, ports, IssueSide::of(params, 0)),
+            IssueUnit(shared, ports, IssueSide::of(params, 1))},
       lsUnit(shared, ports), commitCap(commit_cap)
 {
     // Build the synchronization-rule matrix. T_s is 30% of the period
@@ -36,19 +37,18 @@ CoreUnits::CoreUnits(const CoreParams &params, Executor &oracle,
 
     int fe_i = domainIndex(Domain::FrontEnd);
     int int_i = domainIndex(Domain::Integer);
-    int fp_i = domainIndex(Domain::FloatingPoint);
     int ls_i = domainIndex(Domain::LoadStore);
 
-    // Dispatch crosses from the front end into the back-end domains.
-    ports.intIq.setRule(rules[fe_i][int_i]);
-    ports.fpIq.setRule(rules[fe_i][fp_i]);
+    // Dispatch crosses from the front end into the back-end domains;
+    // issue-queue credit returns cross back. Rebind the rule only —
+    // the channels were built (and their in-flight rings pre-sized)
+    // by the DomainPorts ctor.
+    for (int c = 0; c < numRegClasses; ++c) {
+        int x = domainIndex(issue[c].domain());
+        ports.iq[c].setRule(rules[fe_i][x]);
+        ports.iqCredits[c].setRule(rules[x][fe_i]);
+    }
     ports.lsq.setRule(rules[fe_i][ls_i]);
-
-    // Issue-queue credit returns cross from the back-end domains into
-    // the front end. Rebind the rule only — the channels were built
-    // (and their in-flight rings pre-sized) by the DomainPorts ctor.
-    ports.intIqCredits.setRule(rules[int_i][fe_i]);
-    ports.fpIqCredits.setRule(rules[fp_i][fe_i]);
 
     // Generated addresses cross from the integer domain into the LSQ.
     ports.addr.setRule(rules[int_i][ls_i]);
@@ -80,8 +80,8 @@ CoreUnits::tickDomain(Domain d, Tick now)
             stopReq = true;
         }
         break;
-      case Domain::Integer: intUnit.tick(now); break;
-      case Domain::FloatingPoint: fpUnit.tick(now); break;
+      case Domain::Integer:
+      case Domain::FloatingPoint: issueUnit(d).tick(now); break;
       case Domain::LoadStore: lsUnit.tick(now); break;
     }
 }
@@ -142,16 +142,19 @@ CoreUnits::ffExecuted() const
 std::uint64_t
 CoreUnits::ringGrows() const
 {
-    return fe.ringGrows() + ports.lsq.containerGrows() +
-        ports.intIqCredits.grows() + ports.fpIqCredits.grows();
+    std::uint64_t n = fe.ringGrows() + ports.lsq.containerGrows();
+    for (const CreditReturnChannel &c : ports.iqCredits)
+        n += c.grows();
+    return n;
 }
 
 PipelineStats
 CoreUnits::stats() const
 {
     PipelineStats st = shared.stat;
-    st.syncDispatchWaits = ports.intIq.waits() + ports.fpIq.waits() +
-        ports.lsq.waits();
+    st.syncDispatchWaits = ports.lsq.waits();
+    for (const auto &q : ports.iq)
+        st.syncDispatchWaits += q.waits();
     st.syncCommitStalls = ports.completion.waits();
     st.syncAddrWaits = ports.addr.waits();
     return st;
@@ -162,8 +165,8 @@ CoreUnits::queueLength(Domain d) const
 {
     switch (d) {
       case Domain::FrontEnd: return fe.robLength();
-      case Domain::Integer: return intUnit.queueLength();
-      case Domain::FloatingPoint: return fpUnit.queueLength();
+      case Domain::Integer:
+      case Domain::FloatingPoint: return issueUnit(d).queueLength();
       case Domain::LoadStore: return lsUnit.queueLength();
     }
     return 0;
@@ -174,8 +177,8 @@ CoreUnits::queueCapacity(Domain d) const
 {
     switch (d) {
       case Domain::FrontEnd: return shared.cfg.robSize;
-      case Domain::Integer: return shared.cfg.intIssueQueueSize;
-      case Domain::FloatingPoint: return shared.cfg.fpIssueQueueSize;
+      case Domain::Integer:
+      case Domain::FloatingPoint: return issueUnit(d).queueCapacity();
       case Domain::LoadStore: return shared.cfg.lsqSize;
     }
     return 0;

@@ -20,9 +20,8 @@
 #define MCD_CPU_CORE_UNITS_HH
 
 #include "cpu/core_shared.hh"
-#include "cpu/fp_unit.hh"
 #include "cpu/front_end_unit.hh"
-#include "cpu/int_unit.hh"
+#include "cpu/issue_unit.hh"
 #include "cpu/ls_unit.hh"
 
 namespace mcd {
@@ -102,12 +101,17 @@ class CoreUnits
   private:
     void driveSampling(Tick now);
 
+    /** The issue unit of execution domain @p d. */
+    IssueUnit &issueUnit(Domain d)
+    { return issue[d == Domain::FloatingPoint]; }
+    const IssueUnit &issueUnit(Domain d) const
+    { return issue[d == Domain::FloatingPoint]; }
+
     CoreShared shared;
     DomainPorts ports;
 
     FrontEndUnit fe;
-    IntUnit intUnit;
-    FpUnit fpUnit;
+    std::array<IssueUnit, numRegClasses> issue;     //!< integer, FP
     LsUnit lsUnit;
 
     std::uint64_t commitCap;

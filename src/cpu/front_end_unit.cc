@@ -7,23 +7,25 @@ namespace mcd {
 
 namespace {
 
-/** Does this instruction occupy an integer issue-queue slot? */
-bool
-usesIntIq(const Inst &inst)
+/**
+ * The issue queue (register class) an instruction occupies, or -1 for
+ * NOP and HALT, which complete in the front end. Memory ops use the
+ * integer queue for address generation.
+ */
+int
+issueClass(Opcode op)
 {
-    Opcode op = inst.op;
-    if (op == Opcode::NOP || op == Opcode::HALT)
-        return false;
-    // Memory ops use the integer queue for address generation.
-    return isIntAlu(op) || isIntMulDiv(op) || isBranch(op) ||
-        isJump(op) || isMem(op);
+    if (isFp(op))
+        return 1;
+    if (isIntAlu(op) || isIntMulDiv(op) || isBranch(op) || isJump(op) ||
+        isMem(op)) {
+        return 0;
+    }
+    return -1;
 }
 
-bool
-usesFpIq(const Inst &inst)
-{
-    return isFp(inst.op);
-}
+/** Issue-queue write energy, by register class. */
+constexpr Unit iqWrite[numRegClasses] = {Unit::IntIqWrite, Unit::FpIqWrite};
 
 } // namespace
 
@@ -34,15 +36,7 @@ FrontEndUnit::commitStage(Tick now)
     while (n < s.cfg.retireWidth && !rob.empty()) {
         DynInst *in = rob.front();
 
-        bool complete;
-        if (in->isMemOp()) {
-            complete = in->memDone;
-        } else if (in->isHalt || in->inst.op == Opcode::NOP) {
-            complete = in->executed;
-        } else {
-            complete = in->executed;
-        }
-        if (!complete)
+        if (!(in->isMemOp() ? in->memDone : in->executed))
             break;
         if (!p.completion.probe(in->completionDomain(),
                                 in->completionTime(), now)) {
@@ -66,12 +60,8 @@ FrontEndUnit::commitStage(Tick now)
         }
 
         // Free the previous mapping of the destination register.
-        if (in->oldDestPhys != noReg) {
-            if (in->dest == DestKind::Fp)
-                s.fpRename.release(in->oldDestPhys);
-            else
-                s.intRename.release(in->oldDestPhys);
-        }
+        if (in->oldDestPhys != noReg)
+            s.rename[regClass(in->dest)].release(in->oldDestPhys);
         if (in->isMemOp())
             ++lsqFree;
 
@@ -84,11 +74,8 @@ FrontEndUnit::commitStage(Tick now)
             ++s.stat.committedStores;
         else if (isFp(op))
             ++s.stat.committedFp;
-        else if (isControl(op)) {
-            ++s.stat.committedBranches;
-            if (in->mispredicted)
-                ++s.stat.mispredicts;
-        }
+        else if (isControl(op) && in->mispredicted)
+            ++s.stat.mispredicts;
 
         recordTrace(in);
 
@@ -128,59 +115,41 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
     const Inst &inst = in->inst;
     Opcode op = inst.op;
 
-    if (static_cast<int>(rob.size()) >= s.cfg.robSize) {
-        ++s.stat.robFullStalls;
+    if (static_cast<int>(rob.size()) >= s.cfg.robSize)
         return false;
-    }
 
-    bool needIntIq = usesIntIq(inst);
-    bool needFpIq = usesFpIq(inst);
+    int iq = issueClass(op);
     bool needLsq = isMem(op);
     DestKind dk = destKind(inst);
 
-    if (dk == DestKind::Int && !s.intRename.hasFree())
+    if (dk != DestKind::None && !s.rename[regClass(dk)].hasFree())
         return false;
-    if (dk == DestKind::Fp && !s.fpRename.hasFree())
+    if (iq >= 0 && p.iqCredits[iq].credits(now) <= 0)
         return false;
-    if (needIntIq && p.intIqCredits.credits(now) <= 0) {
-        ++s.stat.iqFullStalls;
-        return false;
-    }
-    if (needFpIq && p.fpIqCredits.credits(now) <= 0) {
-        ++s.stat.iqFullStalls;
-        return false;
-    }
     if (needLsq && lsqFree <= 0)
         return false;
 
-    // Rename sources.
-    if (readsIntRs1(op) && inst.rs1 != reg::zero) {
-        in->src1Phys = s.intRename.lookup(inst.rs1);
-        in->src1Fp = false;
-        in->cold->src1Producer = s.intRename.lastWriterSeq(inst.rs1);
-    } else if (readsFpRs1(op)) {
-        in->src1Phys = s.fpRename.lookup(inst.rs1);
-        in->src1Fp = true;
-        in->cold->src1Producer = s.fpRename.lastWriterSeq(inst.rs1);
+    // Rename sources; each reads the integer file, the FP file, or
+    // nothing.
+    int c1 = readsIntRs1(op) && inst.rs1 != reg::zero ? 0
+        : readsFpRs1(op) ? 1 : -1;
+    if (c1 >= 0) {
+        in->src1Phys = s.rename[c1].lookup(inst.rs1);
+        in->src1Fp = c1;
+        in->cold->src1Producer = s.rename[c1].lastWriterSeq(inst.rs1);
     }
-    if (readsIntRs2(op) && inst.rs2 != reg::zero) {
-        in->src2Phys = s.intRename.lookup(inst.rs2);
-        in->src2Fp = false;
-        in->cold->src2Producer = s.intRename.lastWriterSeq(inst.rs2);
-    } else if (readsFpRs2(op)) {
-        in->src2Phys = s.fpRename.lookup(inst.rs2);
-        in->src2Fp = true;
-        in->cold->src2Producer = s.fpRename.lastWriterSeq(inst.rs2);
+    int c2 = readsIntRs2(op) && inst.rs2 != reg::zero ? 0
+        : readsFpRs2(op) ? 1 : -1;
+    if (c2 >= 0) {
+        in->src2Phys = s.rename[c2].lookup(inst.rs2);
+        in->src2Fp = c2;
+        in->cold->src2Producer = s.rename[c2].lastWriterSeq(inst.rs2);
     }
 
     // Rename destination.
     in->dest = dk;
-    if (dk == DestKind::Int) {
-        auto [phys, old] = s.intRename.allocate(inst.rd, in->seq);
-        in->destPhys = phys;
-        in->oldDestPhys = old;
-    } else if (dk == DestKind::Fp) {
-        auto [phys, old] = s.fpRename.allocate(inst.rd, in->seq);
+    if (dk != DestKind::None) {
+        auto [phys, old] = s.rename[regClass(dk)].allocate(inst.rd, in->seq);
         in->destPhys = phys;
         in->oldDestPhys = old;
     }
@@ -192,15 +161,10 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
     s.chargePower(Unit::Rob);
     s.chargePower(Unit::FetchQueue);
 
-    if (needIntIq) {
-        p.intIq.push(in, now);
-        p.intIqCredits.take();
-        s.chargePower(Unit::IntIqWrite);
-    }
-    if (needFpIq) {
-        p.fpIq.push(in, now);
-        p.fpIqCredits.take();
-        s.chargePower(Unit::FpIqWrite);
+    if (iq >= 0) {
+        p.iq[iq].push(in, now);
+        p.iqCredits[iq].take();
+        s.chargePower(iqWrite[iq]);
     }
     if (needLsq) {
         p.lsq.push(in, now);
@@ -241,7 +205,6 @@ FrontEndUnit::fetchStage(Tick now)
             redirectPenaltyLeft = s.cfg.mispredictPenalty;
             wrongPathChargeLeft = 0;
         } else {
-            ++s.stat.wrongPathFetchCycles;
             // Wrong-path fetch burns front-end energy only until the
             // fetch queue fills; after that the front end sits gated.
             if (wrongPathChargeLeft > 0) {
@@ -254,13 +217,10 @@ FrontEndUnit::fetchStage(Tick now)
     }
     if (redirectPenaltyLeft > 0) {
         --redirectPenaltyLeft;
-        ++s.stat.wrongPathFetchCycles;
         return;
     }
-    if (now < fetchReadyTime) {
-        ++s.stat.icacheMissStallCycles;
+    if (now < fetchReadyTime)
         return;
-    }
 
     const std::uint64_t lineMask =
         ~static_cast<std::uint64_t>(s.mem.l1i().params().lineBytes - 1);

@@ -22,13 +22,7 @@ struct PipelineStats
     std::uint64_t committedFp = 0;
     std::uint64_t committedLoads = 0;
     std::uint64_t committedStores = 0;
-    std::uint64_t committedBranches = 0;
     std::uint64_t mispredicts = 0;
-
-    std::uint64_t wrongPathFetchCycles = 0;
-    std::uint64_t icacheMissStallCycles = 0;
-    std::uint64_t robFullStalls = 0;
-    std::uint64_t iqFullStalls = 0;
 
     // Cross-domain synchronization waits (zero when singly clocked:
     // same-domain rules are always visible). Counted per blocked

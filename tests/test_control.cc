@@ -24,21 +24,21 @@ statsFor(Domain d, double occ, Hertz freq)
 {
     DomainStats s;
     s.domain = d;
-    s.windowCycles = 1000;
-    s.queueCapacity = 64;
-    s.occupancySum = static_cast<std::uint64_t>(
+    s.window.cycles = 1000;
+    s.window.capacity = 64;
+    s.window.occupancySum = static_cast<std::uint64_t>(
         occ * 1000.0 * 64.0 + 0.5);
-    s.queueLength = static_cast<std::size_t>(occ * 64.0);
+    s.window.queueLength = static_cast<std::size_t>(occ * 64.0);
     s.frequency = freq;
     return s;
 }
 
 TEST(DomainStats, MeanOccupancy)
 {
-    EXPECT_NEAR(statsFor(Domain::Integer, 0.5, 1e9).meanOccupancy(),
+    EXPECT_NEAR(statsFor(Domain::Integer, 0.5, 1e9).window.meanOccupancy(),
                 0.5, 1e-3);
     DomainStats empty;
-    EXPECT_EQ(empty.meanOccupancy(), 0.0);
+    EXPECT_EQ(empty.window.meanOccupancy(), 0.0);
 }
 
 TEST(ScheduleController, EmitsEntriesAtOrAfterTheirTime)

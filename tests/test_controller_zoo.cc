@@ -32,11 +32,11 @@ statsFor(Domain d, double occ, Hertz freq)
 {
     DomainStats s;
     s.domain = d;
-    s.windowCycles = 1000;
-    s.queueCapacity = 64;
-    s.occupancySum =
+    s.window.cycles = 1000;
+    s.window.capacity = 64;
+    s.window.occupancySum =
         static_cast<std::uint64_t>(occ * 1000.0 * 64.0 + 0.5);
-    s.queueLength = static_cast<std::size_t>(occ * 64.0);
+    s.window.queueLength = static_cast<std::size_t>(occ * 64.0);
     s.frequency = freq;
     return s;
 }

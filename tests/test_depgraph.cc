@@ -198,7 +198,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
             }
             g.events[ie.execEvent].floorStart = t.dispatchTime;
             std::size_t robPeer = i + static_cast<std::size_t>(
-                cfg.robSize * cfg.occupancyMargin);
+                cfg.core.robSize * cfg.occupancyMargin);
             if (robPeer < trace.size()) {
                 Tick ceil = trace[robPeer].dispatchTime;
                 g.events[ie.execEvent].endCeiling = ceil;
@@ -262,9 +262,10 @@ referenceGraphs(const std::vector<InstTrace> &trace,
         }
         auto queueCap = [&](Domain d) {
             switch (d) {
-              case Domain::Integer: return cfg.intIssueQueueSize;
-              case Domain::FloatingPoint: return cfg.fpIssueQueueSize;
-              case Domain::LoadStore: return cfg.lsqSize;
+              case Domain::Integer: return cfg.core.intIssueQueueSize;
+              case Domain::FloatingPoint:
+                return cfg.core.fpIssueQueueSize;
+              case Domain::LoadStore: return cfg.core.lsqSize;
               default: return 0;
             }
         };
@@ -287,7 +288,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
             for (std::int32_t e : v)
                 byFu[static_cast<int>(g.events[e].fu)].push_back(e);
             for (auto &[fu, list] : byFu) {
-                int units = cfg.fuCount[fu];
+                int units = cfg.fuCount(static_cast<FuClass>(fu));
                 if (units <= 0)
                     continue;
                 for (std::size_t i2 = units; i2 < list.size(); ++i2)
@@ -485,7 +486,7 @@ TEST(DepGraph, PartialIntervalClampsEnd)
 TEST(DepGraph, QueueCapacityCeilings)
 {
     DepGraphConfig cfg;
-    cfg.intIssueQueueSize = 4;
+    cfg.core.intIssueQueueSize = 4;
     cfg.occupancyMargin = 0.5;
     std::vector<InstTrace> tr;
     for (int i = 0; i < 8; ++i) {

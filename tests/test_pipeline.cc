@@ -24,16 +24,20 @@ run(const Program &p, bool mcd = false, double jitter = 0.0,
     return proc.run();
 }
 
-/** A loop of @p body_reps independent single-cycle adds. */
+/** Emits one register-register op (rd, rs1, rs2). */
+using EmitOp = void (Builder::*)(int, int, int);
+
+/** A loop of @p body_reps independent register-register ops, adds
+ *  unless @p emit names another (integer or FP) op. */
 Program
-independentAdds(int iters, int body_reps)
+independentOps(int iters, int body_reps, EmitOp emit = &Builder::add)
 {
     Builder b("ind");
     b.li(1, 0);
     b.li(2, iters);
     Label loop = b.here();
     for (int i = 0; i < body_reps; ++i)
-        b.add(10 + (i % 8), 3, 4);
+        (b.*emit)(10 + (i % 8), 3, 4);
     b.addi(1, 1, 1);
     b.blt(1, 2, loop);
     b.halt();
@@ -61,7 +65,7 @@ TEST(Pipeline, IndependentOpsReachDecodeWidth)
 {
     // 4-wide fetch/rename bounds IPC at 4; independent adds should
     // get close (branch ends each fetch group).
-    RunResult r = run(independentAdds(3000, 16));
+    RunResult r = run(independentOps(3000, 16));
     EXPECT_GT(r.ipc, 3.0);
     EXPECT_LE(r.ipc, 4.05);
 }
@@ -77,7 +81,7 @@ TEST(Pipeline, DependentChainSerializes)
 
 TEST(Pipeline, CommitsMatchFunctionalExecution)
 {
-    Program p = independentAdds(500, 7);
+    Program p = independentOps(500, 7);
     Executor ex(p);
     while (!ex.halted())
         ex.step();
@@ -87,7 +91,7 @@ TEST(Pipeline, CommitsMatchFunctionalExecution)
 
 TEST(Pipeline, MaxInstructionCapStopsEarly)
 {
-    Program p = independentAdds(5000, 7);
+    Program p = independentOps(5000, 7);
     RunResult r = run(p, false, 0.0, 1000);
     EXPECT_GE(r.committed, 1000u);
     EXPECT_LT(r.committed, 1200u);
@@ -123,8 +127,14 @@ TEST(Pipeline, MispredictsCostTime)
     EXPECT_LT(random.ipc, predictable.ipc * 0.75);
     EXPECT_GT(random.pipeline.mispredicts, 1000u);
     EXPECT_LT(predictable.pipeline.mispredicts, 100u);
-    EXPECT_GT(random.pipeline.wrongPathFetchCycles,
-              predictable.pipeline.wrongPathFetchCycles * 5);
+    // Each misprediction stalls fetch until the branch resolves, then
+    // for the 7-cycle redirect penalty.
+    int fe = domainIndex(Domain::FrontEnd);
+    double lostCycles =
+        static_cast<double>(random.domains[fe].cycles) -
+        static_cast<double>(predictable.domains[fe].cycles);
+    EXPECT_GT(lostCycles / static_cast<double>(random.pipeline.mispredicts),
+              7.0);
 }
 
 TEST(Pipeline, LoadUseLatencyVisible)
@@ -175,49 +185,92 @@ TEST(Pipeline, StoreLoadForwarding)
 
 TEST(Pipeline, FpOpsExecuteInFpDomain)
 {
-    Builder b("fp");
-    std::uint64_t c = b.dataDouble(1.5);
-    b.li(4, static_cast<std::int64_t>(c));
-    b.fld(1, 4, 0);
-    b.li(1, 0);
-    b.li(2, 1000);
-    Label loop = b.here();
-    b.fmul(2, 1, 1);
-    b.fadd(3, 2, 1);
-    b.addi(1, 1, 1);
-    b.blt(1, 2, loop);
-    b.halt();
-    RunResult r = run(b.build());
+    // The same loop with FP ops and with their integer counterparts.
+    auto make = [](bool fp) {
+        Builder b("fp");
+        std::uint64_t c = b.dataDouble(1.5);
+        b.li(4, static_cast<std::int64_t>(c));
+        b.fld(1, 4, 0);
+        b.li(1, 0);
+        b.li(2, 1000);
+        Label loop = b.here();
+        if (fp) {
+            b.fmul(2, 1, 1);
+            b.fadd(3, 2, 1);
+        } else {
+            b.mul(12, 11, 11);
+            b.add(13, 12, 11);
+        }
+        b.addi(1, 1, 1);
+        b.blt(1, 2, loop);
+        b.halt();
+        return b.build();
+    };
+    RunResult r = run(make(true));
+    RunResult ints = run(make(false));
     EXPECT_GT(r.pipeline.committedFp, 1900u);
+    // The FP domain did the work: its energy per cycle is several
+    // times the gated residual it pays when only integer ops run.
+    auto fpEnergyPerCycle = [](const RunResult &x) {
+        const DomainSummary &d = x.domains[domainIndex(Domain::FloatingPoint)];
+        return d.energy / static_cast<double>(d.cycles);
+    };
+    EXPECT_GT(fpEnergyPerCycle(r), 2.0 * fpEnergyPerCycle(ints));
+}
+
+TEST(Pipeline, FpIssueWidthIsTwo)
+{
+    // Two FP ALUs issue two FADDs per FP cycle, so an iteration of 16
+    // takes at least 8 cycles; the same loop of integer adds issues
+    // four wide.
+    RunResult fp = run(independentOps(3000, 16, &Builder::fadd));
+    RunResult ints = run(independentOps(3000, 16));
+    EXPECT_LE(fp.ipc, 18.0 / 8.0);
+    EXPECT_GT(fp.ipc, 2.0);
+    EXPECT_GT(ints.ipc, 3.0);
+}
+
+TEST(Pipeline, FdivsSerializeOnOneUnpipelinedUnit)
+{
+    // Independent FDIVs still queue for the single FP mul/div/sqrt
+    // unit, which holds each one for its 12-cycle latency.
+    constexpr int iters = 250, divs = 8;
+    RunResult r = run(independentOps(iters, divs, &Builder::fdiv));
+    double ns = static_cast<double>(r.execTime) / 1000.0;   // 1 GHz
+    EXPECT_NEAR(ns / (iters * divs), 12.0, 0.5);
 }
 
 TEST(Pipeline, RobStallsUnderLongLatency)
 {
-    // Serial L2-missing chase fills the ROB with waiters.
-    Builder b("rob");
-    constexpr int n = 8192;     // 64 KB of pointers, plus stride > L1
-    std::uint64_t nodes = b.dataBlock(n * 8);
-    for (int i = 0; i < n; ++i)
-        b.setDataWord(nodes + 64ull * i,
-                      nodes + 64ull * ((i + 1) % n));
-    b.li(4, static_cast<std::int64_t>(nodes));
-    b.li(1, 0);
-    b.li(2, 2000);
-    Label loop = b.here();
-    b.ld(4, 4, 0);
-    for (int k = 0; k < 6; ++k)
-        b.add(10 + k, 4, 1);
-    b.addi(1, 1, 1);
-    b.blt(1, 2, loop);
-    b.halt();
-    RunResult r = run(b.build());
-    EXPECT_GT(r.pipeline.robFullStalls + r.pipeline.iqFullStalls, 100u);
+    // Serial L2-missing chase fills the ROB with waiters; the same
+    // chase round an L1-resident ring does not.
+    auto make = [](int n) {
+        Builder b("rob");
+        std::uint64_t nodes = b.dataBlock(n * 8);
+        for (int i = 0; i < n; ++i)
+            b.setDataWord(nodes + 64ull * i,
+                          nodes + 64ull * ((i + 1) % n));
+        b.li(4, static_cast<std::int64_t>(nodes));
+        b.li(1, 0);
+        b.li(2, 2000);
+        Label loop = b.here();
+        b.ld(4, 4, 0);
+        for (int k = 0; k < 6; ++k)
+            b.add(10 + k, 4, 1);
+        b.addi(1, 1, 1);
+        b.blt(1, 2, loop);
+        b.halt();
+        return b.build();
+    };
+    RunResult r = run(make(8192));     // 64 KB of pointers, stride > L1
+    RunResult resident = run(make(16));
     EXPECT_LT(r.ipc, 0.7);
+    EXPECT_LT(r.ipc, resident.ipc / 4.0);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns)
 {
-    Program p = independentAdds(1000, 5);
+    Program p = independentOps(1000, 5);
     RunResult a = run(p, true, defaultJitterSigmaPs);
     RunResult b = run(p, true, defaultJitterSigmaPs);
     EXPECT_EQ(a.execTime, b.execTime);
@@ -256,9 +309,8 @@ TEST(Pipeline, HaltAloneCommits)
 
 TEST(Pipeline, BranchStatsCounted)
 {
-    RunResult r = run(independentAdds(100, 3));
-    EXPECT_GE(r.pipeline.committedBranches, 100u);
-    EXPECT_GT(r.bpredLookups, 0u);
+    RunResult r = run(independentOps(100, 3));
+    EXPECT_GE(r.bpredLookups, 100u);
 }
 
 TEST(Pipeline, IcacheMissesStallFetch)
@@ -271,7 +323,9 @@ TEST(Pipeline, IcacheMissesStallFetch)
     b.halt();
     RunResult r = run(b.build());
     EXPECT_GT(r.l1i.misses, 500u);
-    EXPECT_GT(r.pipeline.icacheMissStallCycles, 500u);
+    // The same adds from a 16-instruction loop body fetch four wide.
+    RunResult small = run(independentOps(1250, 16));
+    EXPECT_LT(r.ipc, small.ipc / 4.0);
 }
 
 } // namespace

@@ -132,38 +132,16 @@ TEST(Sampling, WithinToleranceOnAdpcmAndMst)
 }
 
 /**
- * Full-detail byte-identity: with sampling off, the adpcm+mst matrix
- * at jobs=1 reproduces the committed results and stats fixtures byte
- * for byte —
- * the memory-layout overhaul (and the sampling hooks) must not move
- * a single result bit of an unsampled run.
+ * Full-detail byte-identity: with sampling off, the adpcm+mst and
+ * tsp+art matrices at jobs=1 reproduce the committed results and
+ * stats fixtures byte for byte — the memory-layout overhaul (and the
+ * sampling hooks) must not move a single result bit of an unsampled
+ * run. adpcm and mst run no FP instruction; tsp and art pin the FP
+ * issue path.
  */
 TEST(Sampling, FullDetailMatchesGoldenFixture)
 {
     fs::path dir = fs::temp_directory_path() / "mcd-sampling-golden";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    fs::path results = dir / "results.json";
-
-    // The fixture is produced with full telemetry (the CI golden job
-    // sets MCD_STATS_OUT / MCD_TRACE_OUT and MCD_BENCHMARKS); mirror
-    // that — including the benchmarks option's "env" provenance in the
-    // emitted effectiveConfig block — and make sure no stray sampling
-    // knob leaks in.
-    ::unsetenv("MCD_SAMPLING");
-    ::setenv("MCD_BENCHMARKS", "adpcm,mst", 1);
-    ::setenv("MCD_RESULTS_JSON", (dir / "results.json").c_str(), 1);
-    ::setenv("MCD_STATS_OUT", (dir / "stats.json").c_str(), 1);
-    ::setenv("MCD_TRACE_OUT", (dir / "trace.json").c_str(), 1);
-
-    ExperimentConfig ec;    // empty cacheDir: caching disabled
-    runMatrix(ec, {"adpcm", "mst"}, 1);
-
-    ::unsetenv("MCD_BENCHMARKS");
-    ::unsetenv("MCD_RESULTS_JSON");
-    ::unsetenv("MCD_STATS_OUT");
-    ::unsetenv("MCD_TRACE_OUT");
-
     auto slurp = [](const fs::path &p) {
         std::ifstream in(p, std::ios::binary);
         std::ostringstream ss;
@@ -171,21 +149,49 @@ TEST(Sampling, FullDetailMatchesGoldenFixture)
         return ss.str();
     };
     fs::path golden = fs::path(MCD_SOURCE_DIR) / "tests" / "golden";
-    std::string got = slurp(results);
-    ASSERT_FALSE(got.empty());
-    std::string want = slurp(golden / "results_adpcm_mst.json");
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(got, want) << "full-detail results drifted from the "
-                            "golden fixture";
 
-    // The stats document carries every periodic sample's occupancy
-    // histogram, so it pins where the run loop places each sample.
-    got = slurp(dir / "stats.json");
-    ASSERT_FALSE(got.empty());
-    want = slurp(golden / "stats_adpcm_mst.json");
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(got, want) << "full-detail stats drifted from the "
-                            "golden fixture";
+    for (const auto &[a, b] : {std::pair{"adpcm", "mst"},
+                               std::pair{"tsp", "art"}}) {
+        std::string stem = std::string(a) + "_" + b;
+        SCOPED_TRACE(stem);
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+
+        // The fixture is produced with full telemetry (the CI golden
+        // job sets MCD_STATS_OUT / MCD_TRACE_OUT and MCD_BENCHMARKS);
+        // mirror that — including the benchmarks option's "env"
+        // provenance in the emitted effectiveConfig block — and make
+        // sure no stray sampling knob leaks in.
+        ::unsetenv("MCD_SAMPLING");
+        ::setenv("MCD_BENCHMARKS", (std::string(a) + "," + b).c_str(), 1);
+        ::setenv("MCD_RESULTS_JSON", (dir / "results.json").c_str(), 1);
+        ::setenv("MCD_STATS_OUT", (dir / "stats.json").c_str(), 1);
+        ::setenv("MCD_TRACE_OUT", (dir / "trace.json").c_str(), 1);
+
+        ExperimentConfig ec;    // empty cacheDir: caching disabled
+        runMatrix(ec, {a, b}, 1);
+
+        ::unsetenv("MCD_BENCHMARKS");
+        ::unsetenv("MCD_RESULTS_JSON");
+        ::unsetenv("MCD_STATS_OUT");
+        ::unsetenv("MCD_TRACE_OUT");
+
+        std::string got = slurp(dir / "results.json");
+        ASSERT_FALSE(got.empty());
+        std::string want = slurp(golden / ("results_" + stem + ".json"));
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(got, want) << "full-detail results drifted from the "
+                                "golden fixture";
+
+        // The stats document carries every periodic sample's occupancy
+        // histogram, so it pins where the run loop places each sample.
+        got = slurp(dir / "stats.json");
+        ASSERT_FALSE(got.empty());
+        want = slurp(golden / ("stats_" + stem + ".json"));
+        ASSERT_FALSE(want.empty());
+        EXPECT_EQ(got, want) << "full-detail stats drifted from the "
+                                "golden fixture";
+    }
     fs::remove_all(dir);
 }
 
