@@ -116,31 +116,28 @@ makePid(const ControllerContext &ctx, const std::string &spec)
     return std::make_unique<PidController>(p, ctx.table);
 }
 
-ControllerRegistry::Factory
-makeGovernor(GovernorPolicy policy)
+template <GovernorPolicy Policy>
+std::unique_ptr<DvfsController>
+makeGovernor(const ControllerContext &ctx, const std::string &spec)
 {
-    return [policy](const ControllerContext &ctx,
-                    const std::string &spec) {
-        const std::string who = governorPolicyName(policy);
-        GovernorParams p;
-        for (const ControllerParam &kv :
-             parseControllerParams(spec, "controller '" + who + "'")) {
-            if (commonParam(p, kv))
-                continue;
-            else if (kv.first == "up-threshold")
-                p.upThreshold = kv.second;
-            else if (kv.first == "down-threshold")
-                p.downThreshold = kv.second;
-            else if (kv.first == "step-points")
-                p.stepPoints = static_cast<int>(kv.second);
-            else
-                unknownKey(who, kv.first,
-                           "interval-us, scale-fe, up-threshold, "
-                           "down-threshold, step-points");
-        }
-        return std::unique_ptr<DvfsController>(
-            std::make_unique<GovernorController>(policy, p, ctx.table));
-    };
+    const std::string who = governorPolicyName(Policy);
+    GovernorParams p;
+    for (const ControllerParam &kv :
+         parseControllerParams(spec, "controller '" + who + "'")) {
+        if (commonParam(p, kv))
+            continue;
+        else if (kv.first == "up-threshold")
+            p.upThreshold = kv.second;
+        else if (kv.first == "down-threshold")
+            p.downThreshold = kv.second;
+        else if (kv.first == "step-points")
+            p.stepPoints = static_cast<int>(kv.second);
+        else
+            unknownKey(who, kv.first,
+                       "interval-us, scale-fe, up-threshold, "
+                       "down-threshold, step-points");
+    }
+    return std::make_unique<GovernorController>(Policy, p, ctx.table);
 }
 
 std::unique_ptr<DvfsController>
@@ -160,94 +157,48 @@ makeTable(const ControllerContext &ctx, const std::string &spec)
     return std::make_unique<TablePolicyController>(p, ctx.table);
 }
 
+struct BuiltIn
+{
+    std::string_view name;
+    std::unique_ptr<DvfsController> (*make)(const ControllerContext &ctx,
+                                            const std::string &params);
+};
+
+/** The registry: names are [A-Za-z0-9_-]+ and unique. */
+constexpr BuiltIn builtIns[] = {
+    // Queue-occupancy attack/decay law (the matrix's online leg).
+    {"online-queue", makeOnlineQueue},
+    // PID feedback on queue occupancy vs a setpoint.
+    {"pid", makePid},
+    // Pin every domain at full speed.
+    {"governor-performance", makeGovernor<GovernorPolicy::Performance>},
+    // Pin every domain at minimum speed.
+    {"governor-powersave", makeGovernor<GovernorPolicy::Powersave>},
+    // Jump to full speed above the up-threshold, else track load
+    // proportionally.
+    {"governor-ondemand", makeGovernor<GovernorPolicy::Ondemand>},
+    // Step gradually with a rollback point on dilation overshoot.
+    {"governor-conservative", makeGovernor<GovernorPolicy::Conservative>},
+    // Offline-trained (occupancy x trend) -> step lookup.
+    {"table", makeTable},
+};
+
 } // namespace
 
-ControllerRegistry &
+const ControllerRegistry &
 ControllerRegistry::instance()
 {
-    static ControllerRegistry reg;
-    static const bool initialized = [] {
-        ControllerRegistry &r = reg;
-        r.add("online-queue",
-              "queue-occupancy attack/decay law (PR2's online leg)",
-              makeOnlineQueue);
-        r.add("pid", "PID feedback on queue occupancy vs a setpoint",
-              makePid);
-        r.add("governor-performance", "pin every domain at full speed",
-              makeGovernor(GovernorPolicy::Performance));
-        r.add("governor-powersave", "pin every domain at minimum speed",
-              makeGovernor(GovernorPolicy::Powersave));
-        r.add("governor-ondemand",
-              "jump to full speed above the up-threshold, else track "
-              "load proportionally",
-              makeGovernor(GovernorPolicy::Ondemand));
-        r.add("governor-conservative",
-              "step gradually with a rollback point on dilation "
-              "overshoot",
-              makeGovernor(GovernorPolicy::Conservative));
-        r.add("table",
-              "offline-trained (occupancy x trend) -> step lookup",
-              makeTable);
-        return true;
-    }();
-    (void)initialized;
+    static const ControllerRegistry reg;
     return reg;
-}
-
-void
-ControllerRegistry::add(const std::string &name,
-                        const std::string &description, Factory factory)
-{
-    std::lock_guard<std::mutex> lk(mutex);
-    for (const Entry &e : entries) {
-        if (e.name == name)
-            fatal("ControllerRegistry: duplicate registration of '" +
-                  name + "'");
-    }
-    if (name.empty() ||
-        name.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
-                               "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-                               "0123456789_-") != std::string::npos) {
-        fatal("ControllerRegistry: invalid controller name '" + name +
-              "' (use [A-Za-z0-9_-]+)");
-    }
-    entries.push_back({name, description, std::move(factory)});
-}
-
-const ControllerRegistry::Entry *
-ControllerRegistry::find(std::string_view name) const
-{
-    for (const Entry &e : entries) {
-        if (e.name == name)
-            return &e;
-    }
-    return nullptr;
-}
-
-bool
-ControllerRegistry::contains(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lk(mutex);
-    return find(name) != nullptr;
 }
 
 std::vector<std::string>
 ControllerRegistry::names() const
 {
-    std::lock_guard<std::mutex> lk(mutex);
     std::vector<std::string> out;
-    out.reserve(entries.size());
-    for (const Entry &e : entries)
-        out.push_back(e.name);
+    for (const BuiltIn &b : builtIns)
+        out.emplace_back(b.name);
     return out;
-}
-
-std::string
-ControllerRegistry::describe(std::string_view name) const
-{
-    std::lock_guard<std::mutex> lk(mutex);
-    const Entry *e = find(name);
-    return e ? e->description : std::string();
 }
 
 std::unique_ptr<DvfsController>
@@ -255,23 +206,18 @@ ControllerRegistry::make(const std::string &name,
                          const ControllerContext &ctx,
                          const std::string &params) const
 {
-    Factory factory;
-    {
-        std::lock_guard<std::mutex> lk(mutex);
-        const Entry *e = find(name);
-        if (!e) {
-            std::string known;
-            for (const Entry &en : entries) {
-                if (!known.empty())
-                    known += ", ";
-                known += en.name;
-            }
-            fatal("unknown controller '" + name + "' (registered: " +
-                  known + ")");
-        }
-        factory = e->factory;
+    for (const BuiltIn &b : builtIns) {
+        if (b.name == name)
+            return b.make(ctx, params);
     }
-    return factory(ctx, params);
+    std::string known;
+    for (const BuiltIn &b : builtIns) {
+        if (!known.empty())
+            known += ", ";
+        known += b.name;
+    }
+    fatal("unknown controller '" + name + "' (registered: " + known +
+          ")");
 }
 
 } // namespace mcd

@@ -2,11 +2,11 @@
  * @file
  * The controller registry: dynamic-control policies as data.
  *
- * Every DVFS control policy registers a named factory here; the
- * experiment layer instantiates controllers by (name, param spec)
+ * Every DVFS control policy is a named factory in one constant table;
+ * the experiment layer instantiates controllers by (name, param spec)
  * instead of hard-coding one class per matrix leg. Adding a policy to
  * the full evaluation — every figure, the results JSON, the cache,
- * the fault sites, the tournament leaderboard — is one registration.
+ * the fault sites, the tournament leaderboard — is one table row.
  *
  * The param spec is a comma-separated "key=value" list with numeric
  * values ("setpoint=0.5,kp=32"); each factory documents its keys and
@@ -17,21 +17,17 @@
  * the registry-built online leg is bit-identical to the historical
  * hard-coded one.
  *
- * Thread safety: registration happens during static init / first use
- * under a mutex; lookups take the same mutex. Factories themselves
- * are pure (construct a fresh controller per call), so concurrent
- * make() calls from matrix workers are safe.
+ * Thread safety: the table is immutable, so lookups need no lock.
+ * Factories are pure (construct a fresh controller per call), so
+ * concurrent make() calls from matrix workers are safe.
  */
 
 #ifndef MCD_CONTROL_REGISTRY_HH
 #define MCD_CONTROL_REGISTRY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -72,24 +68,11 @@ parseControllerParams(const std::string &text, const std::string &what);
 class ControllerRegistry
 {
   public:
-    /** Builds a fresh controller for one simulated run. */
-    using Factory = std::function<std::unique_ptr<DvfsController>(
-        const ControllerContext &ctx, const std::string &params)>;
+    /** The process-wide registry of the built-in controllers. */
+    static const ControllerRegistry &instance();
 
-    /** The process-wide registry, with the built-ins registered. */
-    static ControllerRegistry &instance();
-
-    /** Register @p factory under @p name (fatal on duplicates). */
-    void add(const std::string &name, const std::string &description,
-             Factory factory);
-
-    bool contains(std::string_view name) const;
-
-    /** Registered names, in registration order. */
+    /** Registered names, in table order. */
     std::vector<std::string> names() const;
-
-    /** One-line description of @p name (empty when unknown). */
-    std::string describe(std::string_view name) const;
 
     /**
      * Instantiate the controller registered as @p name. Fatal when
@@ -101,18 +84,6 @@ class ControllerRegistry
 
   private:
     ControllerRegistry() = default;
-
-    struct Entry
-    {
-        std::string name;
-        std::string description;
-        Factory factory;
-    };
-
-    const Entry *find(std::string_view name) const;
-
-    mutable std::mutex mutex;
-    std::vector<Entry> entries;
 };
 
 } // namespace mcd

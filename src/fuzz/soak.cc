@@ -5,11 +5,15 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/json_writer.hh"
 #include "common/log.hh"
 #include "common/random.hh"
+#include "common/spec.hh"
 #include "common/thread_pool.hh"
 #include "config/runspec.hh"
 #include "fuzz/config_fuzzer.hh"
@@ -34,6 +38,38 @@ outcomeClassName(OutcomeClass c)
 }
 
 namespace {
+
+std::optional<OutcomeClass>
+outcomeClassFromName(std::string_view name)
+{
+    for (OutcomeClass c :
+         {OutcomeClass::Ok, OutcomeClass::Invariant, OutcomeClass::Watchdog,
+          OutcomeClass::LegFail, OutcomeClass::Divergence,
+          OutcomeClass::Crash}) {
+        if (name == outcomeClassName(c))
+            return c;
+    }
+    return std::nullopt;
+}
+
+/** Index and class of the journal entry @p line; nullopt when the
+ *  line is malformed. */
+std::optional<std::pair<std::uint64_t, OutcomeClass>>
+journalEntry(const std::string &line)
+{
+    std::istringstream ls(line);
+    std::string idx, cls, sig;
+    if (!(ls >> idx >> cls >> sig))
+        return std::nullopt;
+    std::optional<OutcomeClass> c = outcomeClassFromName(cls);
+    if (!c)
+        return std::nullopt;
+    try {
+        return std::pair(spec::parseU64("soak journal index", idx), *c);
+    } catch (const FatalError &) {
+        return std::nullopt;
+    }
+}
 
 /** What the *declared* fault plan predicts, keyed by leg name. */
 struct Expectations
@@ -274,6 +310,22 @@ journalRunspec(const SoakOptions &opts)
 
 } // namespace
 
+SoakJournal
+readJournal(std::istream &in)
+{
+    SoakJournal j;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] == '#')
+            continue;   // comment lines (e.g. "# runspec ...")
+        if (auto e = journalEntry(line))
+            j.done[e->first] = e->second;
+        else
+            ++j.skipped;
+    }
+    return j;
+}
+
 SoakReport
 runSoak(const SoakOptions &opts)
 {
@@ -282,7 +334,7 @@ runSoak(const SoakOptions &opts)
     // Completed indices from a compatible journal. The header pins
     // everything scenario-shaping (seed, jobs, planted) but NOT the
     // budget, so a rerun with a larger budget resumes and extends.
-    std::map<std::uint64_t, std::string> done;
+    std::map<std::uint64_t, OutcomeClass> done;
     bool haveDir = !opts.outDir.empty();
     if (haveDir) {
         std::error_code ec;
@@ -292,16 +344,12 @@ runSoak(const SoakOptions &opts)
         std::string header;
         if (in && std::getline(in, header) &&
             header == journalHeader(opts)) {
-            std::string line;
-            while (std::getline(in, line)) {
-                if (!line.empty() && line[0] == '#')
-                    continue;   // comment lines (e.g. "# runspec ...")
-                std::istringstream ls(line);
-                std::uint64_t idx = 0;
-                std::string cls, sig;
-                if (ls >> idx >> cls >> sig)
-                    done[idx] = cls;
-            }
+            SoakJournal j = readJournal(in);
+            if (j.skipped)
+                warn("soak journal " + journalPath(opts) + ": ignored " +
+                     std::to_string(j.skipped) +
+                     " malformed line(s); their tuples run again");
+            done = std::move(j.done);
         } else {
             std::ofstream out(journalPath(opts), std::ios::trunc);
             out << journalHeader(opts) << "\n"
@@ -318,7 +366,7 @@ runSoak(const SoakOptions &opts)
         auto prior = done.find(idx);
         if (prior != done.end()) {
             ++report.resumed;
-            if (prior->second != "ok")
+            if (prior->second != OutcomeClass::Ok)
                 ++report.priorFindings;
             continue;
         }

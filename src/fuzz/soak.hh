@@ -28,6 +28,8 @@
 #define MCD_FUZZ_SOAK_HH
 
 #include <cstdint>
+#include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,23 @@ struct SoakReport
     bool clean() const
     { return findings.empty() && priorFindings == 0; }
 };
+
+/** The tuples a soak journal records as done. */
+struct SoakJournal
+{
+    /** Tuple index -> recorded outcome class (a later line wins). */
+    std::map<std::uint64_t, OutcomeClass> done;
+    std::uint64_t skipped = 0;      //!< malformed lines ignored
+};
+
+/**
+ * Read the entry lines of a soak journal, everything after its
+ * header: "<index> <class> <signature>", with '#' lines as comments.
+ * A line counts only if its index is a whole unsigned integer and its
+ * class is an outcomeClassName(); any other line is counted in
+ * skipped and ignored, so its tuple runs again.
+ */
+SoakJournal readJournal(std::istream &in);
 
 /**
  * Run the soak. With a journal in opts.outDir from a compatible prior

@@ -69,8 +69,9 @@ Builder::emitI(Opcode op, int rd, int rs1, int imm)
     checkReg(rd);
     checkReg(rs1);
     // Logical immediates (ANDI/ORI/XORI) and LUI are zero-extended
-    // 16-bit values; accept [0, 65535] and store them wrapped so the
-    // encoded form round-trips.
+    // 16-bit values; accept [0, 65535] and store the low 16 bits
+    // sign-extended, like every other imm16 (the executor
+    // zero-extends them again).
     bool logical = op == Opcode::ANDI || op == Opcode::ORI ||
                    op == Opcode::XORI || op == Opcode::LUI;
     if (logical) {
@@ -219,11 +220,7 @@ Builder::build()
         }
         i.imm = static_cast<std::int32_t>(disp);
     }
-    std::vector<std::uint32_t> words;
-    words.reserve(insts.size());
-    for (const Inst &i : insts)
-        words.push_back(encode(i));
-    return Program(name, textBase, std::move(words), std::move(data));
+    return Program(name, textBase, std::move(insts), std::move(data));
 }
 
 } // namespace mcd

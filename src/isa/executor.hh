@@ -5,7 +5,7 @@
  * The timing model is oracle-driven in the SimpleScalar tradition: the
  * executor runs the program in order and hands the timing core a
  * stream of ExecResult records carrying everything timing needs —
- * branch outcomes and targets, effective addresses, and the decoded
+ * branch outcomes and targets, effective addresses, and the
  * instruction. Memory *values* never influence timing directly, but we
  * execute them faithfully so workloads are self-checking.
  */

@@ -1,7 +1,5 @@
 #include "inst.hh"
 
-#include <cstdio>
-
 namespace mcd {
 
 bool
@@ -202,108 +200,6 @@ execDomain(Opcode op)
     if (isFp(op))
         return Domain::FloatingPoint;
     return Domain::Integer;
-}
-
-const char *
-opcodeName(Opcode op)
-{
-    switch (op) {
-      case Opcode::NOP: return "nop";
-      case Opcode::HALT: return "halt";
-      case Opcode::ADD: return "add";
-      case Opcode::SUB: return "sub";
-      case Opcode::AND: return "and";
-      case Opcode::OR: return "or";
-      case Opcode::XOR: return "xor";
-      case Opcode::SLL: return "sll";
-      case Opcode::SRL: return "srl";
-      case Opcode::SRA: return "sra";
-      case Opcode::SLT: return "slt";
-      case Opcode::SLTU: return "sltu";
-      case Opcode::MUL: return "mul";
-      case Opcode::DIV: return "div";
-      case Opcode::REM: return "rem";
-      case Opcode::ADDI: return "addi";
-      case Opcode::ANDI: return "andi";
-      case Opcode::ORI: return "ori";
-      case Opcode::XORI: return "xori";
-      case Opcode::SLLI: return "slli";
-      case Opcode::SRLI: return "srli";
-      case Opcode::SRAI: return "srai";
-      case Opcode::SLTI: return "slti";
-      case Opcode::LUI: return "lui";
-      case Opcode::LD: return "ld";
-      case Opcode::ST: return "st";
-      case Opcode::FLD: return "fld";
-      case Opcode::FST: return "fst";
-      case Opcode::FADD: return "fadd";
-      case Opcode::FSUB: return "fsub";
-      case Opcode::FMUL: return "fmul";
-      case Opcode::FDIV: return "fdiv";
-      case Opcode::FSQRT: return "fsqrt";
-      case Opcode::FNEG: return "fneg";
-      case Opcode::FABS: return "fabs";
-      case Opcode::FMOV: return "fmov";
-      case Opcode::FMIN: return "fmin";
-      case Opcode::FMAX: return "fmax";
-      case Opcode::FCLT: return "fclt";
-      case Opcode::FCLE: return "fcle";
-      case Opcode::FCEQ: return "fceq";
-      case Opcode::ITOF: return "itof";
-      case Opcode::FTOI: return "ftoi";
-      case Opcode::BEQ: return "beq";
-      case Opcode::BNE: return "bne";
-      case Opcode::BLT: return "blt";
-      case Opcode::BGE: return "bge";
-      case Opcode::BLTU: return "bltu";
-      case Opcode::BGEU: return "bgeu";
-      case Opcode::JAL: return "jal";
-      case Opcode::JALR: return "jalr";
-      default: return "??";
-    }
-}
-
-std::string
-disassemble(const Inst &inst)
-{
-    char buf[96];
-    const char *name = opcodeName(inst.op);
-    Opcode op = inst.op;
-    if (op == Opcode::NOP || op == Opcode::HALT) {
-        std::snprintf(buf, sizeof(buf), "%s", name);
-    } else if (isBranch(op)) {
-        std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d",
-                      name, inst.rs1, inst.rs2, inst.imm);
-    } else if (op == Opcode::JAL) {
-        std::snprintf(buf, sizeof(buf), "%s r%d, %d",
-                      name, inst.rd, inst.imm);
-    } else if (op == Opcode::JALR) {
-        std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d",
-                      name, inst.rd, inst.rs1, inst.imm);
-    } else if (isMem(op)) {
-        const char pfx = (op == Opcode::FLD || op == Opcode::FST)
-            ? 'f' : 'r';
-        std::snprintf(buf, sizeof(buf), "%s %c%d, %d(r%d)", name, pfx,
-                      (isStore(op) ? inst.rs2 : inst.rd), inst.imm,
-                      inst.rs1);
-    } else if (isFp(op)) {
-        std::snprintf(buf, sizeof(buf), "%s %d, %d, %d",
-                      name, inst.rd, inst.rs1, inst.rs2);
-    } else if (op == Opcode::LUI) {
-        std::snprintf(buf, sizeof(buf), "%s r%d, %d",
-                      name, inst.rd, inst.imm);
-    } else if (isIntAlu(op) &&
-               (op == Opcode::ADDI || op == Opcode::ANDI ||
-                op == Opcode::ORI || op == Opcode::XORI ||
-                op == Opcode::SLLI || op == Opcode::SRLI ||
-                op == Opcode::SRAI || op == Opcode::SLTI)) {
-        std::snprintf(buf, sizeof(buf), "%s r%d, r%d, %d",
-                      name, inst.rd, inst.rs1, inst.imm);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%s r%d, r%d, r%d",
-                      name, inst.rd, inst.rs1, inst.rs2);
-    }
-    return buf;
 }
 
 } // namespace mcd

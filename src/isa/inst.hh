@@ -2,18 +2,18 @@
  * @file
  * The MCD mini-ISA: a 64-bit RISC instruction set rich enough to
  * express the paper's benchmark kernels (integer, floating-point,
- * memory, and control instructions) while staying simple to decode.
+ * memory, and control instructions).
  *
  * Register file: 32 integer registers (r0 hardwired to zero) and 32
- * floating-point registers. Instructions are 4 bytes in the text image
- * so instruction-cache behaviour is meaningful.
+ * floating-point registers. Programs exist only as Inst records (there
+ * is no binary encoding); each takes a 4-byte slot of the text
+ * address space so instruction-cache behaviour is meaningful.
  */
 
 #ifndef MCD_ISA_INST_HH
 #define MCD_ISA_INST_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/types.hh"
 
@@ -74,7 +74,7 @@ enum class FuClass : std::uint8_t {
 /** Destination register file of an instruction. */
 enum class DestKind : std::uint8_t { None, Int, Fp };
 
-/** A decoded instruction. */
+/** One instruction. */
 struct Inst
 {
     Opcode op = Opcode::NOP;
@@ -82,6 +82,8 @@ struct Inst
     std::uint8_t rs1 = 0;   //!< first source register index
     std::uint8_t rs2 = 0;   //!< second source register index
     std::int32_t imm = 0;   //!< immediate / branch displacement (bytes)
+
+    bool operator==(const Inst &) const = default;
 };
 
 /** @name Instruction classification
@@ -128,12 +130,6 @@ bool readsFpRs2(Opcode op);
  * LoadStore (cache access); this returns LoadStore for them.
  */
 Domain execDomain(Opcode op);
-
-/** Opcode mnemonic. */
-const char *opcodeName(Opcode op);
-
-/** Disassemble one instruction. */
-std::string disassemble(const Inst &inst);
 
 } // namespace mcd
 

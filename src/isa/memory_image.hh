@@ -1,7 +1,7 @@
 /**
  * @file
- * Sparse, paged 64-bit word memory used for both program images and
- * the functional executor's architectural memory state.
+ * Sparse, paged 64-bit word memory used for both a program's initial
+ * data image and the functional executor's architectural memory state.
  */
 
 #ifndef MCD_ISA_MEMORY_IMAGE_HH
@@ -18,8 +18,8 @@ namespace mcd {
  * Byte-addressed sparse memory with 8-byte word granularity.
  *
  * Pages of 4 KB are allocated lazily; unwritten memory reads as zero.
- * Accesses must be 8-byte aligned (the mini-ISA only has 8-byte
- * loads/stores; instruction fetch uses readWord32).
+ * Accesses must be 8-byte aligned: the mini-ISA only has 8-byte
+ * loads and stores.
  */
 class MemoryImage
 {
@@ -57,29 +57,6 @@ class MemoryImage
     writeWord(std::uint64_t addr, std::uint64_t value)
     {
         page(addr)[wordIndex(addr)] = value;
-    }
-
-    /** Read a 32-bit value at a 4-byte-aligned address (fetch). */
-    std::uint32_t
-    readWord32(std::uint64_t addr) const
-    {
-        std::uint64_t w = readWord(addr & ~7ULL);
-        return (addr & 4) ? static_cast<std::uint32_t>(w >> 32)
-                          : static_cast<std::uint32_t>(w);
-    }
-
-    /** Write a 32-bit value at a 4-byte-aligned address (loader). */
-    void
-    writeWord32(std::uint64_t addr, std::uint32_t value)
-    {
-        std::uint64_t w = readWord(addr & ~7ULL);
-        if (addr & 4) {
-            w = (w & 0x00000000ffffffffULL) |
-                (static_cast<std::uint64_t>(value) << 32);
-        } else {
-            w = (w & 0xffffffff00000000ULL) | value;
-        }
-        writeWord(addr & ~7ULL, w);
     }
 
     /** Read a double stored at an 8-byte-aligned address. */

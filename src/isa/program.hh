@@ -1,7 +1,7 @@
 /**
  * @file
- * A loaded mini-ISA program: encoded text image, initial data image,
- * and entry point.
+ * A loaded mini-ISA program: its instructions, initial data image, and
+ * entry point.
  */
 
 #ifndef MCD_ISA_PROGRAM_HH
@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "isa/encoding.hh"
 #include "isa/inst.hh"
 #include "isa/memory_image.hh"
 
@@ -29,23 +29,21 @@ inline constexpr std::uint64_t defaultStackTop = 0x8000000;
 /**
  * An executable program image.
  *
- * Text is stored both encoded (for the I-cache's address stream and
- * binary round-trip tests) and pre-decoded (for fast functional and
- * timing simulation).
+ * Text is one Inst per 4-byte slot from textBase(): the functional
+ * executor and the timing model read the Inst, and the I-cache reads
+ * only its PC. Only the Builder makes a Program, so every instruction
+ * has passed its range checks.
  */
 class Program
 {
   public:
-    Program(std::string name, std::uint64_t text_base,
-            std::vector<std::uint32_t> text_words, MemoryImage data);
-
     const std::string &name() const { return progName; }
     std::uint64_t textBase() const { return base; }
     std::uint64_t entry() const { return base; }
-    std::size_t textSize() const { return words.size(); }
+    std::size_t textSize() const { return text.size(); }
 
     /** Highest valid instruction address + 4. */
-    std::uint64_t textLimit() const { return base + 4 * words.size(); }
+    std::uint64_t textLimit() const { return base + 4 * text.size(); }
 
     /** True if @p pc addresses a valid instruction. */
     bool
@@ -54,28 +52,28 @@ class Program
         return pc >= base && pc < textLimit() && (pc & 3) == 0;
     }
 
-    /** Encoded instruction word at @p pc. */
-    std::uint32_t
-    fetchWord(std::uint64_t pc) const
-    {
-        return words[(pc - base) / 4];
-    }
-
-    /** Pre-decoded instruction at @p pc. */
+    /** The instruction at @p pc. */
     const Inst &
     fetch(std::uint64_t pc) const
     {
-        return decoded[(pc - base) / 4];
+        return text[(pc - base) / 4];
     }
 
     /** Initial data image (copied into the executor at reset). */
     const MemoryImage &initialData() const { return dataImage; }
 
   private:
+    friend class Builder;
+
+    Program(std::string name, std::uint64_t text_base,
+            std::vector<Inst> insts, MemoryImage data)
+        : progName(std::move(name)), base(text_base),
+          text(std::move(insts)), dataImage(std::move(data))
+    {}
+
     std::string progName;
     std::uint64_t base;
-    std::vector<std::uint32_t> words;
-    std::vector<Inst> decoded;
+    std::vector<Inst> text;
     MemoryImage dataImage;
 };
 

@@ -38,6 +38,7 @@
 #include "core/sampling.hh"
 #include "fault/fault_plan.hh"
 #include "fuzz/scenario.hh"
+#include "fuzz/soak.hh"
 #include "fuzz/workload_gen.hh"
 #include "obs/invariants.hh"
 
@@ -1004,6 +1005,16 @@ TEST(SpecGrammars, SeededByteMutationsParseOrFailStructurally)
              std::istringstream in(file.str());
              if (!expcache::read(in, "x"))
                  fatal("expcache: rejected");
+         }},
+        {"soakJournal",
+         {"0 ok -\n1 ok -\n"
+          "2 invariant invariant:voltage_leads_freq@dyn5\n",
+          "# runspec {\"version\":1}\n0 legfail legfail:dyn1:leg\n"
+          "1 crash crash\n2 divergence divergence:dyn5\n"},
+         [](const std::string &t) {
+             std::istringstream in(t);
+             if (fuzz::readJournal(in).skipped)
+                 fatal("soakJournal: skipped a malformed line");
          }},
         {"repro", corpusTexts(),
          [](const std::string &t) {

@@ -33,8 +33,8 @@ expectIdentical(const Program &a, const Program &b)
     ASSERT_EQ(a.textSize(), b.textSize());
     EXPECT_EQ(a.textBase(), b.textBase());
     for (std::uint64_t pc = a.textBase(); pc < a.textLimit(); pc += 4)
-        ASSERT_EQ(a.fetchWord(pc), b.fetchWord(pc))
-            << "instruction words differ at pc=" << pc;
+        ASSERT_EQ(a.fetch(pc), b.fetch(pc))
+            << "instructions differ at pc=" << pc;
     // The data image has no size accessor; sweep a generous window
     // over the low address space the builder allocates from.
     for (std::uint64_t addr = 0; addr < (1u << 20); addr += 8)
@@ -134,13 +134,13 @@ TEST(FuzzGen, ScaleMultipliesWork)
     ph.iters = 50;
     p.phases.push_back(ph);
     // Scale multiplies loop trip counts (like the fixed suite), not
-    // code size: the text differs only in the encoded loop bounds.
+    // code size: the text differs only in the loop-bound immediates.
     Program s1 = p.generate(1);
     Program s3 = p.generate(3);
     ASSERT_EQ(s1.textSize(), s3.textSize());
     bool differs = false;
     for (std::uint64_t pc = s1.textBase(); pc < s1.textLimit(); pc += 4)
-        differs = differs || s1.fetchWord(pc) != s3.fetchWord(pc);
+        differs = differs || s1.fetch(pc) != s3.fetch(pc);
     EXPECT_TRUE(differs);
 }
 

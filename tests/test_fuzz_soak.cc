@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -318,6 +319,57 @@ TEST(FuzzSoak, JournalResumesAndExtends)
     SoakReport third = fuzz::runSoak(opts);
     EXPECT_EQ(third.resumed, 1u);
     EXPECT_EQ(third.completed, 2u);
+}
+
+TEST(FuzzSoak, JournalAcceptsOnlyWellFormedEntries)
+{
+    std::istringstream in("0 ok -\n"
+                          "-3 ok -\n"          // would wrap to 2^64-3
+                          "1 okay -\n"         // not an outcome class
+                          "2 invariant invariant:x@dyn5\n"
+                          "3x ok -\n"
+                          "4 ok\n"             // no signature field
+                          "# runspec {}\n"
+                          "\n"
+                          " 5 crash crash\n");
+    fuzz::SoakJournal j = fuzz::readJournal(in);
+    const std::map<std::uint64_t, OutcomeClass> want{
+        {0, OutcomeClass::Ok},
+        {2, OutcomeClass::Invariant},
+        {5, OutcomeClass::Crash},
+    };
+    EXPECT_EQ(j.done, want);
+    EXPECT_EQ(j.skipped, 5u);
+}
+
+TEST(FuzzSoak, MalformedJournalLinesRunTheirTuplesAgain)
+{
+    TempDir tmp;
+    SoakOptions opts;
+    opts.rootSeed = 5;
+    opts.budget = 1;
+    opts.outDir = tmp.path.string();
+    ASSERT_TRUE(fuzz::runSoak(opts).clean());
+
+    // Keep the header and comments; replace the entry with lines a
+    // damaged journal could hold. Neither may count as tuple 0 done,
+    // nor as a prior finding.
+    std::string kept, line;
+    {
+        std::ifstream in(tmp.path / "journal.txt");
+        while (std::getline(in, line)) {
+            if (kept.empty() || (!line.empty() && line[0] == '#'))
+                kept += line + "\n";
+        }
+    }
+    std::ofstream(tmp.path / "journal.txt", std::ios::trunc)
+        << kept << "0 okay -\n-3 ok -\n";
+
+    SoakReport again = fuzz::runSoak(opts);
+    EXPECT_EQ(again.resumed, 0u);
+    EXPECT_EQ(again.completed, 1u);
+    EXPECT_EQ(again.priorFindings, 0u);
+    EXPECT_TRUE(again.clean());
 }
 
 TEST(FuzzSoak, IncompatibleJournalHeaderStartsFresh)

@@ -47,20 +47,6 @@ TEST(MemoryImage, CrossPageWrites)
     EXPECT_EQ(m.pageCount(), 2u);
 }
 
-TEST(MemoryImage, Word32Halves)
-{
-    MemoryImage m;
-    m.writeWord32(0x10, 0x11111111);
-    m.writeWord32(0x14, 0x22222222);
-    EXPECT_EQ(m.readWord32(0x10), 0x11111111u);
-    EXPECT_EQ(m.readWord32(0x14), 0x22222222u);
-    EXPECT_EQ(m.readWord(0x10), 0x2222222211111111ULL);
-    // Overwrite one half; the other is preserved.
-    m.writeWord32(0x10, 0x33333333);
-    EXPECT_EQ(m.readWord32(0x14), 0x22222222u);
-    EXPECT_EQ(m.readWord(0x10), 0x2222222233333333ULL);
-}
-
 TEST(MemoryImage, DoubleRoundtrip)
 {
     MemoryImage m;
