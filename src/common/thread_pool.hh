@@ -10,7 +10,10 @@
  *    calling thread drains pending tasks from the queue. This makes
  *    nested submission safe — a task running on a pool worker may
  *    submit sub-tasks to the same pool and wait() on them without
- *    ever deadlocking, even with a single worker.
+ *    ever deadlocking, even with a single worker. The experiment
+ *    runner no longer nests waits (a stage is submitted once its
+ *    inputs finish, and only the calling thread waits), but the
+ *    traced matrix replica in perfbench/driver.cc still does.
  *  - A pool constructed with zero workers degenerates to inline
  *    execution at submit() time, which makes jobs=1 runs take exactly
  *    the serial code path (useful for bit-identical comparisons).
@@ -67,12 +70,6 @@ class ThreadPool
     }
 
     /**
-     * Run one queued task on the calling thread, if any is pending.
-     * @return true if a task was executed.
-     */
-    bool runPendingTask();
-
-    /**
      * Helping wait: drain pool work until @p fut is ready, then get it.
      * Safe to call from inside a pool task (nested waits).
      */
@@ -92,6 +89,10 @@ class ThreadPool
     static unsigned hardwareJobs();
 
   private:
+    /** Run one queued task on the calling thread, if any is pending;
+     *  true if one ran. */
+    bool runPendingTask();
+
     template <typename T>
     void
     helpUntilReady(std::future<T> &fut)

@@ -1,14 +1,15 @@
 #include "experiment.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <string_view>
 #include <type_traits>
@@ -1274,11 +1275,12 @@ ExperimentRunner::analyzerFor(double target_dilation) const
         target_dilation, config.model, config.dvfsTimeScale));
 }
 
-ExperimentRunner::DynLeg
+RunResult
 ExperimentRunner::dynamicLeg(const Program &prog,
                              const ShakenTrace &shaken,
                              double target_dilation,
-                             const std::string &site) const
+                             const std::string &site,
+                             std::size_t &schedule_size) const
 {
     AnalysisResult analysis = [&] {
         obs::HostProfiler::Scope prof =
@@ -1289,17 +1291,17 @@ ExperimentRunner::dynamicLeg(const Program &prog,
     dynCfg.dvfs = config.model;
     dynCfg.dvfsTimeScale = config.dvfsTimeScale;
     dynCfg.schedule = &analysis.schedule;
-    DynLeg leg;
-    leg.result = runOnce(prog, dynCfg);
-    leg.scheduleSize = analysis.schedule.size();
-    return leg;
+    RunResult run = runOnce(prog, dynCfg);
+    schedule_size = analysis.schedule.size();
+    return run;
 }
 
-ExperimentRunner::GlobalOut
+RunResult
 ExperimentRunner::globalLeg(const Program &prog,
                             const BenchmarkResults &r,
                             const RunResult &reference,
-                            const std::string &site) const
+                            const std::string &site,
+                            Hertz &frequency) const
 {
     // Global voltage scaling: single clock at the table frequency
     // whose degradation best matches the reference leg (paper
@@ -1331,10 +1333,8 @@ ExperimentRunner::globalLeg(const Program &prog,
             runs[i] = runOnce(prog, sc);
             return r.perfDegradation(runs[i]);
         });
-    GlobalOut best;
-    best.result = std::move(runs[pick.index]);
-    best.frequency = table.point(pick.index).frequency;
-    return best;
+    frequency = table.point(pick.index).frequency;
+    return std::move(runs[pick.index]);
 }
 
 RunResult
@@ -1376,6 +1376,9 @@ ExperimentRunner::runGuarded(const std::string &bench,
         } catch (const std::exception &e) {
             err = {site, "exception", e.what(), attempt};
             break;
+        } catch (...) {
+            err = {site, "exception", "non-standard exception", attempt};
+            break;
         }
     }
     warn("leg " + site + " failed (" + err.kind + ", attempt " +
@@ -1387,24 +1390,36 @@ ExperimentRunner::runGuarded(const std::string &bench,
     return failed;
 }
 
-RunResult
-ExperimentRunner::dependencyFailed(const std::string &bench,
-                                   const std::string &leg,
-                                   const std::string &upstream) const
+/** One benchmark's row in flight. Stage 0 is the baseline, stage 1
+ *  the profiling run with its shake, and stage 2 + i leg i. */
+struct ExperimentRunner::Graph
 {
-    RunResult r;
-    r.benchmark = bench;
-    r.attempts = 0;     // never attempted
-    r.error = RunError{bench + "/" + leg, "dependency",
-                       upstream + " leg failed", 0};
-    return r;
-}
+    struct Stage
+    {
+        std::vector<std::size_t> inputs;    //!< read in this order
+        std::vector<std::size_t> readers;
+        std::atomic<std::size_t> waiting{0};    //!< unfinished inputs
+        std::string failedRun;  //!< root cause; empty = output usable
+    };
+
+    Graph(Program p, std::size_t legs)
+        : prog(std::move(p)), picks(legs), stages(legs + 2),
+          unfinished(legs + 2)
+    {}
+
+    const Program prog;
+    BenchmarkResults r;
+    ShakenTrace shaken;
+    std::vector<Hertz> picks;           //!< each global leg's frequency
+    std::vector<Stage> stages;
+    std::atomic<std::size_t> unfinished;
+    std::promise<BenchmarkResults> done;
+};
 
 BenchmarkResults
 ExperimentRunner::runBenchmark(const std::string &name)
 {
-    // A zero-worker pool executes every leg inline at submission, in
-    // the same order as the historical serial code.
+    // A zero-worker pool executes every stage inline at submission.
     ThreadPool inlinePool(0);
     return runBenchmark(name, inlinePool);
 }
@@ -1412,162 +1427,141 @@ ExperimentRunner::runBenchmark(const std::string &name)
 BenchmarkResults
 ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
 {
-    if (auto cached = loadCache(name))
-        return *cached;
+    std::future<BenchmarkResults> row = startBenchmark(name, pool);
+    return pool.wait(row);
+}
 
-    BenchmarkResults r;
+std::future<BenchmarkResults>
+ExperimentRunner::startBenchmark(const std::string &name, ThreadPool &pool)
+{
+    if (auto cached = loadCache(name)) {
+        std::promise<BenchmarkResults> hit;
+        hit.set_value(std::move(*cached));
+        return hit.get_future();
+    }
+
+    auto g = std::make_shared<Graph>(workloads::build(name, config.scale),
+                                     config.legs.size());
+    BenchmarkResults &r = g->r;
     r.name = name;
-    r.legs.reserve(config.legs.size());
     for (const LegSpec &spec : config.legs)
         r.legs.push_back({spec, RunResult{}, 0});
 
-    const Program prog = workloads::build(name, config.scale);
-
-    // Every leg runs under runGuarded *inside* its submitted lambda:
-    // a leg never throws across the pool boundary, so one dead leg
-    // can neither abort the matrix nor strand sibling tasks that
-    // still reference this frame's prog/shaken trace.
-    //
-    // r.legs is fully sized above and never resized again, so element
-    // pointers handed to lambdas stay valid for the frame's lifetime.
-
-    // The singly clocked baseline is independent of everything else;
-    // run it concurrently with the profiling leg.
-    auto baseFut = pool.submit([this, &name, &prog] {
-        return runGuarded(name, "baseline", [&] {
-            return runOnce(prog,
-                           makeSimConfig(ClockingStyle::SingleClock,
-                                         name + "/baseline"));
-        });
-    });
-
-    // One future per leg that runs on the pool; a leg is settled by
-    // waiting on its future once, which leaves the future invalid.
-    std::vector<std::future<RunResult>> fut(r.legs.size());
-    auto settle = [&](std::size_t i) {
-        if (fut[i].valid())
-            r.legs[i].run = pool.wait(fut[i]);
-    };
-
-    // Controller legs need neither the trace nor the baseline; fully
-    // independent, so they fan out first.
-    for (std::size_t i = 0; i < r.legs.size(); ++i) {
-        const LegSpec *spec = &r.legs[i].spec;
-        if (spec->kind != LegSpec::Kind::Controller)
-            continue;
-        fut[i] = pool.submit([this, &name, &prog, spec] {
-            return runGuarded(name, spec->name, [&] {
-                return controllerLeg(prog, *spec,
-                                     name + "/" + spec->name);
-            });
-        });
-    }
-
-    // Baseline MCD / profiling run. It collects the trace only when a
-    // schedule-replay leg will read it. The target-independent half of
-    // the offline tool then runs in the same task, under a guard of
-    // its own (fault site <bench>/shake; an analyze slice, not a leg,
-    // in the host profile), so the whole-run trace is created, shaken
-    // and freed on one thread. Every schedule-replay leg clusters from
-    // the shaken result.
-    const bool wantTrace = std::any_of(
-        r.legs.begin(), r.legs.end(), [](const ControllerLeg &l) {
-            return l.spec.kind == LegSpec::Kind::ScheduleReplay;
-        });
-    ShakenTrace shaken;
-    bool shakeFailed = false;
-    auto profFut = pool.submit([this, &name, &prog, &shaken, &shakeFailed,
-                                wantTrace] {
-        std::vector<InstTrace> trace;
-        RunResult prof = runGuarded(name, "mcdBaseline", [&] {
-            return profileLeg(prog, wantTrace ? &trace : nullptr,
-                              name + "/mcdBaseline");
-        });
-        if (wantTrace && !prof.failed()) {
-            shakeFailed = runGuarded(name, "shake", [&] {
-                // Any target gives the same shake; clustering reads it.
-                shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
-                return RunResult{};
-            }, "analyze").failed();
-        }
-        return prof;
-    });
-    r.mcdBaseline = pool.wait(profFut);
-    std::string shakeUpstream;
-    if (r.mcdBaseline.failed())
-        shakeUpstream = "mcdBaseline";  // no trace to shake
-    else if (shakeFailed)
-        shakeUpstream = "shake";
-
-    // Schedule-replay legs cluster and simulate independently off the
-    // shared (now read-only) shaken trace. The schedule sizes ride out
-    // via the pre-sized vector, each slot written only before its
-    // lambda returns (i.e. before wait() synchronizes with it).
-    std::vector<std::size_t> schedSizes(r.legs.size(), 0);
-    for (std::size_t i = 0; i < r.legs.size(); ++i) {
-        const LegSpec *spec = &r.legs[i].spec;
-        if (spec->kind != LegSpec::Kind::ScheduleReplay)
-            continue;
-        if (!shakeUpstream.empty()) {
-            r.legs[i].run = dependencyFailed(name, spec->name,
-                                             shakeUpstream);
-            continue;
-        }
-        fut[i] = pool.submit([this, &name, &prog, &shaken, &schedSizes,
-                              spec, i] {
-            return runGuarded(name, spec->name, [&] {
-                DynLeg leg = dynamicLeg(prog, shaken, spec->dilation,
-                                        name + "/" + spec->name);
-                schedSizes[i] = leg.scheduleSize;
-                return leg.result;
-            });
-        });
-    }
-    for (std::size_t i = 0; i < r.legs.size(); ++i) {
-        if (r.legs[i].spec.kind != LegSpec::Kind::ScheduleReplay)
-            continue;
-        settle(i);
-        r.legs[i].scheduleSize = schedSizes[i];
-    }
-
-    // Global-search legs need the baseline plus their reference leg;
-    // they run last, on this thread (each simulates its probes
-    // serially).
-    r.baseline = pool.wait(baseFut);
+    // Wire each leg's inputs; the table is read-only from here on.
     for (std::size_t i = 0; i < r.legs.size(); ++i) {
         const LegSpec &spec = r.legs[i].spec;
-        if (spec.kind != LegSpec::Kind::GlobalSearch)
-            continue;
-        // The reference may itself be a controller leg still in
-        // flight — settle it (and only it) before deciding.
-        const ControllerLeg *ref = r.findLeg(spec.reference);
-        if (ref)
-            settle(static_cast<std::size_t>(ref - r.legs.data()));
-        if (r.baseline.failed() || !ref || ref->run.failed()) {
-            std::string upstream = spec.reference;
-            if (r.baseline.failed()) {
-                upstream = "baseline";
-            } else if (shakeUpstream == "shake" && ref &&
-                       ref->spec.kind == LegSpec::Kind::ScheduleReplay) {
-                // Name the root cause, not the replay leg it starved.
-                upstream = shakeUpstream;
-            }
-            r.legs[i].run = dependencyFailed(name, spec.name, upstream);
-            continue;
+        Graph::Stage &st = g->stages[2 + i];
+        if (spec.kind == LegSpec::Kind::ScheduleReplay) {
+            st.inputs = {1};
+        } else if (spec.kind == LegSpec::Kind::GlobalSearch) {
+            const ControllerLeg *ref = r.findLeg(spec.reference);
+            st.inputs = {0};
+            if (ref && ref->spec.kind != LegSpec::Kind::GlobalSearch)
+                st.inputs.push_back(2 + (ref - r.legs.data()));
+            else
+                st.failedRun = spec.reference;  // validate() rejects it
         }
-        r.legs[i].run = runGuarded(name, spec.name, [&] {
-            GlobalOut g = globalLeg(prog, r, ref->run,
-                                    name + "/" + spec.name);
-            r.globalFrequency = g.frequency;
-            return g.result;
-        });
+        st.waiting = st.inputs.size();
+        for (std::size_t in : st.inputs)
+            g->stages[in].readers.push_back(2 + i);
     }
 
-    for (std::size_t i = 0; i < r.legs.size(); ++i)
-        settle(i);
+    // Sources go by their inputs, never by the countdown: an inline
+    // pool may already have run a reader whose count reached zero.
+    // They start in the serial order: the baseline, the controller
+    // legs, then the profiling run.
+    std::future<BenchmarkResults> row = g->done.get_future();
+    auto start = [&](std::size_t s) {
+        if (g->stages[s].inputs.empty())
+            pool.submit([this, g, s, &pool] { runStage(g, s, pool); });
+    };
+    start(0);
+    for (std::size_t i = 0; i < config.legs.size(); ++i)
+        start(2 + i);
+    start(1);
+    return row;
+}
 
+void
+ExperimentRunner::runStage(const std::shared_ptr<Graph> &g,
+                           std::size_t stage, ThreadPool &pool) const
+{
+    BenchmarkResults &r = g->r;
+    Graph::Stage &st = g->stages[stage];
+    const LegSpec *spec = stage >= 2 ? &r.legs[stage - 2].spec : nullptr;
+    const std::string leg =
+        spec ? spec->name : stage == 0 ? "baseline" : "mcdBaseline";
+    const std::string site = r.name + "/" + leg;
+    RunResult &out = spec ? r.legs[stage - 2].run
+                          : stage == 0 ? r.baseline : r.mcdBaseline;
+
+    // The first failed input, in input order, is the root cause.
+    for (std::size_t in : st.inputs) {
+        if (!g->stages[in].failedRun.empty()) {
+            st.failedRun = g->stages[in].failedRun;
+            break;
+        }
+    }
+    if (!st.failedRun.empty()) {
+        out.benchmark = r.name;
+        out.attempts = 0;       // never attempted
+        out.error = RunError{site, "dependency",
+                             st.failedRun + " leg failed", 0};
+    } else {
+        // The profiling run collects the trace only when a replay leg
+        // reads it. The target-independent half of the offline tool
+        // then runs here under a guard of its own (fault site
+        // <bench>/shake; an analyze slice, not a leg, in the host
+        // profile), so the trace is made, shaken and freed on one
+        // thread before any reader starts.
+        const bool wantTrace = stage == 1 && !st.readers.empty();
+        std::vector<InstTrace> trace;
+        out = runGuarded(r.name, leg, [&] {
+            if (stage == 0)
+                return runOnce(g->prog, makeSimConfig(
+                    ClockingStyle::SingleClock, site));
+            if (stage == 1)
+                return profileLeg(g->prog, wantTrace ? &trace : nullptr,
+                                  site);
+            if (spec->kind == LegSpec::Kind::ScheduleReplay)
+                return dynamicLeg(g->prog, g->shaken, spec->dilation, site,
+                                  r.legs[stage - 2].scheduleSize);
+            if (spec->kind == LegSpec::Kind::GlobalSearch)
+                return globalLeg(g->prog, r, r.legs[st.inputs[1] - 2].run,
+                                 site, g->picks[stage - 2]);
+            return controllerLeg(g->prog, *spec, site);
+        });
+        if (wantTrace && !out.failed()) {
+            RunResult shake = runGuarded(r.name, "shake", [&] {
+                // Any target gives the same shake; clustering reads it.
+                g->shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
+                return RunResult{};
+            }, "analyze");
+            if (shake.failed())
+                st.failedRun = "shake";
+        }
+    }
+    if (out.failed() && st.failedRun.empty())
+        st.failedRun = leg;
+
+    // This stage's slices are closed and its trace freed, so a reader
+    // run inline here nests in neither.
+    for (std::size_t rd : st.readers) {
+        if (g->stages[rd].waiting.fetch_sub(1) == 1)
+            pool.submit([this, g, rd, &pool] { runStage(g, rd, pool); });
+    }
+    if (g->unfinished.fetch_sub(1) != 1)
+        return;
+
+    // The row is complete. Its global frequency is the pick of the
+    // last global leg, in leg order, that completed.
+    for (std::size_t i = 0; i < r.legs.size(); ++i) {
+        if (r.legs[i].spec.kind == LegSpec::Kind::GlobalSearch &&
+            !r.legs[i].run.failed())
+            r.globalFrequency = g->picks[i];
+    }
     storeCache(r);
-    return r;
+    g->done.set_value(std::move(r));
 }
 
 namespace {
@@ -1842,26 +1836,19 @@ runMatrix(const ExperimentConfig &cfg,
     std::vector<BenchmarkResults> out(names.size());
     ExperimentRunner runner(ecfg);
 
-    // A zero-worker pool runs each benchmark inline at submission, in
+    // A zero-worker pool runs each benchmark inline as it starts, in
     // workload order: jobs=1 is the serial path.
     ThreadPool pool(jobs > 1 ? static_cast<unsigned>(jobs) : 0u);
-    std::mutex progressMutex;
-    std::vector<std::future<BenchmarkResults>> futs;
-    futs.reserve(names.size());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        futs.push_back(pool.submit(
-            [&runner, &pool, &names, &progressMutex, progress, i] {
-                if (progress) {
-                    std::lock_guard<std::mutex> lk(progressMutex);
-                    std::fprintf(stderr, "  running %s...\n",
-                                 names[i].c_str());
-                }
-                return runner.runBenchmark(names[i], pool);
-            }));
+    std::vector<std::future<BenchmarkResults>> rows;
+    rows.reserve(names.size());
+    for (const std::string &name : names) {
+        if (progress)
+            std::fprintf(stderr, "  running %s...\n", name.c_str());
+        rows.push_back(runner.startBenchmark(name, pool));
     }
     // Collect in workload order, independent of completion order.
     for (std::size_t i = 0; i < names.size(); ++i)
-        out[i] = pool.wait(futs[i]);
+        out[i] = pool.wait(rows[i]);
     finishMatrix(ecfg, out, runner);
     return out;
 }

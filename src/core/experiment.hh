@@ -36,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -479,10 +480,21 @@ namedRuns(const std::vector<BenchmarkResults> &rows);
 /**
  * Runs experiment matrices, with optional on-disk caching.
  *
+ * One benchmark is a table of stages, one per run: the baseline, the
+ * MCD profiling run (with the offline tool's shake), and one per leg.
+ * A stage's inputs are fixed by its kind: a schedule-replay leg reads
+ * the profiling run, a global-search leg reads the baseline and then
+ * its reference leg, and every other stage reads nothing. Whichever
+ * task finishes a stage's last input submits that stage to the pool,
+ * so no pool task ever waits; the last stage to finish stores the row
+ * in the cache and fulfils the benchmark's future. A stage whose input
+ * failed is not run: it records a "dependency" failure naming the run
+ * that failed first upstream (its root cause).
+ *
  * Thread safety: one runner may be used from many threads at once —
  * the configuration is immutable after construction and cache files
  * are published atomically (write-to-temp + rename), so concurrent
- * runBenchmark() calls for distinct benchmarks never interfere.
+ * benchmarks never interfere.
  */
 class ExperimentRunner
 {
@@ -494,15 +506,18 @@ class ExperimentRunner
     BenchmarkResults runBenchmark(const std::string &name);
 
     /**
-     * Same matrix, with the independent legs fanned out on @p pool as
-     * a small task graph: the baseline, every controller leg, and the
-     * MCD profiling run execute in parallel; then the schedule-replay
-     * legs analyze+simulate concurrently off the shared trace; the
-     * global-search legs (which need the baseline plus their
-     * reference leg) run last. Every leg simulates an independently
-     * constructed, per-run-seeded processor, so the results are
-     * bit-identical to the serial runBenchmark() overload.
+     * Start one benchmark's stage table on @p pool and return its row's
+     * future (already ready on a cache hit). Stages run on the pool as
+     * their inputs finish; on a zero-worker pool the whole row runs
+     * inline before this returns. Every stage simulates an
+     * independently constructed, per-run-seeded processor, so the row
+     * is bit-identical for any pool. @p pool must outlive the future's
+     * completion.
      */
+    std::future<BenchmarkResults> startBenchmark(const std::string &name,
+                                                 ThreadPool &pool);
+
+    /** startBenchmark(), then a helping wait on @p pool for the row. */
     BenchmarkResults runBenchmark(const std::string &name,
                                   ThreadPool &pool);
 
@@ -515,19 +530,8 @@ class ExperimentRunner
     std::uint64_t cacheQuarantines() const { return quarantines; }
 
   private:
-    /** Result of one dynamic (analyze + simulate) leg. */
-    struct DynLeg
-    {
-        RunResult result;
-        std::size_t scheduleSize = 0;
-    };
-
-    /** Result of one global-search leg. */
-    struct GlobalOut
-    {
-        RunResult result;
-        Hertz frequency = 0.0;
-    };
+    /** One benchmark's stage table in flight (experiment.cc). */
+    struct Graph;
 
     SimConfig makeSimConfig(ClockingStyle style,
                             const std::string &site = {}) const;
@@ -540,26 +544,27 @@ class ExperimentRunner
     RunResult controllerLeg(const Program &prog, const LegSpec &leg,
                             const std::string &site) const;
     OfflineAnalyzer analyzerFor(double target_dilation) const;
-    /** Cluster @p shaken at @p target_dilation and replay it. */
-    DynLeg dynamicLeg(const Program &prog, const ShakenTrace &shaken,
-                      double target_dilation,
-                      const std::string &site) const;
+    /** Cluster @p shaken at @p target_dilation and replay it; the
+     *  schedule's entry count goes to @p schedule_size. */
+    RunResult dynamicLeg(const Program &prog, const ShakenTrace &shaken,
+                         double target_dilation, const std::string &site,
+                         std::size_t &schedule_size) const;
     /**
      * The table point, among those a binary search over degradation
      * visits, whose single-clock degradation is closest to
-     * @p reference's (the first visited on a tie), and its run.
-     * Predicted degradations settle most visits; only the points the
-     * prediction cannot settle are simulated (global_search.hh).
+     * @p reference's (the first visited on a tie): its run, and its
+     * frequency in @p frequency. Predicted degradations settle most
+     * visits; only the points the prediction cannot settle are
+     * simulated (global_search.hh).
      */
-    GlobalOut globalLeg(const Program &prog,
-                        const BenchmarkResults &r,
+    RunResult globalLeg(const Program &prog, const BenchmarkResults &r,
                         const RunResult &reference,
-                        const std::string &site) const;
+                        const std::string &site, Hertz &frequency) const;
 
     /**
      * Per-leg isolation: run @p body under a guard that catches
      * FatalError / PanicError / WatchdogError / injected faults /
-     * std::exception, retries transient faults up to
+     * any other exception, retries transient faults up to
      * ExperimentConfig::legAttempts times, and on failure returns a
      * default RunResult carrying a structured RunError instead of
      * propagating — so one dead leg never takes down the matrix.
@@ -573,10 +578,10 @@ class ExperimentRunner
                          const std::function<RunResult()> &body,
                          const char *phase = "simulate") const;
 
-    /** A leg skipped because an upstream leg it needs failed. */
-    RunResult dependencyFailed(const std::string &bench,
-                               const std::string &leg,
-                               const std::string &upstream) const;
+    /** Run (or fail) one stage of @p g, submit the readers it was the
+     *  last input of, and finish the row after its last stage. */
+    void runStage(const std::shared_ptr<Graph> &g, std::size_t stage,
+                  ThreadPool &pool) const;
 
     /** "<name>-<16 hex>": fnv1a over the canonical text of every
      *  result-shaping option and the online-queue defaults. */
@@ -592,10 +597,11 @@ class ExperimentRunner
 
 /**
  * Run the matrix for a list of benchmarks across @p jobs concurrent
- * workers (jobs <= 1 runs strictly serially, inline). Each benchmark
- * additionally fans its independent legs onto the same pool. Results
- * are returned in the order of @p names regardless of completion
- * order, and are bit-identical for every jobs value.
+ * workers (jobs <= 1 runs strictly serially, inline). The calling
+ * thread starts every benchmark's stage table on one pool, then
+ * collects the rows in the order of @p names, regardless of
+ * completion order, with helping waits (so it runs stages too while it
+ * collects). The rows are bit-identical for every jobs value.
  *
  * Configuration (resolved through config::RunSpec, so every knob is
  * reachable as env var, config-file key, or CLI flag), beyond the

@@ -602,6 +602,70 @@ TEST(FaultMatrix, ShakeFailurePropagatesAsDependencyErrors)
     EXPECT_EQ(matrixExitCode(rows), exitPartialFailure);
 }
 
+/**
+ * The adpcm row under fault plan @p plan at jobs=1 and at jobs=4. Every
+ * run's error record (site, kind, message, attempts) must be identical
+ * at both job counts; returns the jobs=1 row.
+ */
+BenchmarkResults
+adpcmRowAtJobs1And4(ExperimentConfig ec, const std::string &plan)
+{
+    ec.faults = std::make_shared<const FaultPlan>(FaultPlan::parse(plan));
+    std::vector<BenchmarkResults> serial = runMatrix(ec, {"adpcm"}, 1);
+    std::vector<BenchmarkResults> par = runMatrix(ec, {"adpcm"}, 4);
+    std::vector<std::string> errors[2];
+    for (int j = 0; j < 2; ++j) {
+        forEachRun((j ? par : serial)[0],
+                   [&](const std::string &leg, const RunResult &r) {
+            errors[j].push_back(
+                r.error ? leg + ": " + r.error->site + " " + r.error->kind +
+                              " " + r.error->message + " " +
+                              std::to_string(r.error->attempts)
+                        : leg + ": ok");
+        });
+    }
+    EXPECT_EQ(errors[0], errors[1]);
+    return serial[0];
+}
+
+TEST(FaultMatrix, DependencyFailuresNameTheRootCause)
+{
+    {
+        // The replay legs read the profiling run, and global reads
+        // dyn5: all three name the profiling run, not the leg between.
+        SCOPED_TRACE("mcdBaseline=throw");
+        BenchmarkResults r = adpcmRowAtJobs1And4(
+            ExperimentConfig{}, "leg:adpcm/mcdBaseline=throw");
+        for (const char *leg : {"dyn1", "dyn5", "global"}) {
+            SCOPED_TRACE(leg);
+            ASSERT_TRUE(r.leg(leg).failed());
+            EXPECT_EQ(r.leg(leg).error->kind, "dependency");
+            EXPECT_EQ(r.leg(leg).error->message, "mcdBaseline leg failed");
+        }
+    }
+    {
+        // A global leg reads the baseline before its reference leg.
+        SCOPED_TRACE("baseline=throw");
+        BenchmarkResults r = adpcmRowAtJobs1And4(
+            ExperimentConfig{}, "leg:adpcm/baseline=throw");
+        ASSERT_TRUE(r.leg("global").failed());
+        EXPECT_EQ(r.leg("global").error->message, "baseline leg failed");
+        EXPECT_FALSE(r.leg("dyn5").failed());
+    }
+    {
+        // A global leg matched to a controller leg names that leg.
+        SCOPED_TRACE("online=throw");
+        ExperimentConfig ec;
+        ec.legs = legsFromSpec("g=global:online|online=ctrl:online-queue");
+        BenchmarkResults r =
+            adpcmRowAtJobs1And4(ec, "leg:adpcm/online=throw");
+        ASSERT_TRUE(r.leg("g").failed());
+        EXPECT_EQ(r.leg("g").error->kind, "dependency");
+        EXPECT_EQ(r.leg("g").error->message, "online leg failed");
+        EXPECT_EQ(r.failedLegs(), 2u);
+    }
+}
+
 TEST(FaultMatrix, FailedRowsAreNeverCached)
 {
     fs::path dir = fs::temp_directory_path() / "mcd-fault-nocache";

@@ -127,11 +127,10 @@ TEST(ParallelMatrix, ParallelRunBitIdenticalToSerial)
 
 TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
 {
-    // With more benchmarks than workers, a benchmark's helping wait
-    // picks up a whole queued benchmark and runs it nested inside its
-    // own frame. The rows must still match the serial run, and each
-    // shake must run in its profiling leg's task: on that leg's lane,
-    // after its simulate slice closes.
+    // With more benchmarks than workers, stages of every benchmark
+    // share the queue. The rows must still match the serial run, and
+    // each shake must run in its profiling leg's task: on that leg's
+    // lane, after its simulate slice closes.
     const std::vector<std::string> names{"adpcm", "mst", "g721"};
     ExperimentConfig ec;                // no cache: every leg runs
     auto serial = runMatrix(ec, names, /*jobs=*/1);
@@ -162,6 +161,29 @@ TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
         EXPECT_EQ(shake->lane, sim->lane);
         EXPECT_GE(shake->startNs, sim->startNs + sim->durNs);
     }
+}
+
+TEST(ParallelMatrix, ConcurrentGlobalLegsMatchSerial)
+{
+    // Two global legs, each reading its own replay leg, can run at
+    // once. The rows must match at every job count, and the row's
+    // global frequency is the pick of the last global leg (g5).
+    ExperimentConfig ec;
+    ec.legs = legsFromSpec("dyn1=replay:0.01|dyn5=replay:0.05|"
+                           "g1=global:dyn1|g5=global:dyn5|"
+                           "online=ctrl:online-queue");
+    const std::vector<std::string> names{"adpcm"};
+    auto serial = runMatrix(ec, names, /*jobs=*/1);
+    for (int jobs : {2, 8}) {
+        SCOPED_TRACE(jobs);
+        expectMatricesIdentical(serial, runMatrix(ec, names, jobs), names);
+    }
+
+    ExperimentConfig onlyG5 = ec;
+    onlyG5.legs = legsFromSpec("dyn5=replay:0.05|g5=global:dyn5");
+    const Hertz g5Pick = runMatrix(onlyG5, names, 1)[0].globalFrequency;
+    EXPECT_GT(g5Pick, 0.0);
+    EXPECT_EQ(serial[0].globalFrequency, g5Pick);
 }
 
 TEST(ParallelMatrix, TaskGraphBenchmarkMatchesSerialBenchmark)

@@ -180,12 +180,6 @@ TEST(ThreadPool, DeeplyNestedSubmit)
     EXPECT_EQ(pool.wait(outer), 117);
 }
 
-TEST(ThreadPool, RunPendingTaskHelpsExplicitly)
-{
-    ThreadPool pool(0);
-    EXPECT_FALSE(pool.runPendingTask());    // nothing queued
-}
-
 TEST(ThreadPool, JobsFromConfigLayer)
 {
     // The MCD_JOBS knob now resolves through config::RunSpec::jobs():
