@@ -207,16 +207,15 @@ IntervalGraphStream::next(IntervalGraph &g)
 
     for (std::size_t i = first; i < pos; ++i) {
         const InstTrace &t = trace[i];
-        if (t.op == Opcode::NOP || t.op == Opcode::HALT)
+        const OpInfo &info = opInfo(t.op);
+        // NOP and HALT complete in the front end: no back-end event.
+        if (info.iq == RegFile::None)
             continue;
         InstEvents ie;
         Tick skew = cfg.completionSkew;
-        // A memory op's address calculation runs on an integer ALU.
-        ie.execEvent = addEvent(t.execEventDomain(), t.issueTime,
-                                t.execDone + skew,
-                                t.isMem() ? FuClass::IntAlu
-                                          : fuClass(t.op));
-        if (t.isMem()) {
+        ie.execEvent = addEvent(info.execDomain, t.issueTime,
+                                t.execDone + skew, info.fu);
+        if (info.isMem()) {
             ie.memEvent = addEvent(Domain::LoadStore, t.memIssue,
                                    t.memDone + skew,
                                    FuClass::MemPort);

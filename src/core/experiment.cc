@@ -654,6 +654,10 @@ benchmarkNamesFromSpec(const config::RunSpec &spec)
             known = known || item == w.name;
         if (!known)
             fatal("benchmarks: unknown benchmark '" + item + "'");
+        // A repeated name would run, print and average its rows twice
+        // and write a stats document with duplicate keys.
+        if (std::find(names.begin(), names.end(), item) != names.end())
+            fatal("benchmarks: benchmark '" + item + "' listed twice");
         names.push_back(item);
     }
     if (names.empty())

@@ -47,7 +47,7 @@ class SamplingPolicy;   // core/sampling.hh; only sampled runs bind one
 inline constexpr int numRegClasses = 2;
 
 /** The register class a destination of kind @p k is renamed in. */
-inline int regClass(DestKind k) { return k == DestKind::Fp ? 1 : 0; }
+inline int regClass(RegFile k) { return k == RegFile::Fp ? 1 : 0; }
 
 /** One RenameState per register class. */
 using RenameFiles = std::array<RenameState, numRegClasses>;
@@ -184,7 +184,7 @@ struct CoreShared
     void
     produceResult(DynInst *in, Tick when, Domain producer)
     {
-        if (in->dest != DestKind::None)
+        if (in->dest != RegFile::None)
             rename[regClass(in->dest)].markReady(in->destPhys, when, producer);
     }
 };

@@ -115,10 +115,9 @@ CoreUnits::driveSampling(Tick now)
         }
         ExecResult er = shared.oracle.step();
         ++executed;
-        if (isMem(er.inst.op)) {
-            shared.mem.dataAccess(er.memAddr & ~7ULL,
-                                  isStore(er.inst.op), now);
-        }
+        const OpInfo &info = opInfo(er.inst.op);
+        if (info.isMem())
+            shared.mem.dataAccess(er.memAddr & ~7ULL, info.isStore(), now);
         fe.warmFastForward(er);
         if (er.halted) {
             halted = true;

@@ -50,7 +50,6 @@ struct DynInst
     std::uint64_t seq = 0;      //!< dynamic instruction number
     Inst inst;
     std::uint64_t memAddr = 0;
-    bool isHalt = false;
 
     // Branch prediction state.
     bool mispredicted = false;
@@ -64,7 +63,7 @@ struct DynInst
     // Rename state.
     int destPhys = noReg;
     int oldDestPhys = noReg;    //!< freed at commit
-    DestKind dest = DestKind::None;
+    RegFile dest = RegFile::None;
     int src1Phys = noReg;       //!< noReg when no (live) source
     int src2Phys = noReg;
     bool src1Fp = false;        //!< src1 lives in the FP register file
@@ -79,9 +78,9 @@ struct DynInst
     /** Trace-only fields; points into the InstWindow's cold array. */
     DynInstCold *cold = nullptr;
 
-    bool isLoadOp() const { return isLoad(inst.op); }
-    bool isStoreOp() const { return isStore(inst.op); }
-    bool isMemOp() const { return isMem(inst.op); }
+    bool isLoadOp() const { return opInfo(inst.op).isLoad(); }
+    bool isStoreOp() const { return opInfo(inst.op).isStore(); }
+    bool isMemOp() const { return opInfo(inst.op).isMem(); }
 
     /** The time at which this instruction is ready to retire, and the
      *  domain that produced that signal. */
@@ -93,15 +92,7 @@ struct DynInst
         return execDoneTime;
     }
 
-    Domain
-    completionDomain() const
-    {
-        if (isMemOp())
-            return Domain::LoadStore;
-        if (isHalt || inst.op == Opcode::NOP)
-            return Domain::FrontEnd;
-        return execDomain(inst.op);
-    }
+    Domain completionDomain() const { return opInfo(inst.op).doneDomain; }
 };
 
 } // namespace mcd

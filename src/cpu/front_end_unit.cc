@@ -7,23 +7,6 @@ namespace mcd {
 
 namespace {
 
-/**
- * The issue queue (register class) an instruction occupies, or -1 for
- * NOP and HALT, which complete in the front end. Memory ops use the
- * integer queue for address generation.
- */
-int
-issueClass(Opcode op)
-{
-    if (isFp(op))
-        return 1;
-    if (isIntAlu(op) || isIntMulDiv(op) || isBranch(op) || isJump(op) ||
-        isMem(op)) {
-        return 0;
-    }
-    return -1;
-}
-
 /** Issue-queue write energy, by register class. */
 constexpr Unit iqWrite[numRegClasses] = {Unit::IntIqWrite, Unit::FpIqWrite};
 
@@ -67,19 +50,19 @@ FrontEndUnit::commitStage(Tick now)
 
         s.chargePower(Unit::Rob);
         ++s.stat.committed;
-        Opcode op = in->inst.op;
-        if (in->isLoadOp())
+        const OpInfo &info = opInfo(in->inst.op);
+        if (info.isLoad())
             ++s.stat.committedLoads;
-        else if (in->isStoreOp())
+        else if (info.isStore())
             ++s.stat.committedStores;
-        else if (isFp(op))
+        else if (info.iq == RegFile::Fp)
             ++s.stat.committedFp;
-        else if (isControl(op) && in->mispredicted)
+        else if (info.isControl() && in->mispredicted)
             ++s.stat.mispredicts;
 
         recordTrace(in);
 
-        if (in->isHalt)
+        if (in->inst.op == Opcode::HALT)
             s.haltCommitted = true;
 
         rob.pop_front();
@@ -113,34 +96,35 @@ bool
 FrontEndUnit::dispatchOne(DynInst *in, Tick now)
 {
     const Inst &inst = in->inst;
-    Opcode op = inst.op;
+    const OpInfo &info = opInfo(inst.op);
 
     if (static_cast<int>(rob.size()) >= s.cfg.robSize)
         return false;
 
-    int iq = issueClass(op);
-    bool needLsq = isMem(op);
-    DestKind dk = destKind(inst);
+    // NOP and HALT occupy no issue queue: they complete in the front
+    // end.
+    bool queued = info.iq != RegFile::None;
+    int iq = regClass(info.iq);
+    bool needLsq = info.isMem();
+    RegFile dk = liveFile(info.dest, inst.rd);
 
-    if (dk != DestKind::None && !s.rename[regClass(dk)].hasFree())
+    if (dk != RegFile::None && !s.rename[regClass(dk)].hasFree())
         return false;
-    if (iq >= 0 && p.iqCredits[iq].credits(now) <= 0)
+    if (queued && p.iqCredits[iq].credits(now) <= 0)
         return false;
     if (needLsq && lsqFree <= 0)
         return false;
 
     // Rename sources; each reads the integer file, the FP file, or
     // nothing.
-    int c1 = readsIntRs1(op) && inst.rs1 != reg::zero ? 0
-        : readsFpRs1(op) ? 1 : -1;
-    if (c1 >= 0) {
+    if (RegFile f1 = liveFile(info.src1, inst.rs1); f1 != RegFile::None) {
+        int c1 = regClass(f1);
         in->src1Phys = s.rename[c1].lookup(inst.rs1);
         in->src1Fp = c1;
         in->cold->src1Producer = s.rename[c1].lastWriterSeq(inst.rs1);
     }
-    int c2 = readsIntRs2(op) && inst.rs2 != reg::zero ? 0
-        : readsFpRs2(op) ? 1 : -1;
-    if (c2 >= 0) {
+    if (RegFile f2 = liveFile(info.src2, inst.rs2); f2 != RegFile::None) {
+        int c2 = regClass(f2);
         in->src2Phys = s.rename[c2].lookup(inst.rs2);
         in->src2Fp = c2;
         in->cold->src2Producer = s.rename[c2].lastWriterSeq(inst.rs2);
@@ -148,7 +132,7 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
 
     // Rename destination.
     in->dest = dk;
-    if (dk != DestKind::None) {
+    if (dk != RegFile::None) {
         auto [phys, old] = s.rename[regClass(dk)].allocate(inst.rd, in->seq);
         in->destPhys = phys;
         in->oldDestPhys = old;
@@ -161,7 +145,7 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
     s.chargePower(Unit::Rob);
     s.chargePower(Unit::FetchQueue);
 
-    if (iq >= 0) {
+    if (queued) {
         p.iq[iq].push(in, now);
         p.iqCredits[iq].take();
         s.chargePower(iqWrite[iq]);
@@ -172,8 +156,7 @@ FrontEndUnit::dispatchOne(DynInst *in, Tick now)
         s.chargePower(Unit::Lsq);
     }
 
-    if (op == Opcode::NOP || op == Opcode::HALT) {
-        // Completes in the front end without visiting a back-end queue.
+    if (!queued) {
         in->executed = true;
         in->cold->issueTime = now;
         in->execDoneTime = now + 1;
@@ -199,8 +182,9 @@ FrontEndUnit::fetchStage(Tick now)
     // it probes without stall accounting.
     if (stallBranch) {
         if (stallBranch->executed &&
-            p.completion.probeQuiet(execDomain(stallBranch->inst.op),
-                                    stallBranch->execDoneTime, now)) {
+            p.completion.probeQuiet(
+                opInfo(stallBranch->inst.op).execDomain,
+                stallBranch->execDoneTime, now)) {
             stallBranch = nullptr;
             redirectPenaltyLeft = s.cfg.mispredictPenalty;
             wrongPathChargeLeft = 0;
@@ -253,11 +237,10 @@ FrontEndUnit::fetchStage(Tick now)
         in->seq = er.seq;
         in->inst = er.inst;
         in->memAddr = er.memAddr;
-        in->isHalt = er.halted;
         in->fetchTime = groupReady;
 
         Opcode op = er.inst.op;
-        if (isBranch(op)) {
+        if (opInfo(op).isBranch()) {
             BpredLookup look = predictor.predictBranch(er.pc);
             bool correct;
             if (er.taken) {
@@ -301,7 +284,7 @@ FrontEndUnit::warmFastForward(const ExecResult &er)
     // Keep the predictor's lookup/update sequence identical to the
     // detailed fetch path so its tables train on the skipped stream.
     Opcode op = er.inst.op;
-    if (isBranch(op)) {
+    if (opInfo(op).isBranch()) {
         BpredLookup look = predictor.predictBranch(er.pc);
         predictor.update(er.pc, er.taken, er.nextPc, look.taken, true);
     } else if (op == Opcode::JALR) {

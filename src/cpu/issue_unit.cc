@@ -36,10 +36,10 @@ IssueUnit::tick(Tick now)
         if (!iq.probe(ent, now))
             continue;
 
-        // Memory ops (integer queue only: isFp excludes FLD/FST)
-        // generate their address, which needs only the base register.
-        Opcode op = in->inst.op;
-        bool isAddrGen = isMem(op);
+        // A memory op's execute event only generates its address: the
+        // store data and the loaded value belong to its cache access.
+        const OpInfo &info = opInfo(in->inst.op);
+        bool isAddrGen = info.isMem();
         if (!p.results.ready(in->src1Phys, in->src1Fp, side.domain, now) ||
             (!isAddrGen &&
              !p.results.ready(in->src2Phys, in->src2Fp, side.domain,
@@ -47,12 +47,12 @@ IssueUnit::tick(Tick now)
             continue;
         }
 
-        bool isLong = fuClass(op) == side.longOps;
+        bool isLong = info.fu == side.longOps;
         FuPool &pool = isLong ? mulDivPool : aluPool;
         if (!pool.canIssue(now))
             continue;
 
-        int lat = isAddrGen ? 1 : execLatency(op);
+        int lat = info.latency;
         // Result is latched at the lat-th edge after issue; encode it
         // half a period early so jittered edges compare robustly (see
         // DESIGN.md, completion-time encoding).
@@ -67,7 +67,7 @@ IssueUnit::tick(Tick now)
 
         // The write is charged to this side's register file even when
         // the result lands in the other (FP compares and FTOI).
-        if (!isAddrGen && in->dest != DestKind::None) {
+        if (!isAddrGen && in->dest != RegFile::None) {
             s.produceResult(in, done, side.domain);
             s.chargePower(side.regWrite);
         }

@@ -68,12 +68,10 @@ Builder::emitI(Opcode op, int rd, int rs1, int imm)
 {
     checkReg(rd);
     checkReg(rs1);
-    // Logical immediates (ANDI/ORI/XORI) and LUI are zero-extended
-    // 16-bit values; accept [0, 65535] and store the low 16 bits
-    // sign-extended, like every other imm16 (the executor
-    // zero-extends them again).
-    bool logical = op == Opcode::ANDI || op == Opcode::ORI ||
-                   op == Opcode::XORI || op == Opcode::LUI;
+    // Logical immediates (ANDI/ORI) are zero-extended 16-bit values;
+    // accept [0, 65535] and store the low 16 bits sign-extended, like
+    // every other imm16 (the executor zero-extends them again).
+    bool logical = op == Opcode::ANDI || op == Opcode::ORI;
     if (logical) {
         if (imm < 0 || imm > 65535)
             panic("logical immediate out of unsigned 16-bit range");

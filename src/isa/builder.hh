@@ -59,14 +59,7 @@ class Builder
     void and_(int rd, int rs1, int rs2) { emitR(Opcode::AND, rd, rs1, rs2); }
     void or_(int rd, int rs1, int rs2) { emitR(Opcode::OR, rd, rs1, rs2); }
     void xor_(int rd, int rs1, int rs2) { emitR(Opcode::XOR, rd, rs1, rs2); }
-    void sll(int rd, int rs1, int rs2) { emitR(Opcode::SLL, rd, rs1, rs2); }
-    void srl(int rd, int rs1, int rs2) { emitR(Opcode::SRL, rd, rs1, rs2); }
-    void sra(int rd, int rs1, int rs2) { emitR(Opcode::SRA, rd, rs1, rs2); }
-    void slt(int rd, int rs1, int rs2) { emitR(Opcode::SLT, rd, rs1, rs2); }
-    void sltu(int rd, int rs1, int rs2) { emitR(Opcode::SLTU, rd, rs1, rs2); }
     void mul(int rd, int rs1, int rs2) { emitR(Opcode::MUL, rd, rs1, rs2); }
-    void div(int rd, int rs1, int rs2) { emitR(Opcode::DIV, rd, rs1, rs2); }
-    void rem(int rd, int rs1, int rs2) { emitR(Opcode::REM, rd, rs1, rs2); }
     /** @} */
 
     /** @name Integer ALU (immediate)
@@ -75,12 +68,9 @@ class Builder
     void addi(int rd, int rs1, int imm) { emitI(Opcode::ADDI, rd, rs1, imm); }
     void andi(int rd, int rs1, int imm) { emitI(Opcode::ANDI, rd, rs1, imm); }
     void ori(int rd, int rs1, int imm) { emitI(Opcode::ORI, rd, rs1, imm); }
-    void xori(int rd, int rs1, int imm) { emitI(Opcode::XORI, rd, rs1, imm); }
     void slli(int rd, int rs1, int imm) { emitI(Opcode::SLLI, rd, rs1, imm); }
     void srli(int rd, int rs1, int imm) { emitI(Opcode::SRLI, rd, rs1, imm); }
     void srai(int rd, int rs1, int imm) { emitI(Opcode::SRAI, rd, rs1, imm); }
-    void slti(int rd, int rs1, int imm) { emitI(Opcode::SLTI, rd, rs1, imm); }
-    void lui(int rd, int imm) { emitI(Opcode::LUI, rd, 0, imm); }
     /** @} */
 
     /** @name Memory
@@ -104,14 +94,8 @@ class Builder
     void fmul(int fd, int fs1, int fs2) { emitR(Opcode::FMUL, fd, fs1, fs2); }
     void fdiv(int fd, int fs1, int fs2) { emitR(Opcode::FDIV, fd, fs1, fs2); }
     void fsqrt(int fd, int fs1) { emitR(Opcode::FSQRT, fd, fs1, 0); }
-    void fneg(int fd, int fs1) { emitR(Opcode::FNEG, fd, fs1, 0); }
-    void fabs_(int fd, int fs1) { emitR(Opcode::FABS, fd, fs1, 0); }
     void fmov(int fd, int fs1) { emitR(Opcode::FMOV, fd, fs1, 0); }
-    void fmin(int fd, int fs1, int fs2) { emitR(Opcode::FMIN, fd, fs1, fs2); }
-    void fmax(int fd, int fs1, int fs2) { emitR(Opcode::FMAX, fd, fs1, fs2); }
     void fclt(int rd, int fs1, int fs2) { emitR(Opcode::FCLT, rd, fs1, fs2); }
-    void fcle(int rd, int fs1, int fs2) { emitR(Opcode::FCLE, rd, fs1, fs2); }
-    void fceq(int rd, int fs1, int fs2) { emitR(Opcode::FCEQ, rd, fs1, fs2); }
     void itof(int fd, int rs1) { emitR(Opcode::ITOF, fd, rs1, 0); }
     void ftoi(int rd, int fs1) { emitR(Opcode::FTOI, rd, fs1, 0); }
     /** @} */
@@ -123,8 +107,6 @@ class Builder
     void bne(int rs1, int rs2, Label l) { emitB(Opcode::BNE, rs1, rs2, l); }
     void blt(int rs1, int rs2, Label l) { emitB(Opcode::BLT, rs1, rs2, l); }
     void bge(int rs1, int rs2, Label l) { emitB(Opcode::BGE, rs1, rs2, l); }
-    void bltu(int rs1, int rs2, Label l) { emitB(Opcode::BLTU, rs1, rs2, l); }
-    void bgeu(int rs1, int rs2, Label l) { emitB(Opcode::BGEU, rs1, rs2, l); }
     void jal(int rd, Label l);
     /** Unconditional jump (JAL with dead link register). */
     void j(Label l) { jal(reg::zero, l); }

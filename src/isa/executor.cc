@@ -59,37 +59,8 @@ Executor::step()
         break;
       case Opcode::XOR: rd_val = x[in.rs1] ^ x[in.rs2]; write_int = true;
         break;
-      case Opcode::SLL:
-        rd_val = x[in.rs1] << (x[in.rs2] & 63); write_int = true;
-        break;
-      case Opcode::SRL:
-        rd_val = x[in.rs1] >> (x[in.rs2] & 63); write_int = true;
-        break;
-      case Opcode::SRA:
-        rd_val = static_cast<std::uint64_t>(
-            s(x[in.rs1]) >> (x[in.rs2] & 63));
-        write_int = true;
-        break;
-      case Opcode::SLT:
-        rd_val = s(x[in.rs1]) < s(x[in.rs2]) ? 1 : 0; write_int = true;
-        break;
-      case Opcode::SLTU:
-        rd_val = x[in.rs1] < x[in.rs2] ? 1 : 0; write_int = true;
-        break;
 
       case Opcode::MUL: rd_val = x[in.rs1] * x[in.rs2]; write_int = true;
-        break;
-      case Opcode::DIV:
-        rd_val = x[in.rs2] == 0
-            ? ~0ULL
-            : static_cast<std::uint64_t>(s(x[in.rs1]) / s(x[in.rs2]));
-        write_int = true;
-        break;
-      case Opcode::REM:
-        rd_val = x[in.rs2] == 0
-            ? x[in.rs1]
-            : static_cast<std::uint64_t>(s(x[in.rs1]) % s(x[in.rs2]));
-        write_int = true;
         break;
 
       case Opcode::ADDI:
@@ -101,8 +72,6 @@ Executor::step()
         break;
       case Opcode::ORI: rd_val = x[in.rs1] | u16(in.imm); write_int = true;
         break;
-      case Opcode::XORI: rd_val = x[in.rs1] ^ u16(in.imm); write_int = true;
-        break;
       case Opcode::SLLI:
         rd_val = x[in.rs1] << (in.imm & 63); write_int = true;
         break;
@@ -112,11 +81,6 @@ Executor::step()
       case Opcode::SRAI:
         rd_val = static_cast<std::uint64_t>(s(x[in.rs1]) >> (in.imm & 63));
         write_int = true;
-        break;
-      case Opcode::SLTI:
-        rd_val = s(x[in.rs1]) < in.imm ? 1 : 0; write_int = true;
-        break;
-      case Opcode::LUI: rd_val = u16(in.imm) << 16; write_int = true;
         break;
 
       case Opcode::LD:
@@ -148,26 +112,10 @@ Executor::step()
         break;
       case Opcode::FSQRT: fd_val = std::sqrt(f[in.rs1]); write_fp = true;
         break;
-      case Opcode::FNEG: fd_val = -f[in.rs1]; write_fp = true;
-        break;
-      case Opcode::FABS: fd_val = std::fabs(f[in.rs1]); write_fp = true;
-        break;
       case Opcode::FMOV: fd_val = f[in.rs1]; write_fp = true;
-        break;
-      case Opcode::FMIN:
-        fd_val = std::fmin(f[in.rs1], f[in.rs2]); write_fp = true;
-        break;
-      case Opcode::FMAX:
-        fd_val = std::fmax(f[in.rs1], f[in.rs2]); write_fp = true;
         break;
       case Opcode::FCLT:
         rd_val = f[in.rs1] < f[in.rs2] ? 1 : 0; write_int = true;
-        break;
-      case Opcode::FCLE:
-        rd_val = f[in.rs1] <= f[in.rs2] ? 1 : 0; write_int = true;
-        break;
-      case Opcode::FCEQ:
-        rd_val = f[in.rs1] == f[in.rs2] ? 1 : 0; write_int = true;
         break;
       case Opcode::ITOF:
         fd_val = static_cast<double>(s(x[in.rs1])); write_fp = true;
@@ -190,12 +138,6 @@ Executor::step()
       case Opcode::BGE:
         r.taken = s(x[in.rs1]) >= s(x[in.rs2]);
         break;
-      case Opcode::BLTU:
-        r.taken = x[in.rs1] < x[in.rs2];
-        break;
-      case Opcode::BGEU:
-        r.taken = x[in.rs1] >= x[in.rs2];
-        break;
 
       case Opcode::JAL:
         rd_val = curPc + 4;
@@ -214,7 +156,7 @@ Executor::step()
         panic("Executor: unhandled opcode");
     }
 
-    if (isBranch(in.op) && r.taken)
+    if (opInfo(in.op).isBranch() && r.taken)
         r.nextPc = curPc + static_cast<std::int64_t>(in.imm);
 
     if (write_int && in.rd != reg::zero)

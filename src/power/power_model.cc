@@ -68,39 +68,28 @@ std::string
 PowerModel::breakdown() const
 {
     TextTable tbl;
-    tbl.header({"unit", "domain", "accesses", "energy", "share"});
+    tbl.header({"unit", "domain", "energy", "share"});
     double total = totalEnergy();
     for (int i = 0; i < numUnits; ++i) {
         Unit u = static_cast<Unit>(i);
         tbl.row({unitName(u), domainShortName(unitDomain(u)),
-                 std::to_string(unitCount[i]),
                  formatFixed(unitEnergy[i], 0),
                  formatPercent(total > 0 ? unitEnergy[i] / total : 0.0)});
     }
     for (int d = 0; d < numDomains; ++d) {
         tbl.row({"clock tree + idle",
-                 domainShortName(static_cast<Domain>(d)), "-",
+                 domainShortName(static_cast<Domain>(d)),
                  formatFixed(clockEnergy[d], 0),
                  formatPercent(total > 0 ? clockEnergy[d] / total : 0.0)});
     }
     tbl.separator();
     for (int d = 0; d < numDomains; ++d) {
         tbl.row({"domain total",
-                 domainShortName(static_cast<Domain>(d)), "-",
+                 domainShortName(static_cast<Domain>(d)),
                  formatFixed(domEnergy[d], 0),
                  formatPercent(total > 0 ? domEnergy[d] / total : 0.0)});
     }
     return tbl.render();
-}
-
-void
-PowerModel::reset()
-{
-    unitEnergy.fill(0.0);
-    unitCount.fill(0);
-    domEnergy.fill(0.0);
-    clockEnergy.fill(0.0);
-    activeThisCycle.fill(false);
 }
 
 } // namespace mcd

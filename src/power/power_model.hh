@@ -13,7 +13,6 @@
 #define MCD_POWER_POWER_MODEL_HH
 
 #include <array>
-#include <cstdint>
 #include <string>
 
 #include "clock/clock_domain.hh"
@@ -40,7 +39,6 @@ class PowerModel
         unitEnergy[ui] += e;
         domEnergy[domainIndex(d)] += e;
         activeThisCycle[domainIndex(d)] = true;
-        ++unitCount[ui];
     }
 
     /**
@@ -58,14 +56,10 @@ class PowerModel
     { return domEnergy[domainIndex(d)]; }
     double unitEnergyOf(Unit u) const
     { return unitEnergy[static_cast<int>(u)]; }
-    std::uint64_t unitAccesses(Unit u) const
-    { return unitCount[static_cast<int>(u)]; }
     double totalEnergy() const;
 
     /** Render a per-domain / per-unit breakdown table. */
     std::string breakdown() const;
-
-    void reset();
 
     const EnergyParams &params() const { return cfg; }
 
@@ -92,7 +86,6 @@ class PowerModel
     EnergyParams cfg;
     std::array<const ClockDomain *, numDomains> clocks;
     std::array<double, numUnits> unitEnergy{};
-    std::array<std::uint64_t, numUnits> unitCount{};
     std::array<double, numDomains> domEnergy{};
     std::array<double, numDomains> clockEnergy{};
     std::array<bool, numDomains> activeThisCycle{};

@@ -52,18 +52,8 @@ struct InstTrace
      *  everything younger waited for its resolution. */
     bool mispredicted = false;
 
-    bool isMem() const { return mcd::isMem(op); }
-    bool isLoadOp() const { return isLoad(op); }
-
-    /** Domain of the execute / addr-calc event. */
-    Domain
-    execEventDomain() const
-    {
-        // Address calculation happens on the integer AGUs.
-        if (isMem())
-            return Domain::Integer;
-        return execDomain(op);
-    }
+    bool isMem() const { return opInfo(op).isMem(); }
+    bool isLoadOp() const { return opInfo(op).isLoad(); }
 };
 
 /**

@@ -767,6 +767,13 @@ TEST(SpecGrammars, RejectTableFailsWithAStructuredError)
         throws([&] { sc.toConfig(); }, "Scenario config", name);
     }
 
+    for (const char *text : {"adpcm,adpcm", "adpcm,mst,adpcm"}) {
+        ConfigSandbox sandbox;
+        sandbox.set("MCD_BENCHMARKS", text);
+        throws([] { benchmarkNamesFromSpec(config::RunSpec::resolve()); },
+               "benchmark 'adpcm' listed twice", text);
+    }
+
     for (const char *jobs : {"\"4x\"", "0", "100000", "-1", "\"\""})
         EXPECT_FALSE(reproFromText(reproWithJobs(jobs)).has_value())
             << "jobs " << jobs;

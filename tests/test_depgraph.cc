@@ -192,9 +192,9 @@ referenceGraphs(const std::vector<InstTrace> &trace,
                     std::min(t.memFixed, me.origDuration - 1);
                 ie.isLoad = t.isLoadOp();
             } else {
-                ie.execEvent = addEvent(execDomain(t.op), t.issueTime,
-                                        t.execDone + skew,
-                                        fuClass(t.op));
+                ie.execEvent = addEvent(opInfo(t.op).execDomain,
+                                        t.issueTime, t.execDone + skew,
+                                        opInfo(t.op).fu);
             }
             g.events[ie.execEvent].floorStart = t.dispatchTime;
             std::size_t robPeer = i + static_cast<std::size_t>(

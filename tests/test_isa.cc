@@ -1,108 +1,334 @@
 /**
  * @file
- * Tests for the mini-ISA: classification, builder semantics and
+ * Tests for the mini-ISA: the opcode table, builder semantics and
  * range checks, and the functional executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "common/log.hh"
+#include "fuzz/workload_gen.hh"
 #include "isa/builder.hh"
 #include "isa/executor.hh"
 #include "isa/inst.hh"
+#include "workloads/workloads.hh"
 
 namespace mcd {
 namespace {
 
 // -------------------------------------------------------------------
-// Classification.
+// The opcode table.
 // -------------------------------------------------------------------
 
-TEST(InstClass, Basic)
+/**
+ * The classifier functions the opcode table replaced, copied for the
+ * opcodes that remain, together with the expressions their callers
+ * built from them. The table must reproduce every value a caller
+ * read, so the timing model, the trace and the analyzer see exactly
+ * what they saw before.
+ */
+namespace ref {
+
+bool
+isIntAlu(Opcode op)
 {
-    EXPECT_TRUE(isIntAlu(Opcode::ADD));
-    EXPECT_TRUE(isIntAlu(Opcode::LUI));
-    EXPECT_FALSE(isIntAlu(Opcode::MUL));
-    EXPECT_TRUE(isIntMulDiv(Opcode::DIV));
-    EXPECT_TRUE(isFp(Opcode::FSQRT));
-    EXPECT_TRUE(isFp(Opcode::FCLT));
-    EXPECT_TRUE(isLoad(Opcode::FLD));
-    EXPECT_TRUE(isStore(Opcode::FST));
-    EXPECT_TRUE(isMem(Opcode::LD));
-    EXPECT_FALSE(isMem(Opcode::ADD));
-    EXPECT_TRUE(isBranch(Opcode::BGEU));
-    EXPECT_TRUE(isJump(Opcode::JALR));
-    EXPECT_TRUE(isControl(Opcode::JAL));
-    EXPECT_FALSE(isControl(Opcode::SUB));
+    switch (op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::AND:
+      case Opcode::OR: case Opcode::XOR: case Opcode::ADDI:
+      case Opcode::ANDI: case Opcode::ORI: case Opcode::SLLI:
+      case Opcode::SRLI: case Opcode::SRAI:
+        return true;
+      default:
+        return false;
+    }
 }
 
-TEST(InstClass, FuClasses)
+bool isIntMulDiv(Opcode op) { return op == Opcode::MUL; }
+
+bool
+isFp(Opcode op)
 {
-    EXPECT_EQ(fuClass(Opcode::ADD), FuClass::IntAlu);
-    EXPECT_EQ(fuClass(Opcode::BEQ), FuClass::IntAlu);
-    EXPECT_EQ(fuClass(Opcode::MUL), FuClass::IntMulDiv);
-    EXPECT_EQ(fuClass(Opcode::LD), FuClass::MemPort);
-    EXPECT_EQ(fuClass(Opcode::FADD), FuClass::FpAlu);
-    EXPECT_EQ(fuClass(Opcode::FDIV), FuClass::FpMulDivSqrt);
-    EXPECT_EQ(fuClass(Opcode::NOP), FuClass::None);
+    switch (op) {
+      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
+      case Opcode::FDIV: case Opcode::FSQRT: case Opcode::FMOV:
+      case Opcode::FCLT: case Opcode::ITOF: case Opcode::FTOI:
+        return true;
+      default:
+        return false;
+    }
 }
 
-TEST(InstClass, Latencies)
+bool isLoad(Opcode op) { return op == Opcode::LD || op == Opcode::FLD; }
+bool isStore(Opcode op) { return op == Opcode::ST || op == Opcode::FST; }
+bool isMem(Opcode op) { return isLoad(op) || isStore(op); }
+
+bool
+isBranch(Opcode op)
 {
-    EXPECT_EQ(execLatency(Opcode::ADD), 1);
-    EXPECT_EQ(execLatency(Opcode::MUL), 7);
-    EXPECT_EQ(execLatency(Opcode::DIV), 20);
-    EXPECT_EQ(execLatency(Opcode::FADD), 4);
-    EXPECT_EQ(execLatency(Opcode::FDIV), 12);
-    EXPECT_GT(execLatency(Opcode::FSQRT), execLatency(Opcode::FDIV));
+    return op == Opcode::BEQ || op == Opcode::BNE || op == Opcode::BLT ||
+        op == Opcode::BGE;
 }
 
-TEST(InstClass, ExecDomains)
+bool isJump(Opcode op) { return op == Opcode::JAL || op == Opcode::JALR; }
+
+FuClass
+fuClass(Opcode op)
 {
-    EXPECT_EQ(execDomain(Opcode::ADD), Domain::Integer);
-    EXPECT_EQ(execDomain(Opcode::BEQ), Domain::Integer);
-    EXPECT_EQ(execDomain(Opcode::FMUL), Domain::FloatingPoint);
-    EXPECT_EQ(execDomain(Opcode::LD), Domain::LoadStore);
-    EXPECT_EQ(execDomain(Opcode::FST), Domain::LoadStore);
+    if (isIntAlu(op) || isBranch(op) || isJump(op))
+        return FuClass::IntAlu;
+    if (isIntMulDiv(op))
+        return FuClass::IntMulDiv;
+    if (isMem(op))
+        return FuClass::MemPort;
+    if (op == Opcode::FMUL || op == Opcode::FDIV || op == Opcode::FSQRT)
+        return FuClass::FpMulDivSqrt;
+    if (isFp(op))
+        return FuClass::FpAlu;
+    return FuClass::None;
 }
 
-TEST(InstClass, DestKinds)
+int
+execLatency(Opcode op)
 {
-    Inst i;
-    i.op = Opcode::ADD;
-    i.rd = 5;
-    EXPECT_EQ(destKind(i), DestKind::Int);
-    i.rd = reg::zero;
-    EXPECT_EQ(destKind(i), DestKind::None);
-    i.op = Opcode::FADD;
-    i.rd = 3;
-    EXPECT_EQ(destKind(i), DestKind::Fp);
-    i.op = Opcode::FCLT;
-    EXPECT_EQ(destKind(i), DestKind::Int);
-    i.op = Opcode::ST;
-    EXPECT_EQ(destKind(i), DestKind::None);
-    i.op = Opcode::BEQ;
-    EXPECT_EQ(destKind(i), DestKind::None);
-    i.op = Opcode::FLD;
-    EXPECT_EQ(destKind(i), DestKind::Fp);
+    switch (op) {
+      case Opcode::MUL: return 7;
+      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMOV:
+      case Opcode::FCLT: case Opcode::ITOF: case Opcode::FTOI:
+        return 4;
+      case Opcode::FMUL: return 4;
+      case Opcode::FDIV: return 12;
+      case Opcode::FSQRT: return 18;
+      default: return 1;
+    }
 }
 
-TEST(InstClass, SourceReads)
+RegFile
+destKind(const Inst &inst)
 {
-    EXPECT_TRUE(readsIntRs1(Opcode::ADD));
-    EXPECT_TRUE(readsIntRs2(Opcode::ADD));
-    EXPECT_FALSE(readsIntRs2(Opcode::ADDI));
-    EXPECT_TRUE(readsIntRs1(Opcode::LD));   // base register
-    EXPECT_TRUE(readsIntRs2(Opcode::ST));   // store data
-    EXPECT_FALSE(readsIntRs2(Opcode::LD));
-    EXPECT_TRUE(readsFpRs2(Opcode::FST));   // FP store data
-    EXPECT_TRUE(readsFpRs1(Opcode::FSQRT));
-    EXPECT_FALSE(readsFpRs2(Opcode::FSQRT));
-    EXPECT_TRUE(readsIntRs1(Opcode::ITOF));
-    EXPECT_TRUE(readsFpRs1(Opcode::FTOI));
-    EXPECT_FALSE(readsIntRs1(Opcode::LUI));
-    EXPECT_FALSE(readsIntRs1(Opcode::JAL));
-    EXPECT_TRUE(readsIntRs1(Opcode::JALR));
+    Opcode op = inst.op;
+    if (op == Opcode::NOP || op == Opcode::HALT || isBranch(op) ||
+        isStore(op)) {
+        return RegFile::None;
+    }
+    if (op == Opcode::FLD)
+        return RegFile::Fp;
+    if (op == Opcode::LD)
+        return inst.rd == reg::zero ? RegFile::None : RegFile::Int;
+    if (isFp(op)) {
+        if (op == Opcode::FCLT || op == Opcode::FTOI)
+            return inst.rd == reg::zero ? RegFile::None : RegFile::Int;
+        return RegFile::Fp;
+    }
+    return inst.rd == reg::zero ? RegFile::None : RegFile::Int;
+}
+
+bool
+readsIntRs1(Opcode op)
+{
+    if (isIntAlu(op) || isIntMulDiv(op) || isBranch(op) || isMem(op))
+        return true;
+    return op == Opcode::JALR || op == Opcode::ITOF;
+}
+
+bool
+readsIntRs2(Opcode op)
+{
+    switch (op) {
+      case Opcode::ADD: case Opcode::SUB: case Opcode::AND:
+      case Opcode::OR: case Opcode::XOR: case Opcode::MUL:
+      case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT:
+      case Opcode::BGE: case Opcode::ST:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+readsFpRs1(Opcode op)
+{
+    switch (op) {
+      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
+      case Opcode::FDIV: case Opcode::FSQRT: case Opcode::FMOV:
+      case Opcode::FCLT: case Opcode::FTOI:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+readsFpRs2(Opcode op)
+{
+    switch (op) {
+      case Opcode::FADD: case Opcode::FSUB: case Opcode::FMUL:
+      case Opcode::FDIV: case Opcode::FCLT: case Opcode::FST:
+        return true;
+      default:
+        return false;
+    }
+}
+
+Domain
+execDomain(Opcode op)
+{
+    if (isMem(op))
+        return Domain::LoadStore;
+    if (isFp(op))
+        return Domain::FloatingPoint;
+    return Domain::Integer;
+}
+
+/** FrontEndUnit's issue queue: 0 integer, 1 FP, -1 none. */
+int
+issueClass(Opcode op)
+{
+    if (isFp(op))
+        return 1;
+    if (isIntAlu(op) || isIntMulDiv(op) || isBranch(op) || isJump(op) ||
+        isMem(op)) {
+        return 0;
+    }
+    return -1;
+}
+
+/** FrontEndUnit's rename of source @p r: 0 integer, 1 FP, -1 none. */
+int
+srcClass(bool reads_int, bool reads_fp, int r)
+{
+    return reads_int && r != reg::zero ? 0 : reads_fp ? 1 : -1;
+}
+
+/** InstTrace::execEventDomain: address generation is integer work. */
+Domain
+execEventDomain(Opcode op)
+{
+    return isMem(op) ? Domain::Integer : execDomain(op);
+}
+
+/** DynInst::completionDomain (isHalt was set exactly for HALT). */
+Domain
+completionDomain(Opcode op)
+{
+    if (isMem(op))
+        return Domain::LoadStore;
+    if (op == Opcode::HALT || op == Opcode::NOP)
+        return Domain::FrontEnd;
+    return execDomain(op);
+}
+
+} // namespace ref
+
+int
+regClassOf(RegFile f)
+{
+    return f == RegFile::None ? -1 : f == RegFile::Int ? 0 : 1;
+}
+
+TEST(OpTable, MatchesTheClassifiersItReplaced)
+{
+    // Spot checks written out by hand anchor the reference itself.
+    EXPECT_TRUE(ref::isIntAlu(Opcode::ADD));
+    EXPECT_FALSE(ref::isIntAlu(Opcode::MUL));
+    EXPECT_TRUE(ref::isFp(Opcode::FSQRT));
+    EXPECT_TRUE(ref::isFp(Opcode::FCLT));
+    EXPECT_TRUE(ref::isLoad(Opcode::FLD));
+    EXPECT_TRUE(ref::isStore(Opcode::FST));
+    EXPECT_FALSE(ref::isMem(Opcode::ADD));
+    EXPECT_TRUE(ref::isBranch(Opcode::BGE));
+    EXPECT_TRUE(ref::isJump(Opcode::JALR));
+    EXPECT_EQ(ref::fuClass(Opcode::BEQ), FuClass::IntAlu);
+    EXPECT_EQ(ref::fuClass(Opcode::MUL), FuClass::IntMulDiv);
+    EXPECT_EQ(ref::fuClass(Opcode::LD), FuClass::MemPort);
+    EXPECT_EQ(ref::fuClass(Opcode::FADD), FuClass::FpAlu);
+    EXPECT_EQ(ref::fuClass(Opcode::FDIV), FuClass::FpMulDivSqrt);
+    EXPECT_EQ(ref::fuClass(Opcode::NOP), FuClass::None);
+    EXPECT_EQ(ref::execLatency(Opcode::ADD), 1);
+    EXPECT_EQ(ref::execLatency(Opcode::MUL), 7);
+    EXPECT_EQ(ref::execLatency(Opcode::FADD), 4);
+    EXPECT_EQ(ref::execLatency(Opcode::FDIV), 12);
+    EXPECT_EQ(ref::execLatency(Opcode::FSQRT), 18);
+    EXPECT_EQ(ref::execDomain(Opcode::BEQ), Domain::Integer);
+    EXPECT_EQ(ref::execDomain(Opcode::FMUL), Domain::FloatingPoint);
+    EXPECT_EQ(ref::execDomain(Opcode::FST), Domain::LoadStore);
+    Inst fclt;
+    fclt.op = Opcode::FCLT;
+    fclt.rd = 3;
+    EXPECT_EQ(ref::destKind(fclt), RegFile::Int);
+    EXPECT_TRUE(ref::readsIntRs2(Opcode::ST));     // store data
+    EXPECT_FALSE(ref::readsIntRs2(Opcode::LD));
+    EXPECT_TRUE(ref::readsFpRs2(Opcode::FST));     // FP store data
+    EXPECT_FALSE(ref::readsFpRs2(Opcode::FSQRT));
+    EXPECT_TRUE(ref::readsIntRs1(Opcode::ITOF));
+    EXPECT_TRUE(ref::readsFpRs1(Opcode::FTOI));
+    EXPECT_FALSE(ref::readsIntRs1(Opcode::JAL));
+
+    for (std::size_t i = 0; i < numOpcodes; ++i) {
+        Opcode op = static_cast<Opcode>(i);
+        const OpInfo &row = opInfo(op);
+        SCOPED_TRACE(row.name);
+        EXPECT_EQ(row.isLoad(), ref::isLoad(op));
+        EXPECT_EQ(row.isStore(), ref::isStore(op));
+        EXPECT_EQ(row.isBranch(), ref::isBranch(op));
+        EXPECT_EQ(row.isJump(), ref::isJump(op));
+        EXPECT_EQ(regClassOf(row.iq), ref::issueClass(op));
+        EXPECT_EQ(row.doneDomain, ref::completionDomain(op));
+        if (row.iq != RegFile::None) {
+            // The issue unit's unit and latency, and the DAG
+            // builder's execute event.
+            EXPECT_EQ(row.fu, ref::isMem(op) ? FuClass::IntAlu
+                                             : ref::fuClass(op));
+            EXPECT_EQ(row.latency, ref::isMem(op) ? 1
+                                                  : ref::execLatency(op));
+            EXPECT_EQ(row.execDomain, ref::execEventDomain(op));
+        } else {
+            EXPECT_EQ(row.fu, ref::fuClass(op));
+            EXPECT_EQ(row.execDomain, Domain::FrontEnd);
+        }
+        for (int r : {int{reg::zero}, 5}) {
+            Inst inst;
+            inst.op = op;
+            inst.rd = static_cast<std::uint8_t>(r);
+            EXPECT_EQ(liveFile(row.dest, r), ref::destKind(inst))
+                << "rd " << r;
+            EXPECT_EQ(regClassOf(liveFile(row.src1, r)),
+                      ref::srcClass(ref::readsIntRs1(op),
+                                    ref::readsFpRs1(op), r))
+                << "rs1 " << r;
+            EXPECT_EQ(regClassOf(liveFile(row.src2, r)),
+                      ref::srcClass(ref::readsIntRs2(op),
+                                    ref::readsFpRs2(op), r))
+                << "rs2 " << r;
+        }
+    }
+}
+
+TEST(Isa, EveryOpcodeIsEmitted)
+{
+    // An opcode no program emits is code with no reader: it returns
+    // only together with a kernel or generator shape that uses it.
+    // NOP is exempt; it is the value of a default-constructed Inst.
+    std::array<bool, numOpcodes> seen{};
+    auto scan = [&](const Program &p) {
+        for (std::size_t i = 0; i < p.textSize(); ++i)
+            seen[static_cast<std::size_t>(
+                p.fetch(p.textBase() + 4 * i).op)] = true;
+    };
+    for (const WorkloadInfo &w : workloads::all()) {
+        for (int scale : {1, 2})
+            scan(w.build(scale));
+    }
+    for (std::uint64_t seed = 1; seed <= 300; ++seed)
+        scan(fuzz::GenParams::fromSeed(seed).generate(1));
+    std::string missing;
+    for (std::size_t i = 0; i < numOpcodes; ++i) {
+        if (!seen[i] && static_cast<Opcode>(i) != Opcode::NOP)
+            missing += std::string(" ") + opTable[i].name;
+    }
+    EXPECT_TRUE(missing.empty()) << "never emitted:" << missing;
 }
 
 // -------------------------------------------------------------------
@@ -182,7 +408,7 @@ TEST(Builder, SignedImmediateWithin16Bits)
     b.addi(1, 2, 32767);
     b.ld(1, 2, -32768);
     EXPECT_THROW(b.addi(1, 2, 32768), PanicError);
-    EXPECT_THROW(b.slti(1, 2, -32769), PanicError);
+    EXPECT_THROW(b.addi(1, 2, -32769), PanicError);
     EXPECT_THROW(b.ld(1, 2, 40000), PanicError);
     EXPECT_THROW(b.jalr(1, 2, -40000), PanicError);
 }
@@ -190,15 +416,12 @@ TEST(Builder, SignedImmediateWithin16Bits)
 TEST(Builder, LogicalImmediateIsUnsigned16Bits)
 {
     Builder b("t");
-    for (auto emit : {&Builder::ori, &Builder::andi, &Builder::xori}) {
+    for (auto emit : {&Builder::ori, &Builder::andi}) {
         (b.*emit)(1, 2, 0);
         (b.*emit)(1, 2, 65535);
         EXPECT_THROW((b.*emit)(1, 2, 65536), PanicError);
         EXPECT_THROW((b.*emit)(1, 2, -1), PanicError);
     }
-    b.lui(1, 65535);
-    EXPECT_THROW(b.lui(1, 65536), PanicError);
-    EXPECT_THROW(b.lui(1, -1), PanicError);
 }
 
 TEST(Builder, StoreOffsetWithin16Bits)
@@ -318,14 +541,7 @@ TEST_P(ExecutorAlu, Computes)
       case Opcode::AND: bld.and_(3, 1, 2); break;
       case Opcode::OR: bld.or_(3, 1, 2); break;
       case Opcode::XOR: bld.xor_(3, 1, 2); break;
-      case Opcode::SLL: bld.sll(3, 1, 2); break;
-      case Opcode::SRL: bld.srl(3, 1, 2); break;
-      case Opcode::SRA: bld.sra(3, 1, 2); break;
-      case Opcode::SLT: bld.slt(3, 1, 2); break;
-      case Opcode::SLTU: bld.sltu(3, 1, 2); break;
       case Opcode::MUL: bld.mul(3, 1, 2); break;
-      case Opcode::DIV: bld.div(3, 1, 2); break;
-      case Opcode::REM: bld.rem(3, 1, 2); break;
       default: FAIL() << "unhandled case";
     }
     bld.halt();
@@ -346,24 +562,7 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{"and", Opcode::AND, 0xff00, 0x0ff0, 0x0f00},
         AluCase{"or", Opcode::OR, 0xff00, 0x0ff0, 0xfff0},
         AluCase{"xor", Opcode::XOR, 0xff00, 0x0ff0, 0xf0f0},
-        AluCase{"sll", Opcode::SLL, 1, 12, 4096},
-        AluCase{"srl", Opcode::SRL, 4096, 12, 1},
-        AluCase{"srl-neg", Opcode::SRL, ~0ULL, 63, 1},
-        AluCase{"sra-neg", Opcode::SRA, static_cast<std::uint64_t>(-64),
-                3, static_cast<std::uint64_t>(-8)},
-        AluCase{"slt-true", Opcode::SLT,
-                static_cast<std::uint64_t>(-5), 3, 1},
-        AluCase{"slt-false", Opcode::SLT, 3,
-                static_cast<std::uint64_t>(-5), 0},
-        AluCase{"sltu", Opcode::SLTU, 3,
-                static_cast<std::uint64_t>(-5), 1},
-        AluCase{"mul", Opcode::MUL, 1000, 1000, 1000000},
-        AluCase{"div", Opcode::DIV, 100, 7, 14},
-        AluCase{"div-neg", Opcode::DIV, static_cast<std::uint64_t>(-100),
-                7, static_cast<std::uint64_t>(-14)},
-        AluCase{"div-zero", Opcode::DIV, 5, 0, ~0ULL},
-        AluCase{"rem", Opcode::REM, 100, 7, 2},
-        AluCase{"rem-zero", Opcode::REM, 5, 0, 5}));
+        AluCase{"mul", Opcode::MUL, 1000, 1000, 1000000}));
 
 TEST(Executor, ZeroRegisterIsImmutable)
 {

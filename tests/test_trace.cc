@@ -118,17 +118,6 @@ TEST(Trace, LoadsCarryDependences)
     EXPECT_TRUE(sawStoreWithDataDep);
 }
 
-TEST(Trace, ExecEventDomainMapping)
-{
-    InstTrace t;
-    t.op = Opcode::LD;
-    EXPECT_EQ(t.execEventDomain(), Domain::Integer);    // AGU
-    t.op = Opcode::FADD;
-    EXPECT_EQ(t.execEventDomain(), Domain::FloatingPoint);
-    t.op = Opcode::ADD;
-    EXPECT_EQ(t.execEventDomain(), Domain::Integer);
-}
-
 TEST(Trace, LayoutsHoldOnlyReadFields)
 {
     // Every byte here is paid once per fetched instruction (the cold

@@ -143,7 +143,8 @@ TEST(WorkloadMcf, VisitsTheWholeArcCycle)
     std::set<std::uint64_t> arcs;
     while (!ex.halted()) {
         ExecResult r = ex.step();
-        if (isLoad(r.inst.op) && r.inst.imm == 0 && r.inst.rd == 10)
+        if (opInfo(r.inst.op).isLoad() && r.inst.imm == 0 &&
+            r.inst.rd == 10)
             arcs.insert(r.memAddr);
     }
     EXPECT_GE(arcs.size(), 14'000u);
@@ -157,8 +158,8 @@ TEST(WorkloadMix, FpBenchmarksUseFp)
         std::uint64_t fp = 0;
         while (!ex.halted()) {
             ExecResult r = ex.step();
-            fp += isFp(r.inst.op) || r.inst.op == Opcode::FLD ||
-                r.inst.op == Opcode::FST;
+            fp += opInfo(r.inst.op).iq == RegFile::Fp ||
+                r.inst.op == Opcode::FLD || r.inst.op == Opcode::FST;
         }
         EXPECT_GT(fp, ex.instsExecuted() / 10) << name;
     }
@@ -173,7 +174,7 @@ TEST(WorkloadMix, IntBenchmarksAvoidFp)
         std::uint64_t fp = 0;
         while (!ex.halted()) {
             ExecResult r = ex.step();
-            fp += isFp(r.inst.op);
+            fp += opInfo(r.inst.op).iq == RegFile::Fp;
         }
         EXPECT_LT(fp, ex.instsExecuted() / 100) << name;
     }
@@ -187,7 +188,7 @@ TEST(WorkloadMix, MemoryBoundBenchmarksLoadHeavily)
         std::uint64_t mem = 0;
         while (!ex.halted()) {
             ExecResult r = ex.step();
-            mem += isMem(r.inst.op);
+            mem += opInfo(r.inst.op).isMem();
         }
         EXPECT_GT(mem, ex.instsExecuted() / 8) << name;
     }
