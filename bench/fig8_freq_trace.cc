@@ -2,7 +2,8 @@
  * @file
  * Reproduces paper Figure 8: the frequency-vs-time traces chosen by
  * the offline tool for the `art` benchmark (dynamic-1%
- * configuration), under the Transmeta and XScale models.
+ * configuration), under the Transmeta and XScale models. The
+ * benchmarks option names one other benchmark to trace instead.
  *
  * Paper shape: under XScale the tool makes more frequency changes
  * over a wider range (art's FP domain in particular drops to the
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -22,10 +25,11 @@ using namespace mcd;
 namespace {
 
 void
-printTrace(const char *model_name, const RunResult &r)
+printTrace(const std::string &bench, const char *model_name,
+           const RunResult &r)
 {
-    std::printf("art (%s) -- frequency changes per domain\n",
-                model_name);
+    std::printf("%s (%s) -- frequency changes per domain\n",
+                bench.c_str(), model_name);
     for (Domain d : scalableDomains) {
         const auto &tr = r.telemetry->sampler().frequencyTrace(d);
         std::printf("  %-3s t=0.000ms 1000 MHz", domainShortName(d));
@@ -61,14 +65,22 @@ int
 main(int argc, char **argv)
 {
     benchutil::parseFigureArgs(argc, argv);
-    std::printf("Figure 8: Frequency changes for art generated by the "
-                "off-line algorithm (dynamic-1%%)\n\n");
-
-    std::vector<BenchmarkResults> rows;
-    std::uint64_t changesTm = 0, changesXs = 0;
+    // Resolve the benchmark and both models' configurations before any
+    // output, so a usage error (exit 2) prints no partial figure.
+    const config::RunSpec &spec = config::RunSpec::resolve();
+    const std::string bench = benchutil::orUsageError([&] {
+        if (spec.str("benchmarks").empty())
+            return std::string("art");
+        std::vector<std::string> names = benchmarkNamesFromSpec(spec);
+        if (names.size() != 1)
+            fatal("benchmarks: Figure 8 traces exactly one benchmark, "
+                  "not " + std::to_string(names.size()));
+        return names[0];
+    });
+    std::vector<std::pair<DvfsKind, ExperimentConfig>> models;
     for (DvfsKind model : {DvfsKind::Transmeta, DvfsKind::XScale}) {
         ExperimentConfig ec = benchutil::configFromEnv(model);
-        if (config::RunSpec::resolve().isDefault("scale"))
+        if (spec.isDefault("scale"))
             ec.scale = 3;   // longer run: more phase alternations
         ec.legs = {LegSpec::scheduleReplay("dyn1", ec.dilationLow)};
         // The trace lives only in the run's telemetry, which cached
@@ -76,15 +88,23 @@ main(int argc, char **argv)
         // cache to read or fill.
         ec.telemetry.freqSeries = true;
         ec.cacheDir.clear();
+        models.emplace_back(model, std::move(ec));
+    }
+
+    std::printf("Figure 8: Frequency changes for %s generated by the "
+                "off-line algorithm (dynamic-1%%)\n\n", bench.c_str());
+    std::vector<BenchmarkResults> rows;
+    std::uint64_t changesTm = 0, changesXs = 0;
+    for (const auto &[model, ec] : models) {
         BenchmarkResults r = benchutil::orUsageError([&] {
-            return runMatrix(ec, {"art"},
-                             config::RunSpec::resolve().jobs())[0];
+            return runMatrix(ec, {bench}, spec.jobs())[0];
         });
         const RunResult &dyn = r.leg("dyn1");
         if (dyn.failed()) {
-            std::printf("art (%s) -- failed\n\n", dvfsKindName(model));
+            std::printf("%s (%s) -- failed\n\n", bench.c_str(),
+                        dvfsKindName(model));
         } else {
-            printTrace(dvfsKindName(model), dyn);
+            printTrace(bench, dvfsKindName(model), dyn);
         }
         std::uint64_t changes = 0;
         for (int d = 1; d < numDomains; ++d)

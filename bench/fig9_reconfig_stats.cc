@@ -24,6 +24,17 @@ int
 main(int argc, char **argv)
 {
     benchutil::parseFigureArgs(argc, argv);
+    // Resolve the benchmark list and both models' configurations
+    // before any output, so a usage error (exit 2) prints no partial
+    // figure.
+    benchutil::benchmarkNamesFromEnv();
+    ExperimentConfig configs[2];
+    for (int mi = 0; mi < 2; ++mi) {
+        configs[mi] = benchutil::configFromEnv(
+            mi ? DvfsKind::XScale : DvfsKind::Transmeta);
+        configs[mi].legs = {
+            LegSpec::scheduleReplay("dyn5", configs[mi].dilationHigh)};
+    }
     std::printf("Figure 9: Summary statistics for intervals chosen by "
                 "the off-line tool (dynamic-5%%)\n\n");
 
@@ -31,9 +42,8 @@ main(int argc, char **argv)
     double avgRc[2] = {};
     for (int mi = 0; mi < 2; ++mi) {
         DvfsKind model = mi ? DvfsKind::XScale : DvfsKind::Transmeta;
-        ExperimentConfig ec = benchutil::configFromEnv(model);
-        ec.legs = {LegSpec::scheduleReplay("dyn5", ec.dilationHigh)};
-        std::vector<BenchmarkResults> rows = benchutil::runMatrix(ec);
+        std::vector<BenchmarkResults> rows =
+            benchutil::runMatrix(configs[mi]);
 
         std::printf("%s reconfiguration data\n", dvfsKindName(model));
         TextTable t;

@@ -1,5 +1,9 @@
 #include "analyzer.hh"
 
+#include <string>
+
+#include "obs/host_prof.hh"
+
 namespace mcd {
 
 AnalyzerConfig
@@ -17,10 +21,21 @@ ShakenTrace
 OfflineAnalyzer::shakeTrace(const std::vector<InstTrace> &trace) const
 {
     ShakenTrace out;
+    obs::HostProfiler &prof = obs::HostProfiler::instance();
     IntervalGraphStream stream(trace, config.graph);
     IntervalGraph g;
-    while (stream.next(g)) {
+    while (!stream.done()) {
+        // One depgraph and one shake slice per interval, labelled by
+        // the interval's index (and the shake by its event count).
+        const std::string interval =
+            "interval " + std::to_string(out.intervals.size());
+        {
+            obs::HostProfiler::Scope s = prof.phase("depgraph", interval);
+            stream.next(g);
+        }
         out.eventsTotal += g.size();
+        obs::HostProfiler::Scope s = prof.phase(
+            "shake", interval + ", " + std::to_string(g.size()) + " events");
         ShakeResult sr = shake(g, config.shaker, config.clustering.fmax,
                                config.clustering.fmin);
         out.slackConsumed += sr.slackConsumed;

@@ -68,6 +68,8 @@ class OfflineAnalyzer
      * Build and shake each interval's DAG, one interval at a time, and
      * keep only the histograms. Reads the graph and shaker settings
      * and the clustering fmin/fmax, but not the dilation target.
+     * In the host profile each interval is one "depgraph" slice (the
+     * build) and one "shake" slice.
      */
     ShakenTrace shakeTrace(const std::vector<InstTrace> &trace) const;
 

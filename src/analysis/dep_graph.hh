@@ -17,12 +17,18 @@
  * 1 GHz, paper Section 3.2) and enter only as fixed anchors via each
  * event's dispatch time.
  *
- * The builder appends every edge to one flat (from, to, lag) list and
- * then buckets that list by counting into compressed (CSR) successor
- * and predecessor arrays, which the shaker walks in place. Producers
+ * The graph stores its events as columns, one array per field the
+ * shaker reads or writes, and the shaker works on them in place: one
+ * copy of each event, sized exactly. The builder appends every edge
+ * to one flat (from, to, lag) list and then buckets that list by
+ * counting into compressed (CSR) successor and predecessor arrays,
+ * which the shaker walks; the list is freed once bucketed. Producers
  * are found by seq through a sorted (seq, instruction) array, so the
  * build allocates in proportion to the interval, never to the range
- * of seq values, and a stream reuses its buffers across intervals.
+ * of seq values. The builder's per-interval scratch lives only inside
+ * IntervalGraphStream::next() and is freed before the edges are
+ * bucketed, so it never coexists with the CSR arrays or the shaker's
+ * own buffers.
  */
 
 #ifndef MCD_ANALYSIS_DEP_GRAPH_HH
@@ -39,28 +45,34 @@
 
 namespace mcd {
 
-/** The number of FuClass values. */
-inline constexpr int numFuClasses = 6;
-
-/** One scalable event in the DAG. */
+/**
+ * One scalable event, as a value: the form in which events are added
+ * to a graph by hand (tests). The graph itself holds each field in a
+ * column of its own.
+ */
 struct DagEvent
 {
     Domain domain = Domain::Integer;
     Tick start = 0;         //!< observed start (may move later/earlier)
     Tick end = 0;           //!< observed end
-    Tick origDuration = 0;  //!< duration before any stretching
-    /** Portion of the duration owned by main memory: stretching and
-     *  frequency scaling apply only to duration - fixedPortion. */
-    Tick fixedPortion = 0;
-    Tick floorStart = 0;    //!< dispatch anchor: cannot start earlier
-    /** Structural ceilings: deferring this event further would stall
-     *  the (fixed-speed) front end through ROB / issue-queue
-     *  occupancy, so the shaker may not push it past these. */
-    Tick startCeiling = ~Tick(0);
-    Tick endCeiling = ~Tick(0);
     double stretch = 1.0;   //!< current stretch factor (1..maxStretch)
     double power = 0.0;     //!< current power factor
-    FuClass fu = FuClass::None;
+    /** Earliest start: the later of the interval start and the
+     *  dispatch anchor (the front end runs at full speed). */
+    Tick inBound = 0;
+    /** Latest end: the earlier of the interval end and the ROB
+     *  ceiling (deferring the event further would stall the
+     *  fixed-speed front end). */
+    Tick outBound = ~Tick(0);
+    /** Issue-queue ceiling: the shaker may not move the event's
+     *  start past it. */
+    Tick startCeiling = ~Tick(0);
+    /** Picoseconds of the original duration that stretching and
+     *  frequency scaling apply to, and the portion owned by main
+     *  memory, which they do not. */
+    double scalable = 0.0;
+    double fixed = 0.0;
+    double basePower = 0.0; //!< power factor before any stretching
 };
 
 /** A dependence edge endpoint with a fixed latency (lag). */
@@ -71,9 +83,11 @@ struct DagEdge
 };
 
 /**
- * The per-interval DAG: events plus CSR successor and predecessor
- * adjacency. Edges are added to a flat list with addEdge() and become
- * visible through succ()/pred() once buildAdjacency() buckets them.
+ * The per-interval DAG: event columns plus CSR successor and
+ * predecessor adjacency. Column i of every event array describes
+ * event i; all of them hold size() entries. Edges are added to a flat
+ * list with addEdge() and become visible through succ()/pred() once
+ * buildAdjacency() buckets them.
  */
 class IntervalGraph
 {
@@ -81,21 +95,25 @@ class IntervalGraph
     Tick intervalStart = 0;
     Tick intervalEnd = 0;
 
-    std::vector<DagEvent> events;
+    // The shaker's working state, mutated in place.
+    std::vector<Tick> start, end;
+    std::vector<double> stretch, power;
+    // Per-event constants (see DagEvent).
+    std::vector<Tick> inBound, outBound, startCeiling;
+    std::vector<double> scalable, fixed, basePower;
+    std::vector<Domain> domain;
 
-    std::size_t size() const { return events.size(); }
+    std::size_t size() const { return start.size(); }
 
-    /** Drop the events and edges, keeping every buffer's capacity. */
-    void
-    clear()
-    {
-        events.clear();
-        arcs.clear();
-        succOff.clear();
-        predOff.clear();
-        succEdges.clear();
-        predEdges.clear();
-    }
+    /** Size every event column to @p n (new events are zeroed). */
+    void resize(std::size_t n);
+
+    /** Append @p ev; returns its index. */
+    std::int32_t addEvent(const DagEvent &ev);
+
+    /** Drop the events (keeping the columns' capacity) and free the
+     *  edges. */
+    void clear();
 
     /**
      * Add an edge producer -> consumer (ignores self/negative).
@@ -117,8 +135,9 @@ class IntervalGraph
     }
 
     /**
-     * Bucket the added edges into the CSR arrays by counting. Each
-     * node's edges keep the order they were added in. Every endpoint
+     * Bucket the added edges, together with any bucketed before, into
+     * the CSR arrays by counting, and free the added list. Each node's
+     * successors keep the order they were added in. Every endpoint
      * must name an event.
      */
     void buildAdjacency();
@@ -128,8 +147,7 @@ class IntervalGraph
     bool
     hasAdjacency() const
     {
-        return succOff.size() == events.size() + 1 &&
-            succEdges.size() == arcs.size();
+        return arcs.empty() && succOff.size() == size() + 1;
     }
 
     /** Node @p v's successors (valid once hasAdjacency()). */
@@ -225,35 +243,18 @@ class IntervalGraphStream
 
     /**
      * Build the next interval's graph into @p g (replacing whatever
-     * it held, but keeping its buffers). Returns false, leaving @p g
-     * untouched, once the trace is exhausted.
+     * it held, but keeping its columns' capacity). Returns false,
+     * leaving @p g untouched, once the trace is exhausted.
      */
     bool next(IntervalGraph &g);
 
+    /** True once next() has built the last interval. */
+    bool done() const { return pos >= trace.size(); }
+
   private:
-    /** The events one instruction became. */
-    struct InstEvents
-    {
-        std::int32_t execEvent = -1;    //!< execute or addr-calc
-        std::int32_t memEvent = -1;     //!< memory access (mem ops)
-        bool isLoad = false;
-    };
-
-    /** The insts index of the first instruction of this interval
-     *  with @p seq, or -1 (producer outside the interval). The search
-     *  starts at bySeq[@p hint]; any hint gives the same answer. */
-    std::int32_t find(std::uint64_t seq, std::size_t hint) const;
-
     const std::vector<InstTrace> &trace;
     DepGraphConfig cfg;
     std::size_t pos = 0;
-
-    // Per-interval scratch, kept from one interval to the next.
-    std::vector<InstEvents> insts;      //!< in trace order
-    std::vector<KeyedIndex> bySeq;      //!< (seq, insts index), by seq
-    std::vector<KeyedIndex> byDomain[numDomains];  //!< (start, event)
-    std::vector<std::int32_t> byFu[numFuClasses];  //!< events, by FU
-    std::vector<KeyedIndex> sortScratch;
 };
 
 /**

@@ -28,7 +28,7 @@ ShakeResult
 shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
 {
     ShakeResult result;
-    if (g.events.empty())
+    if (g.size() == 0)
         return result;
     if (!g.hasAdjacency())
         panic("shake: the interval graph's adjacency is not built");
@@ -36,35 +36,22 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
     const double maxStretch = std::min(cfg.maxStretch, fmax / fmin);
     const std::size_t n = g.size();
 
-    // Working copy, one array per field: the passes read neighbors'
-    // times through the graph's CSR adjacency instead of chasing whole
-    // events. Written back to g.events at the end.
-    std::vector<Tick> start(n), end(n);
-    std::vector<double> stretch(n), power(n);
-    // Per-event constants: the slack bounds that do not depend on
-    // neighbors (interval edges, dispatch anchor, ROB ceiling), the
-    // deferral ceiling, and the stretchable and fixed durations.
-    std::vector<Tick> inBound(n), outBound(n), startCeiling(n);
-    std::vector<double> scalable(n), fixed(n);
-    // Base (unstretched) power factors for threshold bookkeeping.
-    std::vector<double> basePower(n);
+    // The graph's columns, walked and mutated in place.
+    std::vector<Tick> &start = g.start;
+    std::vector<Tick> &end = g.end;
+    std::vector<double> &stretch = g.stretch;
+    std::vector<double> &power = g.power;
+    const std::vector<Tick> &inBound = g.inBound;
+    const std::vector<Tick> &outBound = g.outBound;
+    const std::vector<Tick> &startCeiling = g.startCeiling;
+    const std::vector<double> &scalable = g.scalable;
+    const std::vector<double> &fixed = g.fixed;
+    const std::vector<double> &basePower = g.basePower;
     double maxPower = 0.0;
     double minPower = 1e300;
-    for (std::size_t i = 0; i < n; ++i) {
-        const DagEvent &ev = g.events[i];
-        start[i] = ev.start;
-        end[i] = ev.end;
-        stretch[i] = ev.stretch;
-        power[i] = ev.power;
-        inBound[i] = std::max(g.intervalStart, ev.floorStart);
-        outBound[i] = std::min(g.intervalEnd, ev.endCeiling);
-        startCeiling[i] = ev.startCeiling;
-        scalable[i] =
-            static_cast<double>(ev.origDuration - ev.fixedPortion);
-        fixed[i] = static_cast<double>(ev.fixedPortion);
-        basePower[i] = ev.power;
-        maxPower = std::max(maxPower, basePower[i]);
-        minPower = std::min(minPower, basePower[i]);
+    for (double p : basePower) {
+        maxPower = std::max(maxPower, p);
+        minPower = std::min(minPower, p);
     }
 
     double threshold = maxPower * cfg.initialThresholdFactor;
@@ -244,24 +231,13 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
         }
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        DagEvent &ev = g.events[i];
-        ev.start = start[i];
-        ev.end = end[i];
-        ev.stretch = stretch[i];
-        ev.power = power[i];
-    }
-
     // Build the per-domain frequency histograms: each event's work
     // (original full-speed duration) lands in the bin of its assigned
-    // frequency fmax / stretch.
-    for (const DagEvent &ev : g.events) {
-        Hertz f = fmax / ev.stretch;
-        int b = histogramBin(f, fmin, fmax);
-        // Only the on-chip (scalable) portion of the event is work
-        // governed by the domain clock.
-        result.histogram[domainIndex(ev.domain)].work[b] +=
-            static_cast<double>(ev.origDuration - ev.fixedPortion);
+    // frequency fmax / stretch. Only the on-chip (scalable) portion of
+    // the event is work governed by the domain clock.
+    for (std::size_t i = 0; i < n; ++i) {
+        int b = histogramBin(fmax / stretch[i], fmin, fmax);
+        result.histogram[domainIndex(g.domain[i])].work[b] += scalable[i];
     }
     return result;
 }

@@ -9,8 +9,8 @@
  *
  * Each pass visits the events in time order (latest end first going
  * backward, earliest start first going forward); that order comes
- * from a stable radix sort, and the passes walk a flat working copy
- * of the event times over the graph's CSR adjacency.
+ * from a stable radix sort, and the passes walk the graph's event
+ * columns in place over its CSR adjacency.
  *
  * A pass pair that leaves the times, stretches, power factors and
  * visiting order as it found them, while the threshold held back no
@@ -78,8 +78,10 @@ struct ShakeResult
 };
 
 /**
- * Run the shaker on one interval graph (mutates event times,
- * stretches, and power factors) and build the histograms.
+ * Run the shaker on one interval graph (mutates the start, end,
+ * stretch and power columns in place) and build the histograms.
+ * Stretched power factors derive from the basePower column, so a
+ * graph is meant to be shaken once.
  *
  * @param fmax the maximum (and profiling-run) frequency
  * @param fmin the minimum scalable frequency (stretch ceiling)

@@ -115,9 +115,10 @@ class HostProfiler
 
     /**
      * Open a phase of @p kind ("validate", "simulate", "cache.read",
-     * "cache.write", "analyze", "probe") with an optional free-form
-     * @p detail (the leg site for "simulate", the site and table
-     * frequency for a global leg's "probe", else typically the
+     * "cache.write", "analyze", "depgraph", "shake", "probe") with an
+     * optional free-form @p detail (the leg site for "simulate", the
+     * site and table frequency for a global leg's "probe", the
+     * interval for "depgraph" and "shake", else typically the
      * benchmark or the analyzed site).
      */
     Scope phase(std::string kind, std::string detail = {});

@@ -110,12 +110,29 @@ expectSameEdges(std::span<const DagEdge> got, std::span<const DagEdge> want)
     EXPECT_EQ(sorted(got), sorted(want));
 }
 
-/** A graph as the builder first wrote it: per-node edge vectors. */
+/** An event as the builder first wrote it: one struct per event. */
+struct RefEvent
+{
+    Domain domain = Domain::Integer;
+    Tick start = 0;
+    Tick end = 0;
+    Tick origDuration = 0;
+    Tick fixedPortion = 0;
+    Tick floorStart = 0;
+    Tick startCeiling = ~Tick(0);
+    Tick endCeiling = ~Tick(0);
+    double stretch = 1.0;
+    double power = 0.0;
+    FuClass fu = FuClass::None;
+};
+
+/** A graph as the builder first wrote it: an event array and
+ *  per-node edge vectors. */
 struct RefGraph
 {
     Tick intervalStart = 0;
     Tick intervalEnd = 0;
-    std::vector<DagEvent> events;
+    std::vector<RefEvent> events;
     std::vector<std::vector<DagEdge>> out;
     std::vector<std::vector<DagEdge>> in;
 
@@ -163,7 +180,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
         std::unordered_map<std::uint64_t, InstEvents> bySeq;
         auto addEvent = [&](Domain d, Tick s, Tick e,
                             FuClass fu) -> std::int32_t {
-            DagEvent ev;
+            RefEvent ev;
             ev.domain = d;
             ev.start = s;
             ev.end = e > s ? e : s + 1;
@@ -187,7 +204,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
                 ie.memEvent = addEvent(Domain::LoadStore, t.memIssue,
                                        t.memDone + skew,
                                        FuClass::MemPort);
-                DagEvent &me = g.events[ie.memEvent];
+                RefEvent &me = g.events[ie.memEvent];
                 me.fixedPortion =
                     std::min(t.memFixed, me.origDuration - 1);
                 ie.isLoad = t.isLoadOp();
@@ -208,7 +225,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
             bySeq.emplace(t.seq, ie);
         }
         Tick maxEnd = g.intervalStart + 1;
-        for (const DagEvent &ev : g.events)
+        for (const RefEvent &ev : g.events)
             maxEnd = std::max(maxEnd, ev.end);
         g.intervalEnd = std::min(g.intervalEnd, maxEnd);
         g.out.resize(g.events.size());
@@ -278,7 +295,7 @@ referenceGraphs(const std::vector<InstTrace> &trace,
                 if (cap > 0 && i2 >= static_cast<std::size_t>(cap))
                     g.addEdge(v[i2 - cap], v[i2]);
                 if (dcap > 0 && i2 + dcap < v.size()) {
-                    DagEvent &ev = g.events[v[i2]];
+                    RefEvent &ev = g.events[v[i2]];
                     ev.startCeiling = std::min(
                         ev.startCeiling,
                         g.events[v[i2 + dcap]].floorStart);
@@ -300,21 +317,26 @@ referenceGraphs(const std::vector<InstTrace> &trace,
     return graphs;
 }
 
-/** Expect two events to agree on every field the builder sets. */
+/** Expect event @p i of @p g to hold what the shaker reads of the
+ *  reference event @p b: the same times, and the bounds, durations
+ *  and powers derived from its fields. (The FU class only orders
+ *  edges, which expectSameGraph compares.) */
 void
-expectSameEvent(const DagEvent &a, const DagEvent &b)
+expectSameEvent(const IntervalGraph &g, std::size_t i, const RefGraph &ref)
 {
-    EXPECT_EQ(a.domain, b.domain);
-    EXPECT_EQ(a.start, b.start);
-    EXPECT_EQ(a.end, b.end);
-    EXPECT_EQ(a.origDuration, b.origDuration);
-    EXPECT_EQ(a.fixedPortion, b.fixedPortion);
-    EXPECT_EQ(a.floorStart, b.floorStart);
-    EXPECT_EQ(a.startCeiling, b.startCeiling);
-    EXPECT_EQ(a.endCeiling, b.endCeiling);
-    EXPECT_EQ(a.stretch, b.stretch);
-    EXPECT_EQ(a.power, b.power);
-    EXPECT_EQ(a.fu, b.fu);
+    const RefEvent &b = ref.events[i];
+    EXPECT_EQ(g.domain[i], b.domain);
+    EXPECT_EQ(g.start[i], b.start);
+    EXPECT_EQ(g.end[i], b.end);
+    EXPECT_EQ(g.stretch[i], b.stretch);
+    EXPECT_EQ(g.power[i], b.power);
+    EXPECT_EQ(g.inBound[i], std::max(ref.intervalStart, b.floorStart));
+    EXPECT_EQ(g.outBound[i], std::min(ref.intervalEnd, b.endCeiling));
+    EXPECT_EQ(g.startCeiling[i], b.startCeiling);
+    EXPECT_EQ(g.scalable[i],
+              static_cast<double>(b.origDuration - b.fixedPortion));
+    EXPECT_EQ(g.fixed[i], static_cast<double>(b.fixedPortion));
+    EXPECT_EQ(g.basePower[i], b.power);
 }
 
 /** Expect @p g to equal @p ref: the same events, and the same edge
@@ -327,7 +349,7 @@ expectSameGraph(const IntervalGraph &g, const RefGraph &ref)
     ASSERT_EQ(g.size(), ref.events.size());
     for (std::size_t i = 0; i < g.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "event " << i);
-        expectSameEvent(g.events[i], ref.events[i]);
+        expectSameEvent(g, i, ref);
         expectSameEdges(g.succ(i), ref.out[i]);
         expectSameEdges(g.pred(i), ref.in[i]);
     }
@@ -383,11 +405,12 @@ TEST(DepGraph, SingleInstructionGraph)
     auto gs = buildIntervalGraphs(tr, cfg);
     ASSERT_EQ(gs.size(), 1u);
     EXPECT_EQ(gs[0].size(), 1u);
-    EXPECT_EQ(gs[0].events[0].domain, Domain::Integer);
-    EXPECT_EQ(gs[0].events[0].start, 2000u);
+    EXPECT_EQ(gs[0].domain[0], Domain::Integer);
+    EXPECT_EQ(gs[0].start[0], 2000u);
     // End carries the half-period completion skew.
-    EXPECT_EQ(gs[0].events[0].end, 3000u + cfg.completionSkew);
-    EXPECT_EQ(gs[0].events[0].floorStart, 1000u);
+    EXPECT_EQ(gs[0].end[0], 3000u + cfg.completionSkew);
+    // Dispatch is the earliest start.
+    EXPECT_EQ(gs[0].inBound[0], 1000u);
 }
 
 TEST(DepGraph, DataDependenceEdge)
@@ -415,8 +438,8 @@ TEST(DepGraph, MemOpsSplitIntoTwoEvents)
     ld.memDone = 5000;
     auto gs = buildIntervalGraphs({ld}, cfg);
     ASSERT_EQ(gs[0].size(), 2u);
-    EXPECT_EQ(gs[0].events[0].domain, Domain::Integer);     // addr-calc
-    EXPECT_EQ(gs[0].events[1].domain, Domain::LoadStore);   // access
+    EXPECT_EQ(gs[0].domain[0], Domain::Integer);     // addr-calc
+    EXPECT_EQ(gs[0].domain[1], Domain::LoadStore);   // access
     // addr-calc -> mem-access intra-instruction edge.
     bool intra = false;
     for (const DagEdge &e : gs[0].succ(0))
@@ -432,7 +455,9 @@ TEST(DepGraph, DramPortionRecordedAsFixed)
     ld.memDone = 100000;
     ld.memFixed = 80000;
     auto gs = buildIntervalGraphs({ld}, cfg);
-    EXPECT_EQ(gs[0].events[1].fixedPortion, 80000u);
+    EXPECT_EQ(gs[0].fixed[1], 80000.0);
+    EXPECT_EQ(gs[0].scalable[1], 100000.0 + cfg.completionSkew - 3000 -
+              80000);
 }
 
 TEST(DepGraph, MispredictBarrierCarriesLag)
@@ -496,7 +521,28 @@ TEST(DepGraph, QueueCapacityCeilings)
     auto gs = buildIntervalGraphs(tr, cfg);
     const IntervalGraph &g = gs[0];
     // Event 0 must start before event 2 (= 0 + derated cap) dispatches.
-    EXPECT_EQ(g.events[0].startCeiling, g.events[2].floorStart);
+    EXPECT_EQ(g.startCeiling[0], g.inBound[2]);
+}
+
+TEST(DepGraph, EdgesBucketedTwiceKeepTheEarlierOnes)
+{
+    // Bucketing frees the added list; a later bucketing must still
+    // see the edges bucketed before, beside the new ones.
+    IntervalGraph g;
+    for (int i = 0; i < 3; ++i)
+        g.addEvent(DagEvent{});
+    g.addEdge(0, 1, 7);
+    g.buildAdjacency();
+    g.addEdge(1, 2);
+    g.addEdge(0, 2);
+    EXPECT_FALSE(g.hasAdjacency());
+    g.buildAdjacency();
+    ASSERT_TRUE(g.hasAdjacency());
+    expectSameEdges(g.succ(0), std::vector<DagEdge>{{1, 7}, {2, 0}});
+    expectSameEdges(g.succ(1), std::vector<DagEdge>{{2, 0}});
+    expectSameEdges(g.pred(2), std::vector<DagEdge>{{1, 0}, {0, 0}});
+    expectSameEdges(g.pred(1), std::vector<DagEdge>{{0, 7}});
+    EXPECT_TRUE(g.succ(2).empty());
 }
 
 class WorkloadGraphs : public ::testing::TestWithParam<const char *>
@@ -513,11 +559,11 @@ TEST_P(WorkloadGraphs, AcyclicAndWellFormed)
     for (const IntervalGraph &g : gs) {
         EXPECT_TRUE(g.isAcyclic());
         events += g.size();
-        for (const DagEvent &ev : g.events) {
-            EXPECT_GT(ev.end, ev.start);
-            EXPECT_GT(ev.origDuration, 0u);
-            EXPECT_LT(ev.fixedPortion, ev.origDuration);
-            EXPECT_GT(ev.power, 0.0);
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            EXPECT_GT(g.end[i], g.start[i]);
+            EXPECT_GE(g.fixed[i], 0.0);
+            EXPECT_GT(g.scalable[i], 0.0);
+            EXPECT_GT(g.power[i], 0.0);
         }
         // Every edge endpoint is in range.
         for (std::size_t i = 0; i < g.size(); ++i) {

@@ -6,6 +6,7 @@
  * Chrome-trace profile.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -342,6 +343,65 @@ TEST(HostProfiler, ProfileListsSixPaperLegsPerBenchmarkAndNoShake)
     // The shake is still profiled, as analysis.
     EXPECT_NE(docs.profile.find("\"detail\": \"adpcm/shake\""),
               std::string::npos);
+}
+
+TEST(HostProfiler, ShakeSliceNestsOneDepgraphAndOneShakePerInterval)
+{
+    struct Slice
+    {
+        std::string name;
+        int lane;
+        double ts;
+        double dur;
+        std::string detail;
+    };
+    std::vector<Slice> slices;
+    const std::regex re(
+        "\"name\": \"([a-z.]+)\", \"cat\": \"host\", \"ph\": \"X\", "
+        "\"pid\": 1, \"tid\": ([0-9]+), \"ts\": ([^,]+), "
+        "\"dur\": ([^,}]+)(?:, \"args\": \\{\"detail\": \"([^\"]*)\")?");
+    const std::string &text = profiledDocuments().profile;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), re);
+         it != std::sregex_iterator(); ++it)
+        slices.push_back({(*it)[1], std::stoi((*it)[2]),
+                          std::stod((*it)[3]), std::stod((*it)[4]),
+                          (*it)[5]});
+
+    // Inside each <bench>/shake analyze slice, interval k is one
+    // depgraph slice and then one shake slice, on the same lane.
+    std::size_t nested = 0;
+    for (const Slice &outer : slices) {
+        if (outer.name != "analyze" || outer.detail.size() < 6 ||
+            outer.detail.compare(outer.detail.size() - 6, 6, "/shake"))
+            continue;
+        SCOPED_TRACE(outer.detail);
+        std::vector<const Slice *> inner;
+        for (const Slice &s : slices)
+            if ((s.name == "depgraph" || s.name == "shake") &&
+                s.lane == outer.lane && s.ts >= outer.ts &&
+                s.ts + s.dur <= outer.ts + outer.dur + 1.0)
+                inner.push_back(&s);
+        std::sort(inner.begin(), inner.end(),
+                  [](const Slice *a, const Slice *b) { return a->ts < b->ts; });
+        ASSERT_FALSE(inner.empty());
+        ASSERT_EQ(inner.size() % 2, 0u);
+        for (std::size_t k = 0; k < inner.size() / 2; ++k) {
+            const std::string label = "interval " + std::to_string(k);
+            EXPECT_EQ(inner[2 * k]->name, "depgraph");
+            EXPECT_EQ(inner[2 * k]->detail, label);
+            EXPECT_EQ(inner[2 * k + 1]->name, "shake");
+            EXPECT_EQ(inner[2 * k + 1]->detail.rfind(label + ", ", 0), 0u)
+                << inner[2 * k + 1]->detail;
+        }
+        nested += inner.size();
+    }
+    // adpcm and mst have three and five intervals; every depgraph and
+    // shake slice sits in one of their shake slices.
+    EXPECT_EQ(nested, 2u * (3 + 5));
+    EXPECT_EQ(nested, static_cast<std::size_t>(std::count_if(
+        slices.begin(), slices.end(), [](const Slice &s) {
+            return s.name == "depgraph" || s.name == "shake";
+        })));
 }
 
 TEST(HostProfiler, StatsAndProfilePrintOneSnapshot)
