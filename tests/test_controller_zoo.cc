@@ -9,6 +9,8 @@
  */
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "config/registry.hh"
+#include "config/runspec.hh"
 #include "control/governor.hh"
 #include "control/pid.hh"
 #include "control/registry.hh"
@@ -499,6 +503,69 @@ TEST(Leaderboard, JsonIsWellFormedAndRanked)
     EXPECT_EQ(brackets, 0);
     EXPECT_EQ(json.find(",\n}"), std::string::npos);
     EXPECT_EQ(json.find(",\n  }"), std::string::npos);
+}
+
+/**
+ * Every registered controller, and the scale-fe path and a non-default
+ * param of each law, byte for byte against committed fixtures: the
+ * results and leaderboard documents of an uncached adpcm+tsp matrix,
+ * at jobs=1 and jobs=8. A one-term slip in any control law (the PID
+ * derivative's previous error, a governor's rollback, the table's
+ * trend bucket) changes these bytes.
+ */
+TEST(ControllerZoo, DocumentsMatchGoldenFixtures)
+{
+    namespace fs = std::filesystem;
+    const char *legs =
+        "online=ctrl:online-queue|pid=ctrl:pid|"
+        "perf=ctrl:governor-performance|save=ctrl:governor-powersave|"
+        "ondemand=ctrl:governor-ondemand|"
+        "cons=ctrl:governor-conservative|table=ctrl:table|"
+        "online-fe=ctrl:online-queue@scale-fe=1,attack-points=3|"
+        "pid-fe=ctrl:pid@scale-fe=1,kd=0|"
+        "cons-fe=ctrl:governor-conservative@scale-fe=1,step-points=3|"
+        "table-fe=ctrl:table@scale-fe=1,trend-threshold=0.1|"
+        "ondemand-up=ctrl:governor-ondemand@up-threshold=0.5";
+    auto slurp = [](const fs::path &p) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const fs::path golden = fs::path(MCD_SOURCE_DIR) / "tests" / "golden";
+    fs::path dir = fs::temp_directory_path() / "mcd-zoo-golden";
+
+    // The fixtures were written by a figure binary run as
+    // `MCD_BENCHMARKS=adpcm,tsp MCD_CACHE_DIR= ... --legs '<legs>'`;
+    // resolving the same sources keeps the provenance block equal.
+    for (int jobs : {1, 8}) {
+        SCOPED_TRACE(jobs);
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        ::setenv("MCD_BENCHMARKS", "adpcm,tsp", 1);
+        ::setenv("MCD_CACHE_DIR", "", 1);
+        ::setenv("MCD_RESULTS_JSON", (dir / "results.json").c_str(), 1);
+        ::setenv("MCD_LEADERBOARD_JSON",
+                 (dir / "leaderboard.json").c_str(), 1);
+        config::setFlagOverride("legs", legs);
+        config::RunSpec spec = config::RunSpec::resolve();
+        runMatrix(experimentConfigFromSpec(spec, DvfsKind::XScale),
+                  benchmarkNamesFromSpec(spec), jobs);
+        config::clearFlagOverrides();
+        for (const char *var : {"MCD_BENCHMARKS", "MCD_CACHE_DIR",
+                                "MCD_RESULTS_JSON", "MCD_LEADERBOARD_JSON"})
+            ::unsetenv(var);
+
+        for (const char *doc : {"results", "leaderboard"}) {
+            std::string got = slurp(dir / (std::string(doc) + ".json"));
+            std::string want =
+                slurp(golden / (std::string(doc) + "_zoo_adpcm_tsp.json"));
+            ASSERT_FALSE(got.empty()) << doc;
+            ASSERT_FALSE(want.empty()) << doc;
+            EXPECT_EQ(got, want) << doc << " drifted from its fixture";
+        }
+    }
+    fs::remove_all(dir);
 }
 
 } // namespace
