@@ -208,15 +208,16 @@ parseFigureArgs(int argc, char **argv)
  * a tournament matrix grows one column per registered controller)
  * plus the average row. In the default matrix the "online" column
  * (queue-driven attack/decay controller) extends the paper's four
- * with the practical control loop the oracle columns bound.
+ * with the practical control loop the oracle columns bound. The title
+ * line names the DVFS @p model the matrix ran under.
  */
 inline void
-printFigure(const char *title,
+printFigure(const char *title, DvfsKind model,
             const std::vector<BenchmarkResults> &rows,
             const std::function<double(const BenchmarkResults &,
                                        const RunResult &)> &metric)
 {
-    std::printf("%s\n\n", title);
+    std::printf("%s (%s model)\n\n", title, dvfsKindName(model));
     if (rows.empty()) {
         std::printf("(no benchmarks)\n");
         return;

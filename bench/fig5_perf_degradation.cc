@@ -22,7 +22,7 @@ main(int argc, char **argv)
     ExperimentConfig ec = benchutil::configFromEnv(DvfsKind::XScale);
     auto rows = benchutil::runMatrix(ec);
     benchutil::printFigure(
-        "Figure 5: Performance degradation results (XScale model)",
+        "Figure 5: Performance degradation results", ec.model,
         rows,
         [](const BenchmarkResults &r, const RunResult &run) {
             return r.perfDegradation(run);

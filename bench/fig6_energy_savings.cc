@@ -22,7 +22,7 @@ main(int argc, char **argv)
     ExperimentConfig ec = benchutil::configFromEnv(DvfsKind::XScale);
     auto rows = benchutil::runMatrix(ec);
     benchutil::printFigure(
-        "Figure 6: Energy savings results (XScale model)", rows,
+        "Figure 6: Energy savings results", ec.model, rows,
         [](const BenchmarkResults &r, const RunResult &run) {
             return r.energySavings(run);
         });

@@ -20,7 +20,7 @@ main(int argc, char **argv)
     ExperimentConfig ec = benchutil::configFromEnv(DvfsKind::XScale);
     auto rows = benchutil::runMatrix(ec);
     benchutil::printFigure(
-        "Figure 7: Energy-delay improvement results (XScale model)",
+        "Figure 7: Energy-delay improvement results", ec.model,
         rows,
         [](const BenchmarkResults &r, const RunResult &run) {
             return r.edpImprovement(run);

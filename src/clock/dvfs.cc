@@ -264,17 +264,4 @@ DomainDvfs::executionBlocked(Tick now) const
     return relocking && now < relockEnd;
 }
 
-Tick
-DomainDvfs::estimateTransitionTime(Hertz from, Hertz to) const
-{
-    if (params.kind == DvfsKind::None || from == to)
-        return 0;
-    int fromLvl = levelForVoltage(table.voltageFor(from));
-    int toLvl = levelForVoltage(table.voltageFor(to));
-    Tick t = static_cast<Tick>(std::abs(toLvl - fromLvl)) * params.stepTime;
-    if (params.pllRelock)
-        t += params.relockMean;
-    return t;
-}
-
 } // namespace mcd

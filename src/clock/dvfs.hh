@@ -141,13 +141,6 @@ class DomainDvfs
     /** True while a transition is in progress. */
     bool transitioning() const { return active; }
 
-    /**
-     * Estimated wall time to move between two frequencies, used by
-     * the offline clustering phase when computing transition lead
-     * times and reconfiguration overheads.
-     */
-    Tick estimateTransitionTime(Hertz from, Hertz to) const;
-
     /** Number of requestFrequency() calls that changed the target. */
     std::uint64_t reconfigurations() const { return reconfigs; }
 

@@ -1,15 +1,8 @@
 #include "log.hh"
 
-#include <atomic>
-
 namespace mcd {
 
 namespace {
-// Atomic: warn()/inform() are called from experiment-engine worker
-// threads while tests flip quiet mode (stderr itself is locked by the
-// C library per call).
-std::atomic<bool> quietMode{false};
-
 // Build the whole line first and emit it with one stdio call, so
 // concurrent warnings from worker threads can never interleave
 // mid-line (each fwrite holds stderr's lock for the full message).
@@ -38,21 +31,13 @@ panic(const std::string &msg)
 void
 warn(const std::string &msg)
 {
-    if (!quietMode)
-        emitLine("warn: ", msg);
+    emitLine("warn: ", msg);
 }
 
 void
 inform(const std::string &msg)
 {
-    if (!quietMode)
-        emitLine("info: ", msg);
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietMode = quiet;
+    emitLine("info: ", msg);
 }
 
 } // namespace mcd

@@ -45,9 +45,6 @@ void warn(const std::string &msg);
 /** Report a purely informational message. */
 void inform(const std::string &msg);
 
-/** Suppress or enable warn()/inform() output (used by tests). */
-void setQuiet(bool quiet);
-
 /** Panic unless the given condition holds. */
 inline void
 mcdAssert(bool cond, const char *what)

@@ -1,6 +1,45 @@
 #include "controller.hh"
 
+#include <algorithm>
+#include <string>
+
+#include "common/log.hh"
+
 namespace mcd {
+
+PointController::PointController(const DvfsTable &table_, Tick interval_,
+                                 bool scaleFrontEnd_, const char *who)
+    : table(table_), interval(interval_), scaleFrontEnd(scaleFrontEnd_)
+{
+    // A zero interval would observe at every edge instead of once per
+    // control interval.
+    if (interval == 0)
+        fatal(std::string(who) + ": interval must be > 0");
+    level.fill(-1);
+}
+
+void
+PointController::observe(const DomainStats &stats, Tick)
+{
+    if (stats.domain == Domain::FrontEnd && !scaleFrontEnd)
+        return;
+
+    int di = domainIndex(stats.domain);
+    double u = stats.window.meanOccupancy();
+    int to;
+    if (level[di] < 0) {
+        level[di] = table.indexNearest(stats.frequency);
+        to = first(di, level[di]);
+    } else {
+        to = std::clamp(next(di, level[di], u, prevOcc[di]), 0, top());
+    }
+    prevOcc[di] = u;
+
+    if (to != level[di]) {
+        level[di] = to;
+        request(stats.domain, table.point(to).frequency);
+    }
+}
 
 ScheduleController::ScheduleController(const ReconfigSchedule &schedule)
 {

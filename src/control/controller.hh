@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "analysis/schedule.hh"
+#include "clock/operating_points.hh"
 #include "common/types.hh"
 #include "cpu/pipeline_stats.hh"
 
@@ -108,6 +109,56 @@ class DvfsController
   private:
     std::vector<FreqRequest> pending;
     std::uint64_t issued = 0;
+};
+
+/**
+ * The loop every operating-point controller shares; a subclass
+ * supplies only its control law.
+ *
+ * Each interval, observe() reads the mean occupancy of the domain's
+ * primary queue. The front end is skipped (the paper pins it) unless
+ * scaleFrontEnd is set. A domain's first observation latches the
+ * table point nearest its starting frequency and asks first() where
+ * to go; every later one asks next(), with this interval's occupancy
+ * and the previous one. The loop clamps the answer to the table and
+ * requests the point's frequency when it differs from the current
+ * one. Laws are deterministic: identical observation sequences
+ * produce identical requests.
+ */
+class PointController : public DvfsController
+{
+  public:
+    Tick samplePeriod() const override { return interval; }
+    void observe(const DomainStats &stats, Tick now) override;
+
+    /** Current operating-point index of @p d (test hook; -1 before
+     *  the domain's first observation). */
+    int pointIndex(Domain d) const { return level[domainIndex(d)]; }
+
+  protected:
+    /** Fatal when @p interval is 0, naming @p who (the params type). */
+    PointController(const DvfsTable &table, Tick interval,
+                    bool scaleFrontEnd, const char *who);
+
+    /** Index of the table's fastest point. */
+    int top() const { return table.numPoints() - 1; }
+
+    /** Point for domain @p di at its first observation, where @p at
+     *  is the point it started at. The default stays there. */
+    virtual int first(int /*di*/, int at) { return at; }
+
+    /** The law: the point domain @p di moves to from @p at, given its
+     *  mean queue occupancy @p u this interval and @p prev the one
+     *  before. Need not be clamped to the table. */
+    virtual int next(int di, int at, double u, double prev) = 0;
+
+  private:
+    DvfsTable table;
+    Tick interval;
+    bool scaleFrontEnd;
+
+    std::array<int, numDomains> level;
+    std::array<double, numDomains> prevOcc{};
 };
 
 /**

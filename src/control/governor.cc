@@ -21,11 +21,11 @@ governorPolicyName(GovernorPolicy policy)
 
 GovernorController::GovernorController(GovernorPolicy policy,
                                        const GovernorParams &params,
-                                       const DvfsTable &table_)
-    : pol(policy), prm(params), table(table_)
+                                       const DvfsTable &table)
+    : PointController(table, params.interval, params.scaleFrontEnd,
+                      "GovernorParams"),
+      pol(policy), prm(params)
 {
-    if (prm.interval == 0)
-        fatal("GovernorParams: interval must be > 0");
     if (!(prm.upThreshold > 0.0 && prm.upThreshold < 1.0))
         fatal("GovernorParams: upThreshold must lie in (0, 1)");
     if (!(prm.downThreshold >= 0.0 &&
@@ -35,52 +35,28 @@ GovernorController::GovernorController(GovernorPolicy policy,
     }
     if (prm.stepPoints < 1)
         fatal("GovernorParams: stepPoints must be >= 1");
-    level.fill(-1);
 }
 
-void
-GovernorController::moveTo(Domain d, int next)
+int
+GovernorController::first(int, int at)
 {
-    int di = domainIndex(d);
-    if (next == level[di])
-        return;
-    level[di] = next;
-    request(d, table.point(next).frequency);
-}
-
-void
-GovernorController::observe(const DomainStats &stats, Tick)
-{
-    if (stats.domain == Domain::FrontEnd && !prm.scaleFrontEnd)
-        return;
-
-    int di = domainIndex(stats.domain);
-    int top = table.numPoints() - 1;
-    double u = stats.window.meanOccupancy();
-
-    if (!seen[di]) {
-        seen[di] = true;
-        level[di] = table.indexNearest(stats.frequency);
-        // The static policies act immediately; the adaptive ones need
-        // a first interval of history before moving.
-        if (pol == GovernorPolicy::Performance)
-            moveTo(stats.domain, top);
-        else if (pol == GovernorPolicy::Powersave)
-            moveTo(stats.domain, 0);
-        return;
-    }
-
+    // The static policies act immediately; the adaptive ones need a
+    // first interval of history before moving.
     switch (pol) {
-      case GovernorPolicy::Performance:
-        moveTo(stats.domain, top);
-        return;
-      case GovernorPolicy::Powersave:
-        moveTo(stats.domain, 0);
-        return;
+      case GovernorPolicy::Performance: return top();
+      case GovernorPolicy::Powersave: return 0;
       case GovernorPolicy::Ondemand:
-      case GovernorPolicy::Conservative:
-        break;
+      case GovernorPolicy::Conservative: break;
     }
+    return at;
+}
+
+int
+GovernorController::next(int di, int at, double u, double)
+{
+    if (pol == GovernorPolicy::Performance ||
+        pol == GovernorPolicy::Powersave)
+        return first(di, at);
 
     // RollbackPoint revert: the previous interval stepped down and
     // the queue is now backed up past the up-threshold — the step
@@ -88,38 +64,33 @@ GovernorController::observe(const DomainStats &stats, Tick)
     // one jump rather than climbing back gradually.
     if (armed[di] && u >= prm.upThreshold) {
         armed[di] = false;
-        moveTo(stats.domain, rollback[di]);
-        return;
+        return rollback[di];
     }
 
-    int next = level[di];
+    int to = at;
     if (pol == GovernorPolicy::Ondemand) {
-        if (u >= prm.upThreshold) {
-            next = top;
-        } else {
-            // Linux ondemand's proportional rule mapped to points:
-            // target = max * load / up_threshold.
-            next = static_cast<int>(
-                std::lround(static_cast<double>(top) * u /
-                            prm.upThreshold));
-            next = std::clamp(next, 0, top);
-        }
-    } else {    // Conservative
-        if (u >= prm.upThreshold)
-            next = std::clamp(next + prm.stepPoints, 0, top);
-        else if (u <= prm.downThreshold)
-            next = std::clamp(next - prm.stepPoints, 0, top);
-        // else: hold.
+        // Linux ondemand's proportional rule mapped to points:
+        // target = max * load / up_threshold.
+        to = u >= prm.upThreshold
+            ? top()
+            : static_cast<int>(std::lround(static_cast<double>(top()) *
+                                           u / prm.upThreshold));
+    } else if (u >= prm.upThreshold) {      // Conservative
+        to = at + prm.stepPoints;
+    } else if (u <= prm.downThreshold) {
+        to = at - prm.stepPoints;
     }
+    // else: hold.
+    to = std::clamp(to, 0, top());
 
-    if (next < level[di]) {
+    if (to < at) {
         // Arm a rollback point before committing any downward move.
-        rollback[di] = level[di];
+        rollback[di] = at;
         armed[di] = true;
-    } else if (next > level[di]) {
+    } else if (to > at) {
         armed[di] = false;
     }
-    moveTo(stats.domain, next);
+    return to;
 }
 
 } // namespace mcd

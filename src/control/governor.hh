@@ -29,8 +29,8 @@
 #define MCD_CONTROL_GOVERNOR_HH
 
 #include <array>
+#include <cstdint>
 
-#include "clock/operating_points.hh"
 #include "control/controller.hh"
 
 namespace mcd {
@@ -65,7 +65,7 @@ struct GovernorParams
     bool scaleFrontEnd = false;
 };
 
-class GovernorController : public DvfsController
+class GovernorController : public PointController
 {
   public:
     explicit GovernorController(GovernorPolicy policy,
@@ -76,30 +76,22 @@ class GovernorController : public DvfsController
     {
         return governorPolicyName(pol);
     }
-    Tick samplePeriod() const override { return prm.interval; }
-    void observe(const DomainStats &stats, Tick now) override;
 
     GovernorPolicy policy() const { return pol; }
     const GovernorParams &params() const { return prm; }
-
-    /** Current operating-point index of @p d (test hook; -1 before
-     *  the domain's first observation). */
-    int pointIndex(Domain d) const { return level[domainIndex(d)]; }
 
     /** Whether @p d has an armed rollback point (test hook). */
     bool rollbackArmed(Domain d) const { return armed[domainIndex(d)]; }
 
   private:
-    void moveTo(Domain d, int next);
+    int first(int di, int at) override;
+    int next(int di, int at, double u, double prev) override;
 
     GovernorPolicy pol;
     GovernorParams prm;
-    DvfsTable table;
 
-    std::array<int, numDomains> level;
     std::array<int, numDomains> rollback{};  //!< point before down-step
     std::array<bool, numDomains> armed{};    //!< rollback point valid
-    std::array<bool, numDomains> seen{};
 };
 
 } // namespace mcd

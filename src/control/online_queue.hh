@@ -29,18 +29,12 @@
  * paper's choice) unless scaleFrontEnd is set.
  *
  * The controller is fully deterministic: identical observation
- * sequences produce identical request sequences for a fixed seed (the
- * seed is reserved for future stochastic probing and does not affect
- * the current law).
+ * sequences produce identical request sequences.
  */
 
 #ifndef MCD_CONTROL_ONLINE_QUEUE_HH
 #define MCD_CONTROL_ONLINE_QUEUE_HH
 
-#include <array>
-#include <cstdint>
-
-#include "clock/operating_points.hh"
 #include "control/controller.hh"
 
 namespace mcd {
@@ -79,31 +73,20 @@ struct OnlineQueueParams
     bool scaleFrontEnd = false;
 };
 
-class OnlineQueueController : public DvfsController
+class OnlineQueueController : public PointController
 {
   public:
     explicit OnlineQueueController(const OnlineQueueParams &params = {},
-                                   const DvfsTable &table = {},
-                                   std::uint64_t seed = 1);
+                                   const DvfsTable &table = {});
 
     const char *name() const override { return "online-queue"; }
-    Tick samplePeriod() const override { return prm.interval; }
-    void observe(const DomainStats &stats, Tick now) override;
-
-    /** Current operating-point index of @p d (test hook; -1 before
-     *  the domain's first observation). */
-    int pointIndex(Domain d) const { return level[domainIndex(d)]; }
 
     const OnlineQueueParams &params() const { return prm; }
 
   private:
-    OnlineQueueParams prm;
-    DvfsTable table;
-    std::uint64_t seed;     //!< reserved (determinism contract above)
+    int next(int di, int at, double u, double prev) override;
 
-    std::array<int, numDomains> level;
-    std::array<double, numDomains> prevOcc{};
-    std::array<bool, numDomains> seen{};
+    OnlineQueueParams prm;
 };
 
 } // namespace mcd

@@ -8,11 +8,11 @@
 namespace mcd {
 
 PidController::PidController(const PidParams &params,
-                             const DvfsTable &table_)
-    : prm(params), table(table_)
+                             const DvfsTable &table)
+    : PointController(table, params.interval, params.scaleFrontEnd,
+                      "PidParams"),
+      prm(params)
 {
-    if (prm.interval == 0)
-        fatal("PidParams: interval must be > 0");
     if (!(prm.setpoint > 0.0 && prm.setpoint < 1.0))
         fatal("PidParams: setpoint must lie in (0, 1)");
     if (!(std::isfinite(prm.kp) && std::isfinite(prm.ki) &&
@@ -22,29 +22,19 @@ PidController::PidController(const PidParams &params,
     }
     if (prm.kp == 0.0 && prm.ki == 0.0)
         fatal("PidParams: at least one of kp, ki must be positive");
-    level.fill(-1);
 }
 
-void
-PidController::observe(const DomainStats &stats, Tick)
+int
+PidController::first(int di, int at)
 {
-    if (stats.domain == Domain::FrontEnd && !prm.scaleFrontEnd)
-        return;
+    // The point the domain started at is the loop's operating base.
+    base[di] = static_cast<double>(at);
+    return at;
+}
 
-    int di = domainIndex(stats.domain);
-    double u = stats.window.meanOccupancy();
-    int top = table.numPoints() - 1;
-
-    if (!seen[di]) {
-        // First observation: latch the operating point the domain
-        // started at as the loop's operating base.
-        seen[di] = true;
-        level[di] = table.indexNearest(stats.frequency);
-        base[di] = static_cast<double>(level[di]);
-        prevErr[di] = u - prm.setpoint;
-        return;
-    }
-
+int
+PidController::next(int di, int, double u, double prev)
+{
     double err = u - prm.setpoint;
     integral[di] += err;
     if (prm.ki > 0.0) {
@@ -52,18 +42,13 @@ PidController::observe(const DomainStats &stats, Tick)
         // table span in either direction, so a long idle phase cannot
         // bank unbounded downward pressure that a later burst must
         // pay off interval by interval.
-        double cap = static_cast<double>(top) / prm.ki;
+        double cap = static_cast<double>(top()) / prm.ki;
         integral[di] = std::clamp(integral[di], -cap, cap);
     }
+    double prevErr = prev - prm.setpoint;
     double out = base[di] + prm.kp * err + prm.ki * integral[di] +
-        prm.kd * (err - prevErr[di]);
-    prevErr[di] = err;
-
-    int next = std::clamp(static_cast<int>(std::lround(out)), 0, top);
-    if (next != level[di]) {
-        level[di] = next;
-        request(stats.domain, table.point(next).frequency);
-    }
+        prm.kd * (err - prevErr);
+    return static_cast<int>(std::lround(out));
 }
 
 } // namespace mcd

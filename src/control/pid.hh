@@ -24,7 +24,6 @@
 
 #include <array>
 
-#include "clock/operating_points.hh"
 #include "control/controller.hh"
 
 namespace mcd {
@@ -46,31 +45,24 @@ struct PidParams
     bool scaleFrontEnd = false;
 };
 
-class PidController : public DvfsController
+class PidController : public PointController
 {
   public:
     explicit PidController(const PidParams &params = {},
                            const DvfsTable &table = {});
 
     const char *name() const override { return "pid"; }
-    Tick samplePeriod() const override { return prm.interval; }
-    void observe(const DomainStats &stats, Tick now) override;
-
-    /** Current operating-point index of @p d (test hook; -1 before
-     *  the domain's first observation). */
-    int pointIndex(Domain d) const { return level[domainIndex(d)]; }
 
     const PidParams &params() const { return prm; }
 
   private:
-    PidParams prm;
-    DvfsTable table;
+    int first(int di, int at) override;
+    int next(int di, int at, double u, double prev) override;
 
-    std::array<int, numDomains> level;      //!< current point index
+    PidParams prm;
+
     std::array<double, numDomains> base{};  //!< latched initial index
     std::array<double, numDomains> integral{};
-    std::array<double, numDomains> prevErr{};
-    std::array<bool, numDomains> seen{};
 };
 
 } // namespace mcd

@@ -1,7 +1,9 @@
 #include "registry.hh"
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
+#include <string_view>
 
 #include "common/log.hh"
 #include "common/spec.hh"
@@ -20,7 +22,7 @@ parseControllerParams(const std::string &text, const std::string &what)
         const std::string name = what + ": param '" + key + "'";
         // A "*-points" key counts operating-point steps, which the
         // factories store as int; interval-us becomes an unsigned Tick
-        // of picoseconds.
+        // of picoseconds; scale-fe is a boolean.
         double v = key.ends_with("-points")
             ? static_cast<double>(spec::parseInt(
                   name, val, std::numeric_limits<int>::min(),
@@ -29,6 +31,8 @@ parseControllerParams(const std::string &text, const std::string &what)
         if (key == "interval-us" && !(v > 0.0 && v * 1e6 < 0x1p64))
             fatal(name + ": must be > 0 and fit a Tick (got '" + val +
                   "')");
+        if (key == "scale-fe" && v != 0.0 && v != 1.0)
+            fatal(name + ": must be 0 or 1 (got '" + val + "')");
         out.emplace_back(std::move(key), v);
     }
     return out;
@@ -36,125 +40,105 @@ parseControllerParams(const std::string &text, const std::string &what)
 
 namespace {
 
-[[noreturn]] void
-unknownKey(const std::string &controller, const std::string &key,
-           const char *valid)
+/** One law param: its spec key and the params field it sets. */
+template <typename P>
+struct Key
 {
-    fatal("controller '" + controller + "': unknown param '" + key +
-          "' (valid: " + valid + ")");
-}
+    Key(std::string_view n, double P::*f) : name(n), real(f) {}
+    Key(std::string_view n, int P::*f) : name(n), points(f) {}
 
-/** Shared "interval-us" / "scale-fe" handling; returns handled. */
-template <typename Params>
-bool
-commonParam(Params &p, const ControllerParam &kv)
+    std::string_view name;
+    double P::*real = nullptr;
+    int P::*points = nullptr;   //!< a "*-points" key, parsed whole
+};
+
+/**
+ * Apply @p spec over @p p: interval-us and scale-fe, which every
+ * point controller takes, then the law's own @p keys. Fatal on an
+ * unknown key, listing the valid set in table order.
+ */
+template <typename P>
+P
+bind(P p, const std::string &controller, const std::string &spec,
+     std::initializer_list<Key<P>> keys)
 {
-    if (kv.first == "interval-us") {
-        p.interval = fromMicroseconds(kv.second);
-        return true;
+    for (const auto &[key, v] :
+         parseControllerParams(spec, "controller '" + controller + "'")) {
+        if (key == "interval-us") {
+            p.interval = fromMicroseconds(v);
+            continue;
+        }
+        if (key == "scale-fe") {
+            p.scaleFrontEnd = v != 0.0;
+            continue;
+        }
+        auto k = std::ranges::find(keys, key, &Key<P>::name);
+        if (k == keys.end()) {
+            std::string valid = "interval-us, scale-fe";
+            for (const Key<P> &known : keys)
+                valid += ", " + std::string(known.name);
+            fatal("controller '" + controller + "': unknown param '" +
+                  key + "' (valid: " + valid + ")");
+        }
+        if (k->real)
+            p.*k->real = v;
+        else
+            p.*k->points = static_cast<int>(v);
     }
-    if (kv.first == "scale-fe") {
-        p.scaleFrontEnd = kv.second != 0.0;
-        return true;
-    }
-    return false;
+    return p;
 }
 
 std::unique_ptr<DvfsController>
 makeOnlineQueue(const ControllerContext &ctx, const std::string &spec)
 {
-    OnlineQueueParams p = ctx.online;
-    for (const ControllerParam &kv :
-         parseControllerParams(spec, "controller 'online-queue'")) {
-        if (commonParam(p, kv))
-            continue;
-        else if (kv.first == "attack-threshold")
-            p.attackThreshold = kv.second;
-        else if (kv.first == "attack-points")
-            p.attackPoints = static_cast<int>(kv.second);
-        else if (kv.first == "decay-points")
-            p.decayPoints = static_cast<int>(kv.second);
-        else if (kv.first == "idle-decay-points")
-            p.idleDecayPoints = static_cast<int>(kv.second);
-        else if (kv.first == "high-water")
-            p.highWater = kv.second;
-        else if (kv.first == "hold-water")
-            p.holdWater = kv.second;
-        else if (kv.first == "idle-water")
-            p.idleWater = kv.second;
-        else
-            unknownKey("online-queue", kv.first,
-                       "interval-us, scale-fe, attack-threshold, "
-                       "attack-points, decay-points, "
-                       "idle-decay-points, high-water, hold-water, "
-                       "idle-water");
-    }
-    return std::make_unique<OnlineQueueController>(p, ctx.table,
-                                                   ctx.seed);
+    using P = OnlineQueueParams;
+    return std::make_unique<OnlineQueueController>(
+        bind<P>(ctx.online, "online-queue", spec,
+                {{"attack-threshold", &P::attackThreshold},
+                 {"attack-points", &P::attackPoints},
+                 {"decay-points", &P::decayPoints},
+                 {"idle-decay-points", &P::idleDecayPoints},
+                 {"high-water", &P::highWater},
+                 {"hold-water", &P::holdWater},
+                 {"idle-water", &P::idleWater}}),
+        ctx.table);
 }
 
 std::unique_ptr<DvfsController>
 makePid(const ControllerContext &ctx, const std::string &spec)
 {
-    PidParams p;
-    for (const ControllerParam &kv :
-         parseControllerParams(spec, "controller 'pid'")) {
-        if (commonParam(p, kv))
-            continue;
-        else if (kv.first == "setpoint")
-            p.setpoint = kv.second;
-        else if (kv.first == "kp")
-            p.kp = kv.second;
-        else if (kv.first == "ki")
-            p.ki = kv.second;
-        else if (kv.first == "kd")
-            p.kd = kv.second;
-        else
-            unknownKey("pid", kv.first,
-                       "interval-us, scale-fe, setpoint, kp, ki, kd");
-    }
-    return std::make_unique<PidController>(p, ctx.table);
+    using P = PidParams;
+    return std::make_unique<PidController>(
+        bind<P>({}, "pid", spec,
+                {{"setpoint", &P::setpoint},
+                 {"kp", &P::kp},
+                 {"ki", &P::ki},
+                 {"kd", &P::kd}}),
+        ctx.table);
 }
 
 template <GovernorPolicy Policy>
 std::unique_ptr<DvfsController>
 makeGovernor(const ControllerContext &ctx, const std::string &spec)
 {
-    const std::string who = governorPolicyName(Policy);
-    GovernorParams p;
-    for (const ControllerParam &kv :
-         parseControllerParams(spec, "controller '" + who + "'")) {
-        if (commonParam(p, kv))
-            continue;
-        else if (kv.first == "up-threshold")
-            p.upThreshold = kv.second;
-        else if (kv.first == "down-threshold")
-            p.downThreshold = kv.second;
-        else if (kv.first == "step-points")
-            p.stepPoints = static_cast<int>(kv.second);
-        else
-            unknownKey(who, kv.first,
-                       "interval-us, scale-fe, up-threshold, "
-                       "down-threshold, step-points");
-    }
-    return std::make_unique<GovernorController>(Policy, p, ctx.table);
+    using P = GovernorParams;
+    return std::make_unique<GovernorController>(
+        Policy,
+        bind<P>({}, governorPolicyName(Policy), spec,
+                {{"up-threshold", &P::upThreshold},
+                 {"down-threshold", &P::downThreshold},
+                 {"step-points", &P::stepPoints}}),
+        ctx.table);
 }
 
 std::unique_ptr<DvfsController>
 makeTable(const ControllerContext &ctx, const std::string &spec)
 {
-    TablePolicyParams p;
-    for (const ControllerParam &kv :
-         parseControllerParams(spec, "controller 'table'")) {
-        if (commonParam(p, kv))
-            continue;
-        else if (kv.first == "trend-threshold")
-            p.trendThreshold = kv.second;
-        else
-            unknownKey("table", kv.first,
-                       "interval-us, scale-fe, trend-threshold");
-    }
-    return std::make_unique<TablePolicyController>(p, ctx.table);
+    using P = TablePolicyParams;
+    return std::make_unique<TablePolicyController>(
+        bind<P>({}, "table", spec,
+                {{"trend-threshold", &P::trendThreshold}}),
+        ctx.table);
 }
 
 struct BuiltIn

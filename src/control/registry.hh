@@ -59,8 +59,9 @@ using ControllerParam = std::pair<std::string, double>;
 /**
  * Parse a comma-separated "key=value[,key=value...]" spec. Fatal on
  * malformed items (missing '=', empty key, non-numeric value, an
- * out-of-range "*-points" or interval-us value), naming @p what in
- * the message. An empty spec parses to an empty list.
+ * out-of-range "*-points" or interval-us value, a scale-fe other than
+ * 0 or 1), naming @p what in the message. An empty spec parses to an
+ * empty list.
  */
 std::vector<ControllerParam>
 parseControllerParams(const std::string &text, const std::string &what);

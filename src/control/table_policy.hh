@@ -10,12 +10,11 @@
  * table read per observation: no floating-point law, no gains to
  * tune, and trivially auditable.
  *
- * The default table was fitted offline against the attack/decay
+ * The table was fitted offline against the attack/decay
  * oracle traces on the profiling runs: near-empty queues decay fast,
  * mid-range queues hold or drift with the trend, rising occupancy is
  * attacked proportionally to how full the queue already is, and the
- * top bucket saturates to full speed. Tests and ablations can supply
- * a custom table.
+ * top bucket saturates to full speed.
  *
  * Deterministic; the front end stays pinned unless scaleFrontEnd.
  */
@@ -23,9 +22,6 @@
 #ifndef MCD_CONTROL_TABLE_POLICY_HH
 #define MCD_CONTROL_TABLE_POLICY_HH
 
-#include <array>
-
-#include "clock/operating_points.hh"
 #include "control/controller.hh"
 
 namespace mcd {
@@ -43,45 +39,20 @@ struct TablePolicyParams
     bool scaleFrontEnd = false;
 };
 
-class TablePolicyController : public DvfsController
+class TablePolicyController : public PointController
 {
   public:
-    /** Occupancy buckets: floor(u * kOccBuckets), clamped. */
-    static constexpr int kOccBuckets = 8;
-    /** Trend buckets: 0 falling, 1 flat, 2 rising. */
-    static constexpr int kTrendBuckets = 3;
-
-    /** Point-delta table: [occupancy bucket][trend bucket]. */
-    using StepTable =
-        std::array<std::array<int, kTrendBuckets>, kOccBuckets>;
-
-    /** The default offline-trained table (see file comment). */
-    static const StepTable &trainedTable();
-
     explicit TablePolicyController(const TablePolicyParams &params = {},
                                    const DvfsTable &table = {});
-    TablePolicyController(const TablePolicyParams &params,
-                          const DvfsTable &table,
-                          const StepTable &steps);
 
     const char *name() const override { return "table"; }
-    Tick samplePeriod() const override { return prm.interval; }
-    void observe(const DomainStats &stats, Tick now) override;
-
-    /** Current operating-point index of @p d (test hook; -1 before
-     *  the domain's first observation). */
-    int pointIndex(Domain d) const { return level[domainIndex(d)]; }
 
     const TablePolicyParams &params() const { return prm; }
 
   private:
-    TablePolicyParams prm;
-    DvfsTable table;
-    StepTable steps;
+    int next(int di, int at, double u, double prev) override;
 
-    std::array<int, numDomains> level;
-    std::array<double, numDomains> prevOcc{};
-    std::array<bool, numDomains> seen{};
+    TablePolicyParams prm;
 };
 
 } // namespace mcd

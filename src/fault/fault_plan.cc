@@ -10,20 +10,6 @@
 namespace mcd {
 namespace fault {
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::Throw: return "throw";
-      case FaultKind::Flaky: return "flaky";
-      case FaultKind::Stall: return "stall";
-      case FaultKind::VfMisorder: return "vfmisorder";
-      case FaultKind::TruncateCache: return "truncate";
-      case FaultKind::CorruptCache: return "corrupt";
-    }
-    return "?";
-}
-
 InjectedFault::InjectedFault(const std::string &site, bool transient_)
     : std::runtime_error("injected fault at " + site +
                          (transient_ ? " (transient)" : "")),

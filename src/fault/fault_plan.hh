@@ -63,8 +63,6 @@ enum class FaultKind : std::uint8_t {
     CorruptCache,   //!< cache file payload bytes are flipped
 };
 
-const char *faultKindName(FaultKind k);
-
 /** Thrown at an armed leg site; transient faults may be retried. */
 class InjectedFault : public std::runtime_error
 {

@@ -55,17 +55,6 @@ class Executor
     double fpReg(int r) const { return fregs[r]; }
     std::uint64_t readMem(std::uint64_t addr) const
     { return mem.readWord(addr); }
-    double readMemDouble(std::uint64_t addr) const
-    { return mem.readDouble(addr); }
-    /** @} */
-
-    /** @name State mutation (used by tests)
-     *  @{
-     */
-    void setIntReg(int r, std::uint64_t v) { if (r) iregs[r] = v; }
-    void setFpReg(int r, double v) { fregs[r] = v; }
-    void writeMem(std::uint64_t addr, std::uint64_t v)
-    { mem.writeWord(addr, v); }
     /** @} */
 
   private:

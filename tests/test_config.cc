@@ -741,7 +741,8 @@ TEST(SpecGrammars, RejectTableFailsWithAStructuredError)
                "controller 'pid'", text);
     for (const char *text :
          {"interval-us=-1", "attack-points=2.9", "attack-points=1e20",
-          "interval-us=1e300"})
+          "interval-us=1e300", "scale-fe=0.5", "scale-fe=7",
+          "scale-fe=-1"})
         throws([&] {
             ControllerRegistry::instance().make("online-queue",
                                                 ControllerContext{}, text);

@@ -334,7 +334,7 @@ TEST(OnlineQueue, FrontEndStaysPinnedByDefault)
     EXPECT_FALSE(fe.requests().empty());
 }
 
-TEST(OnlineQueue, DeterministicForFixedSeed)
+TEST(OnlineQueue, DeterministicAcrossRuns)
 {
     Program p = workloads::build("mst", 1);
     SimConfig cfg;
@@ -343,12 +343,12 @@ TEST(OnlineQueue, DeterministicForFixedSeed)
     cfg.dvfsTimeScale = 0.2;
     cfg.maxInstructions = 30000;
 
-    OnlineQueueController c1({}, DvfsTable{}, 1);
+    OnlineQueueController c1;
     SimConfig a = cfg;
     a.controller = &c1;
     RunResult ra = McdProcessor(a, p).run();
 
-    OnlineQueueController c2({}, DvfsTable{}, 1);
+    OnlineQueueController c2;
     SimConfig b = cfg;
     b.controller = &c2;
     RunResult rb = McdProcessor(b, p).run();

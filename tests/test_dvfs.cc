@@ -200,21 +200,6 @@ TEST(DomainDvfs, RelockTimeWithinPaperRange)
     }
 }
 
-TEST(DomainDvfs, EstimateTransitionTime)
-{
-    Rig rig;
-    DomainDvfs xs = rig.make(DvfsParams::xscale());
-    // Full range: 320 steps.
-    EXPECT_NEAR(static_cast<double>(xs.estimateTransitionTime(1e9, 250e6)),
-                fromMicroseconds(55.0), fromMicroseconds(0.1));
-    EXPECT_EQ(xs.estimateTransitionTime(1e9, 1e9), 0u);
-
-    DomainDvfs tm = rig.make(DvfsParams::transmeta());
-    Tick full = tm.estimateTransitionTime(250e6, 1e9);
-    EXPECT_NEAR(static_cast<double>(full), fromMicroseconds(655.0),
-                fromMicroseconds(1.0));
-}
-
 TEST(DomainDvfs, TraceRecordsChanges)
 {
     Rig rig;
