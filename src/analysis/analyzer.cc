@@ -17,30 +17,46 @@ OfflineAnalyzer::configFor(double target_dilation, DvfsKind model,
     return c;
 }
 
+IntervalGraph
+OfflineAnalyzer::buildInterval(std::span<const InstTrace> records,
+                               std::size_t count,
+                               const std::string &label) const
+{
+    obs::HostProfiler::Scope s =
+        obs::HostProfiler::instance().phase("depgraph", label);
+    IntervalGraph g;
+    buildIntervalGraph(records, count, config.graph, g);
+    return g;
+}
+
+ShakenInterval
+OfflineAnalyzer::shakeInterval(IntervalGraph &g,
+                               const std::string &label) const
+{
+    obs::HostProfiler &prof = obs::HostProfiler::instance();
+    obs::HostProfiler::Scope s = prof.phase("shake", label);
+    ShakeResult sr = shake(g, config.shaker, config.clustering.fmax,
+                           config.clustering.fmin);
+    if (prof.enabled())
+        s.relabel(label + ", " + std::to_string(g.size()) + " events, " +
+                  std::to_string(sr.passesWalked) + " passes");
+    return {{g.intervalStart, g.intervalEnd, sr.histogram}, g.size(),
+            sr.slackConsumed};
+}
+
 ShakenTrace
 OfflineAnalyzer::shakeTrace(const std::vector<InstTrace> &trace) const
 {
     ShakenTrace out;
-    obs::HostProfiler &prof = obs::HostProfiler::instance();
-    IntervalGraphStream stream(trace, config.graph);
-    IntervalGraph g;
-    while (!stream.done()) {
-        // One depgraph and one shake slice per interval, labelled by
-        // the interval's index (and the shake by its event count).
-        const std::string interval =
+    for (std::size_t pos = 0; pos < trace.size();) {
+        const std::size_t end =
+            intervalEnd(trace, pos, config.graph.intervalLength);
+        const std::string label =
             "interval " + std::to_string(out.intervals.size());
-        {
-            obs::HostProfiler::Scope s = prof.phase("depgraph", interval);
-            stream.next(g);
-        }
-        out.eventsTotal += g.size();
-        obs::HostProfiler::Scope s = prof.phase(
-            "shake", interval + ", " + std::to_string(g.size()) + " events");
-        ShakeResult sr = shake(g, config.shaker, config.clustering.fmax,
-                               config.clustering.fmin);
-        out.slackConsumed += sr.slackConsumed;
-        out.intervals.push_back({g.intervalStart, g.intervalEnd,
-                                 sr.histogram});
+        IntervalGraph g = buildInterval(std::span(trace).subspan(pos),
+                                        end - pos, label);
+        out.append(shakeInterval(g, label));
+        pos = end;
     }
     return out;
 }

@@ -9,6 +9,8 @@
 #ifndef MCD_ANALYSIS_ANALYZER_HH
 #define MCD_ANALYSIS_ANALYZER_HH
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/clustering.hh"
@@ -27,17 +29,36 @@ struct AnalyzerConfig
     ClusteringConfig clustering;
 };
 
+/** One shaken interval: its histograms and its share of the totals. */
+struct ShakenInterval
+{
+    IntervalHistos histos;
+    std::size_t events = 0;
+    double slackConsumed = 0.0;
+};
+
 /**
  * The target-independent half of the offline tool: every interval's
  * shaken frequency histograms. The DAGs, the shaker and the histograms
  * depend only on the trace and the graph/shaker configuration, never
  * on the dilation target, so one ShakenTrace serves every target.
+ * Intervals are shaken independently; appending them in interval
+ * order sums the totals in one order, whoever shook them.
  */
 struct ShakenTrace
 {
     std::vector<IntervalHistos> intervals;  //!< in interval order
     std::size_t eventsTotal = 0;
     double slackConsumed = 0.0;
+
+    /** Append the next interval. */
+    void
+    append(const ShakenInterval &iv)
+    {
+        intervals.push_back(iv.histos);
+        eventsTotal += iv.events;
+        slackConsumed += iv.slackConsumed;
+    }
 };
 
 /** Everything the offline tool produced (schedule + diagnostics). */
@@ -65,11 +86,27 @@ class OfflineAnalyzer
               double dvfs_time_scale = 1.0);
 
     /**
-     * Build and shake each interval's DAG, one interval at a time, and
-     * keep only the histograms. Reads the graph and shaker settings
-     * and the clustering fmin/fmax, but not the dilation target.
-     * In the host profile each interval is one "depgraph" slice (the
-     * build) and one "shake" slice.
+     * Build one interval's DAG (@p records and @p count as
+     * buildIntervalGraph takes them) under a "depgraph" host-profile
+     * slice detailed @p label. The records may be freed once it
+     * returns.
+     */
+    IntervalGraph buildInterval(std::span<const InstTrace> records,
+                                std::size_t count,
+                                const std::string &label) const;
+
+    /**
+     * Shake a built interval and keep only its histograms and totals,
+     * under a "shake" slice detailed "<label>, <n> events, <p> passes"
+     * (the pass pairs walked). Reads the shaker settings and the
+     * clustering fmin/fmax, but not the dilation target.
+     */
+    ShakenInterval shakeInterval(IntervalGraph &g,
+                                 const std::string &label) const;
+
+    /**
+     * Shake every interval of a whole trace, one at a time, in
+     * interval order; interval k is labelled "interval k".
      */
     ShakenTrace shakeTrace(const std::vector<InstTrace> &trace) const;
 

@@ -244,34 +244,44 @@ stableRadixSort(std::vector<KeyedIndex> &items, bool descending,
         items.swap(scratch);
 }
 
-IntervalGraphStream::IntervalGraphStream(
-    const std::vector<InstTrace> &trace, const DepGraphConfig &cfg)
-    : trace(trace), cfg(cfg)
-{}
-
-bool
-IntervalGraphStream::next(IntervalGraph &g)
+std::size_t
+robLookahead(const DepGraphConfig &cfg)
 {
-    if (pos >= trace.size())
-        return false;
+    return static_cast<std::size_t>(cfg.core.robSize * cfg.occupancyMargin);
+}
 
+std::size_t
+intervalEnd(std::span<const InstTrace> trace, std::size_t first,
+            Tick length)
+{
+    const Tick k = intervalOf(trace[first], length);
+    std::size_t end = first + 1;
+    while (end < trace.size() && intervalOf(trace[end], length) == k)
+        ++end;
+    return end;
+}
+
+void
+buildIntervalGraph(std::span<const InstTrace> records, std::size_t count,
+                   const DepGraphConfig &cfg, IntervalGraph &g)
+{
+    if (count == 0 || count > records.size())
+        panic("buildIntervalGraph: " + std::to_string(count) +
+              " interval records of " + std::to_string(records.size()));
     const Tick len = cfg.intervalLength;
-    // Interval of the first remaining instruction.
-    Tick k = trace[pos].dispatchTime / len;
+    const Tick k = intervalOf(records[0], len);
     g.clear();
     g.intervalStart = k * len;
     g.intervalEnd = (k + 1) * len;
 
-    // Collect this interval's instructions and count their events:
-    // one per instruction, two (exec + mem) per memory op, none for
-    // NOP and HALT, which complete in the front end.
-    std::size_t first = pos;
+    // Count the interval's events: one per instruction, two (exec +
+    // mem) per memory op, none for NOP and HALT, which complete in
+    // the front end.
     std::size_t numEvents = 0;
-    while (pos < trace.size() && trace[pos].dispatchTime / len == k) {
-        const OpInfo &info = opInfo(trace[pos].op);
+    for (std::size_t i = 0; i < count; ++i) {
+        const OpInfo &info = opInfo(records[i].op);
         if (info.iq != RegFile::None)
             numEvents += info.isMem() ? 2 : 1;
-        ++pos;
     }
     g.resize(numEvents);
 
@@ -281,8 +291,8 @@ IntervalGraphStream::next(IntervalGraph &g)
         std::vector<KeyedIndex> bySeq;      // (seq, insts index), by seq
         std::vector<FuClass> fu(numEvents);
         std::vector<KeyedIndex> sortScratch;
-        insts.reserve(pos - first);
-        bySeq.reserve(pos - first);
+        insts.reserve(count);
+        bySeq.reserve(count);
 
         std::int32_t nextEvent = 0;
         auto addEvent = [&](Domain d, Tick s, Tick e, FuClass unit,
@@ -308,8 +318,8 @@ IntervalGraphStream::next(IntervalGraph &g)
             return i;
         };
 
-        for (std::size_t i = first; i < pos; ++i) {
-            const InstTrace &t = trace[i];
+        for (std::size_t i = 0; i < count; ++i) {
+            const InstTrace &t = records[i];
             const OpInfo &info = opInfo(t.op);
             if (info.iq == RegFile::None)
                 continue;
@@ -329,10 +339,9 @@ IntervalGraphStream::next(IntervalGraph &g)
             // ROB occupancy: this instruction must complete before the
             // (fixed-speed) front end dispatches entry i + robSize
             // (derated by the occupancy margin).
-            std::size_t robPeer = i + static_cast<std::size_t>(
-                cfg.core.robSize * cfg.occupancyMargin);
-            if (robPeer < trace.size()) {
-                Tick ceil = trace[robPeer].dispatchTime;
+            std::size_t robPeer = i + robLookahead(cfg);
+            if (robPeer < records.size()) {
+                Tick ceil = records[robPeer].dispatchTime;
                 g.outBound[ie.execEvent] = ceil;
                 if (ie.memEvent >= 0)
                     g.outBound[ie.memEvent] = ceil;
@@ -375,8 +384,8 @@ IntervalGraphStream::next(IntervalGraph &g)
         // branch's execute event (until the next such barrier).
         std::int32_t controlBarrier = -1;
 
-        for (std::size_t i = first; i < pos; ++i) {
-            const InstTrace &t = trace[i];
+        for (std::size_t i = 0; i < count; ++i) {
+            const InstTrace &t = records[i];
             std::int32_t self = findSeq(bySeq, t.seq, hint);
             if (self < 0)
                 continue;
@@ -472,6 +481,21 @@ IntervalGraphStream::next(IntervalGraph &g)
         g.outBound[e] = std::min(g.intervalEnd, g.outBound[e]);
     }
     g.buildAdjacency();
+}
+
+IntervalGraphStream::IntervalGraphStream(
+    const std::vector<InstTrace> &trace, const DepGraphConfig &cfg)
+    : trace(trace), cfg(cfg)
+{}
+
+bool
+IntervalGraphStream::next(IntervalGraph &g)
+{
+    if (pos >= trace.size())
+        return false;
+    const std::size_t end = intervalEnd(trace, pos, cfg.intervalLength);
+    buildIntervalGraph(std::span(trace).subspan(pos), end - pos, cfg, g);
+    pos = end;
     return true;
 }
 
@@ -499,7 +523,7 @@ buildIntervalGraphs(const std::vector<InstTrace> &trace,
     // Dispatch times are (nearly) monotonic, so the last record bounds
     // the interval count well enough for a one-shot reservation.
     graphs.reserve(static_cast<std::size_t>(
-        trace.back().dispatchTime / cfg.intervalLength) + 2);
+        intervalOf(trace.back(), cfg.intervalLength)) + 2);
     IntervalGraphStream stream(trace, cfg);
     IntervalGraph g;
     while (stream.next(g))

@@ -26,9 +26,16 @@
  * are found by seq through a sorted (seq, instruction) array, so the
  * build allocates in proportion to the interval, never to the range
  * of seq values. The builder's per-interval scratch lives only inside
- * IntervalGraphStream::next() and is freed before the edges are
- * bucketed, so it never coexists with the CSR arrays or the shaker's
- * own buffers.
+ * buildIntervalGraph() and is freed before the edges are bucketed, so
+ * it never coexists with the CSR arrays or the shaker's own buffers.
+ *
+ * An interval is a run of consecutive commit-order records whose
+ * dispatch times fall in one interval of the clock; a run that
+ * returns to an earlier interval after a different one is an interval
+ * of its own. buildIntervalGraph() builds one from its records plus
+ * the robLookahead() records after them, which its ROB ceilings read.
+ * IntervalGraphStream cuts a whole trace this way; a profiling run
+ * can cut its records as they commit instead (TraceCollector).
  */
 
 #ifndef MCD_ANALYSIS_DEP_GRAPH_HH
@@ -229,6 +236,33 @@ struct DepGraphConfig
 };
 
 /**
+ * Records past an interval's last one that its ROB ceilings read:
+ * record i's events must end before record i + robLookahead(cfg)
+ * dispatches.
+ */
+std::size_t robLookahead(const DepGraphConfig &cfg);
+
+/**
+ * The end of the interval that starts at record @p first of
+ * @p trace: the index of the first later record in another interval
+ * of @p length picoseconds, or trace.size().
+ */
+std::size_t intervalEnd(std::span<const InstTrace> trace,
+                        std::size_t first, Tick length);
+
+/**
+ * Build one interval's graph into @p g (replacing whatever it held,
+ * but keeping its columns' capacity). The first @p count (at least
+ * one) of @p records are the interval's, in commit order; the rest
+ * are the records that follow them, of which the ROB ceilings read
+ * the first robLookahead(cfg). Fewer than that means the trace ends
+ * there, and ceilings past its end stay open.
+ */
+void buildIntervalGraph(std::span<const InstTrace> records,
+                        std::size_t count, const DepGraphConfig &cfg,
+                        IntervalGraph &g);
+
+/**
  * Slice a trace into intervals and build their DAGs one at a time, in
  * interval order. A consumer that shakes each graph before asking for
  * the next holds a single interval's graph at once instead of the
@@ -247,9 +281,6 @@ class IntervalGraphStream
      * leaving @p g untouched, once the trace is exhausted.
      */
     bool next(IntervalGraph &g);
-
-    /** True once next() has built the last interval. */
-    bool done() const { return pos >= trace.size(); }
 
   private:
     const std::vector<InstTrace> &trace;

@@ -53,6 +53,21 @@ inline constexpr double fastNormalBound = 0x1p-48;
  */
 inline constexpr double jitterGuardScale = 0x1p-30;
 
+class ClockDomain;
+
+/**
+ * Told of every voltage change of the clocks that name it: the power
+ * model's V² cache, behind an interface so clock/ needs no power/.
+ */
+class VoltageWatcher
+{
+  public:
+    virtual void voltageChanged(const ClockDomain &clock) = 0;
+
+  protected:
+    ~VoltageWatcher() = default;
+};
+
 /**
  * One clock domain: an edge generator on the global Tick axis.
  *
@@ -108,7 +123,23 @@ class ClockDomain
 
     /** Current supply voltage (owned here for the power model). */
     Volt voltage() const { return volt; }
-    void setVoltage(Volt v) { volt = v; }
+
+    /**
+     * Change the supply voltage and tell the watcher. The callers in
+     * src/ are McdProcessor's constructor and DomainDvfs (its
+     * constructor and applyVoltageLevel); test_power pins that list.
+     */
+    void
+    setVoltage(Volt v)
+    {
+        volt = v;
+        if (watcher)
+            watcher->voltageChanged(*this);
+    }
+
+    /** The one watcher of this clock's voltage (nullptr: none). */
+    void watchVoltage(VoltageWatcher *w) { watcher = w; }
+    const VoltageWatcher *voltageWatcher() const { return watcher; }
 
     /** Nominal period at the current frequency, in picoseconds. */
     double period() const { return per; }
@@ -132,6 +163,7 @@ class ClockDomain
     double guard = 0.0;         //!< guard band M, in picoseconds
     bool forceFallback = false;
     Volt volt = 1.2;
+    VoltageWatcher *watcher = nullptr;
     double jitterSigma;
     double jitterHi;            //!< the +3 sigma clamp
     Rng rng;

@@ -5,6 +5,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <iomanip>
 #include <filesystem>
 #include <fstream>
@@ -1236,22 +1238,20 @@ ExperimentRunner::storeCache(const BenchmarkResults &r) const
 }
 
 RunResult
-ExperimentRunner::profileLeg(const Program &prog,
-                             std::vector<InstTrace> *trace_out,
+ExperimentRunner::profileLeg(const Program &prog, const IntervalSink *sink,
                              const std::string &site) const
 {
     // Baseline MCD (all domains statically at 1 GHz); doubles as the
     // profiling run for the offline tool when a trace is wanted.
     SimConfig profCfg = makeSimConfig(ClockingStyle::Mcd, site);
-    profCfg.collectTrace = trace_out != nullptr;
+    profCfg.collectTrace = sink != nullptr;
     // The offline tool needs every instruction's timestamps: the
     // profiling run always executes in full detail.
     profCfg.sampling.reset();
     McdProcessor prof(profCfg, prog);
-    RunResult r = prof.run();
-    if (trace_out)
-        *trace_out = prof.takeTrace();
-    return r;
+    if (sink)
+        prof.streamTrace(*sink);
+    return prof.run();
 }
 
 RunResult
@@ -1398,6 +1398,13 @@ ExperimentRunner::runGuarded(const std::string &bench,
  *  the profiling run with its shake, and stage 2 + i leg i. */
 struct ExperimentRunner::Graph
 {
+    /** What one interval task leaves for finishShake(). */
+    struct IntervalSlot
+    {
+        ShakenInterval shaken;
+        std::exception_ptr error;
+    };
+
     struct Stage
     {
         std::vector<std::size_t> inputs;    //!< read in this order
@@ -1411,9 +1418,31 @@ struct ExperimentRunner::Graph
           unfinished(legs + 2)
     {}
 
+    /** Stage @p s's run in the row. */
+    RunResult &
+    run(std::size_t s)
+    {
+        return s >= 2 ? r.legs[s - 2].run : s == 0 ? r.baseline
+                                                   : r.mcdBaseline;
+    }
+
+    /** Stage @p s's leg name. */
+    std::string
+    leg(std::size_t s) const
+    {
+        return s >= 2 ? r.legs[s - 2].spec.name
+                      : s == 0 ? "baseline" : "mcdBaseline";
+    }
+
     const Program prog;
     BenchmarkResults r;
     ShakenTrace shaken;
+    /** Slot k holds interval k. Only the profiling run appends; a
+     *  deque never moves the slots the tasks write. */
+    std::deque<IntervalSlot> slots;
+    /** The profiling run's own count plus its unfinished interval
+     *  tasks; whichever brings it to zero runs finishShake(). */
+    std::atomic<std::size_t> shakePending{1};
     std::vector<Hertz> picks;           //!< each global leg's frequency
     std::vector<Stage> stages;
     std::atomic<std::size_t> unfinished;
@@ -1493,11 +1522,9 @@ ExperimentRunner::runStage(const std::shared_ptr<Graph> &g,
     BenchmarkResults &r = g->r;
     Graph::Stage &st = g->stages[stage];
     const LegSpec *spec = stage >= 2 ? &r.legs[stage - 2].spec : nullptr;
-    const std::string leg =
-        spec ? spec->name : stage == 0 ? "baseline" : "mcdBaseline";
+    const std::string leg = g->leg(stage);
     const std::string site = r.name + "/" + leg;
-    RunResult &out = spec ? r.legs[stage - 2].run
-                          : stage == 0 ? r.baseline : r.mcdBaseline;
+    RunResult &out = g->run(stage);
 
     // The first failed input, in input order, is the root cause.
     for (std::size_t in : st.inputs) {
@@ -1511,45 +1538,110 @@ ExperimentRunner::runStage(const std::shared_ptr<Graph> &g,
         out.attempts = 0;       // never attempted
         out.error = RunError{site, "dependency",
                              st.failedRun + " leg failed", 0};
-    } else {
-        // The profiling run collects the trace only when a replay leg
-        // reads it. The target-independent half of the offline tool
-        // then runs here under a guard of its own (fault site
-        // <bench>/shake; an analyze slice, not a leg, in the host
-        // profile), so the trace is made, shaken and freed on one
-        // thread before any reader starts.
-        const bool wantTrace = stage == 1 && !st.readers.empty();
-        std::vector<InstTrace> trace;
-        out = runGuarded(r.name, leg, [&] {
-            if (stage == 0)
-                return runOnce(g->prog, makeSimConfig(
-                    ClockingStyle::SingleClock, site));
-            if (stage == 1)
-                return profileLeg(g->prog, wantTrace ? &trace : nullptr,
-                                  site);
-            if (spec->kind == LegSpec::Kind::ScheduleReplay)
-                return dynamicLeg(g->prog, g->shaken, spec->dilation, site,
-                                  r.legs[stage - 2].scheduleSize);
-            if (spec->kind == LegSpec::Kind::GlobalSearch)
-                return globalLeg(g->prog, r, r.legs[st.inputs[1] - 2].run,
-                                 site, g->picks[stage - 2]);
-            return controllerLeg(g->prog, *spec, site);
-        });
-        if (wantTrace && !out.failed()) {
-            RunResult shake = runGuarded(r.name, "shake", [&] {
-                // Any target gives the same shake; clustering reads it.
-                g->shaken = analyzerFor(config.dilationHigh).shakeTrace(trace);
-                return RunResult{};
-            }, "analyze");
-            if (shake.failed())
-                st.failedRun = "shake";
-        }
+        finishStage(g, stage, pool);
+        return;
     }
-    if (out.failed() && st.failedRun.empty())
-        st.failedRun = leg;
 
-    // This stage's slices are closed and its trace freed, so a reader
-    // run inline here nests in neither.
+    // The profiling run streams its trace only when a replay leg reads
+    // it: each interval becomes a pool task as soon as it closes, and
+    // the profiling stage finishes once the run and every interval
+    // task have (finishShake). The guard retries only faults injected
+    // before the body runs, so one run fills the slots.
+    const bool streams = stage == 1 && !st.readers.empty();
+    IntervalSink sink;
+    if (streams) {
+        const DepGraphConfig graph =
+            analyzerFor(config.dilationHigh).cfg().graph;
+        sink = {graph.intervalLength, robLookahead(graph),
+                [this, g, &pool](IntervalRecords iv) {
+                    submitInterval(g, std::move(iv), pool);
+                }};
+    }
+    out = runGuarded(r.name, leg, [&] {
+        if (stage == 0)
+            return runOnce(g->prog, makeSimConfig(
+                ClockingStyle::SingleClock, site));
+        if (stage == 1)
+            return profileLeg(g->prog, streams ? &sink : nullptr, site);
+        if (spec->kind == LegSpec::Kind::ScheduleReplay)
+            return dynamicLeg(g->prog, g->shaken, spec->dilation, site,
+                              r.legs[stage - 2].scheduleSize);
+        if (spec->kind == LegSpec::Kind::GlobalSearch)
+            return globalLeg(g->prog, r, r.legs[st.inputs[1] - 2].run,
+                             site, g->picks[stage - 2]);
+        return controllerLeg(g->prog, *spec, site);
+    });
+    if (!streams)
+        finishStage(g, stage, pool);
+    else if (g->shakePending.fetch_sub(1) == 1)
+        finishShake(g, pool);
+}
+
+void
+ExperimentRunner::submitInterval(const std::shared_ptr<Graph> &g,
+                                 IntervalRecords iv,
+                                 ThreadPool &pool) const
+{
+    Graph::IntervalSlot &slot = g->slots.emplace_back();
+    g->shakePending.fetch_add(1);
+    pool.submit([this, g, &slot, iv = std::move(iv), &pool]() mutable {
+        try {
+            if (intervalHook)
+                intervalHook(g->r.name, iv.index);
+            // Any target gives the same shake; clustering reads it.
+            const OfflineAnalyzer analyzer = analyzerFor(config.dilationHigh);
+            const std::string label =
+                g->r.name + " interval " + std::to_string(iv.index);
+            IntervalGraph graph =
+                analyzer.buildInterval(iv.records, iv.count, label);
+            slot.shaken = analyzer.shakeInterval(graph, label);
+        } catch (...) {
+            slot.error = std::current_exception();
+        }
+        std::vector<InstTrace>().swap(iv.records);
+        if (g->shakePending.fetch_sub(1) == 1)
+            finishShake(g, pool);
+    });
+}
+
+void
+ExperimentRunner::finishShake(const std::shared_ptr<Graph> &g,
+                              ThreadPool &pool) const
+{
+    // The target-independent half of the offline tool is one guarded
+    // step (fault site <bench>/shake; an analyze slice, not a leg, in
+    // the host profile). It sums the intervals in interval order, so
+    // the totals do not depend on which task finished first, and
+    // fails with the first failed interval's error.
+    if (!g->r.mcdBaseline.failed()) {
+        RunResult shake = runGuarded(g->r.name, "shake", [&] {
+            ShakenTrace shaken;
+            for (const Graph::IntervalSlot &slot : g->slots) {
+                if (slot.error)
+                    std::rethrow_exception(slot.error);
+                shaken.append(slot.shaken);
+            }
+            g->shaken = std::move(shaken);
+            return RunResult{};
+        }, "analyze");
+        if (shake.failed())
+            g->stages[1].failedRun = "shake";
+    }
+    std::deque<Graph::IntervalSlot>().swap(g->slots);
+    finishStage(g, 1, pool);
+}
+
+void
+ExperimentRunner::finishStage(const std::shared_ptr<Graph> &g,
+                              std::size_t stage, ThreadPool &pool) const
+{
+    BenchmarkResults &r = g->r;
+    Graph::Stage &st = g->stages[stage];
+    if (g->run(stage).failed() && st.failedRun.empty())
+        st.failedRun = g->leg(stage);
+
+    // This stage's slices are closed and its records freed, so a
+    // reader run inline here nests in neither.
     for (std::size_t rd : st.readers) {
         if (g->stages[rd].waiting.fetch_sub(1) == 1)
             pool.submit([this, g, rd, &pool] { runStage(g, rd, pool); });

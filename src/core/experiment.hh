@@ -529,6 +529,13 @@ class ExperimentRunner
     /** Cache files quarantined (renamed *.corrupt) by this runner. */
     std::uint64_t cacheQuarantines() const { return quarantines; }
 
+    /**
+     * Test hook: called at the start of every interval shake task with
+     * the benchmark and the interval's index. What it throws fails that
+     * interval, as a fault in the DAG build or the shake would.
+     */
+    std::function<void(const std::string &, std::size_t)> intervalHook;
+
   private:
     /** One benchmark's stage table in flight (experiment.cc). */
     struct Graph;
@@ -536,10 +543,9 @@ class ExperimentRunner
     SimConfig makeSimConfig(ClockingStyle style,
                             const std::string &site = {}) const;
     RunResult runOnce(const Program &prog, const SimConfig &sc) const;
-    /** The MCD baseline; collects the trace into @p trace_out when
-     *  it is not null. */
-    RunResult profileLeg(const Program &prog,
-                         std::vector<InstTrace> *trace_out,
+    /** The MCD baseline; streams its trace to @p sink when it is
+     *  not null. */
+    RunResult profileLeg(const Program &prog, const IntervalSink *sink,
                          const std::string &site) const;
     RunResult controllerLeg(const Program &prog, const LegSpec &leg,
                             const std::string &site) const;
@@ -578,10 +584,23 @@ class ExperimentRunner
                          const std::function<RunResult()> &body,
                          const char *phase = "simulate") const;
 
-    /** Run (or fail) one stage of @p g, submit the readers it was the
-     *  last input of, and finish the row after its last stage. */
+    /** Run (or fail) one stage of @p g, then finishStage() it; the
+     *  profiling run's finish waits for its interval tasks. */
     void runStage(const std::shared_ptr<Graph> &g, std::size_t stage,
                   ThreadPool &pool) const;
+    /** Submit one closed interval of @p g's profiling run as a pool
+     *  task that shakes it into its slot. */
+    void submitInterval(const std::shared_ptr<Graph> &g,
+                        IntervalRecords iv, ThreadPool &pool) const;
+    /** After the profiling run and all of its interval tasks: assemble
+     *  the shaken trace under the <bench>/shake guard, then
+     *  finishStage() the profiling stage. */
+    void finishShake(const std::shared_ptr<Graph> &g,
+                     ThreadPool &pool) const;
+    /** Record @p stage's root cause, submit the readers it was the
+     *  last input of, and finish the row after its last stage. */
+    void finishStage(const std::shared_ptr<Graph> &g, std::size_t stage,
+                     ThreadPool &pool) const;
 
     /** "<name>-<16 hex>": fnv1a over the canonical text of every
      *  result-shaping option and the online-queue defaults. */

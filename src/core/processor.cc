@@ -41,13 +41,7 @@ McdProcessor::McdProcessor(const SimConfig &config, const Program &program)
         cfg.mem, *clocks[domainIndex(Domain::FrontEnd)],
         *clocks[domainIndex(Domain::LoadStore)], icMissRule);
 
-    power = std::make_unique<PowerModel>(
-        cfg.energy,
-        std::array<const ClockDomain *, numDomains>{
-            clocks[0], clocks[1], clocks[2], clocks[3]});
-
-    if (cfg.collectTrace)
-        collector.reserve(traceReserveRecords);
+    power = std::make_unique<PowerModel>(cfg.energy, clocks);
 
     pipe = std::make_unique<CoreUnits>(
         cfg.core, oracle, *memory, clocks, cfg.syncFraction, power.get(),
@@ -237,6 +231,11 @@ McdProcessor::run()
         telem->onRunStart(f0, v0);
     }
 
+    // A kept trace never regrows; a streamed one holds only the
+    // intervals still open.
+    if (cfg.collectTrace && !collector.streaming())
+        collector.reserve(traceReserveRecords);
+
     // An armed Stall fault suppresses the progress signal, so the run
     // looks deadlocked to the watchdog and must be cut cleanly.
     stallInjected = cfg.faults && cfg.faults->stallsLeg(cfg.faultSite);
@@ -277,6 +276,8 @@ McdProcessor::run()
         if (cfg.watchdogMaxTicks && t > cfg.watchdogMaxTicks)
             watchdogTripNow("simulated-time budget exhausted", t);
     }
+
+    collector.flush();
 
     // Assemble the result.
     RunResult r;

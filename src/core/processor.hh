@@ -69,6 +69,13 @@ class McdProcessor
     /** Move the collected trace out (for use past this object's life). */
     std::vector<InstTrace> takeTrace() { return collector.take(); }
 
+    /**
+     * Hand the trace of a collectTrace run to @p sink interval by
+     * interval as it commits, instead of keeping it (call before
+     * run()). A run that throws leaves its open intervals unsent.
+     */
+    void streamTrace(IntervalSink sink) { collector.stream(std::move(sink)); }
+
     /** The DVFS operating-point table in use. */
     const DvfsTable &dvfsTable() const { return opTable; }
 
@@ -76,6 +83,7 @@ class McdProcessor
     const CoreUnits &pipeline() const { return *pipe; }
     const ClockDomain &clock(Domain d) const
     { return *clocks[domainIndex(d)]; }
+    const PowerModel &powerModel() const { return *power; }
 
     /** The active frequency controller (nullptr for static runs). */
     const DvfsController *controllerInUse() const { return controller; }

@@ -7,6 +7,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <time.h>
 #endif
 
 namespace mcd {
@@ -14,14 +15,18 @@ namespace obs {
 
 namespace {
 
-/**
- * The calling thread's open Scopes, innermost last: each entry sums
- * the inclusive time of the Scopes already closed directly inside it.
- */
-std::vector<std::int64_t> &
+/** What the Scopes closed directly inside an open one took. */
+struct Nested
+{
+    std::int64_t wallNs = 0;
+    std::int64_t cpuNs = 0;
+};
+
+/** The calling thread's open Scopes, innermost last. */
+std::vector<Nested> &
 openScopes()
 {
-    thread_local std::vector<std::int64_t> open;
+    thread_local std::vector<Nested> open;
     return open;
 }
 
@@ -76,14 +81,20 @@ HostProfiler::Scope::close()
     s.detail = std::move(detail);
     s.lane = 0;
     s.startNs = nanosBetween(p->epoch, start);
+    // The CPU reading sits inside the wall interval at both ends.
+    const std::int64_t cpuNs = threadCpuNs() - cpuStart;
     s.durNs = nanosBetween(start, std::chrono::steady_clock::now());
     s.selfNs = s.durNs;
-    std::vector<std::int64_t> &open = openScopes();
+    s.cpuNs = cpuNs;
+    std::vector<Nested> &open = openScopes();
     if (depth < open.size()) {
-        s.selfNs -= open[depth];
+        s.selfNs -= open[depth].wallNs;
+        s.cpuNs -= open[depth].cpuNs;
         open.resize(depth);
-        if (depth)
-            open[depth - 1] += s.durNs;
+        if (depth) {
+            open[depth - 1].wallNs += s.durNs;
+            open[depth - 1].cpuNs += cpuNs;
+        }
     }
     s.rssKb = peakRssKb();
     p->record(std::move(s));
@@ -99,8 +110,9 @@ HostProfiler::phase(std::string kind, std::string detail)
     s.kind = std::move(kind);
     s.detail = std::move(detail);
     s.depth = openScopes().size();
-    openScopes().push_back(0);
+    openScopes().push_back({});
     s.start = std::chrono::steady_clock::now();
+    s.cpuStart = threadCpuNs();
     return s;
 }
 
@@ -142,6 +154,20 @@ HostProfiler::peakRssKb()
 #endif
 }
 
+std::int64_t
+HostProfiler::threadCpuNs()
+{
+#if defined(CLOCK_THREAD_CPUTIME_ID)
+    timespec ts;
+    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
+        return 0;
+    return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 +
+        ts.tv_nsec;
+#else
+    return 0;
+#endif
+}
+
 HostProfiler::Snapshot
 HostProfiler::snapshot() const
 {
@@ -158,6 +184,7 @@ HostProfiler::snapshot() const
         Snapshot::Phase &ph = snap.phases[s.kind];
         ++ph.count;
         ph.selfNs += s.selfNs;
+        ph.cpuNs += s.cpuNs;
         ph.maxNs = std::max(ph.maxNs, s.durNs);
         if (s.kind == "simulate")
             snap.legs[s.detail] = s;
@@ -186,6 +213,10 @@ HostProfiler::Snapshot::publish(StatsRegistry &reg) const
                   "wall time summed over the phases, nested phases "
                   "subtracted")
             .set(toMs(ph.selfNs));
+        reg.gauge(p + ".cpu_ms",
+                  "thread CPU time summed over the phases, nested "
+                  "phases subtracted")
+            .set(toMs(ph.cpuNs));
         reg.gauge(p + ".max_ms", "longest single phase, nested "
                   "phases included")
             .set(toMs(ph.maxNs));
@@ -252,6 +283,7 @@ HostProfiler::Snapshot::writeProfile(std::ostream &os) const
         w.key(kind).beginObject(json::Inline)
             .field("count", ph.count)
             .field("selfMs", toMs(ph.selfNs))
+            .field("cpuMs", toMs(ph.cpuNs))
             .field("maxMs", toMs(ph.maxNs)).endObject();
     }
     w.endObject().key("legs").beginArray();

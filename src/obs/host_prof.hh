@@ -15,6 +15,11 @@
  *    inside it on the same thread (a task a helping wait runs inside
  *    a leg is nested in that leg), so self times never overlap and
  *    their sum fits in the profiled window times the thread count;
+ *  - a slice's *CPU* time is the CPU time its thread spent between
+ *    its open and close (CLOCK_THREAD_CPUTIME_ID, read once at each),
+ *    minus that of the slices nested inside it: self time counts a
+ *    descheduled thread's wait, CPU time does not, so the two apart
+ *    tell a host stall from work;
  *  - a leg's wall time and peak RSS are its `simulate` slice's
  *    duration and the process peak RSS when that slice closed;
  *  - the "pool" figures are the lanes (threads that recorded
@@ -97,10 +102,14 @@ class HostProfiler
             kind = std::move(o.kind);
             detail = std::move(o.detail);
             start = o.start;
+            cpuStart = o.cpuStart;
             depth = o.depth;
             return *this;
         }
         ~Scope() { close(); }
+
+        /** Replace the detail, for a slice labelled by its outcome. */
+        void relabel(std::string d) { detail = std::move(d); }
 
       private:
         friend class HostProfiler;
@@ -110,6 +119,7 @@ class HostProfiler
         std::string kind;
         std::string detail;
         std::chrono::steady_clock::time_point start;
+        std::int64_t cpuStart = 0;  //!< thread CPU ns at open
         std::size_t depth = 0;  //!< open Scopes below it on its thread
     };
 
@@ -118,13 +128,17 @@ class HostProfiler
      * "cache.write", "analyze", "depgraph", "shake", "probe") with an
      * optional free-form @p detail (the leg site for "simulate", the
      * site and table frequency for a global leg's "probe", the
-     * interval for "depgraph" and "shake", else typically the
+     * benchmark and interval for "depgraph" and "shake", else
+     * typically the
      * benchmark or the analyzed site).
      */
     Scope phase(std::string kind, std::string detail = {});
 
     /** Process peak RSS in KiB (getrusage), 0 where unsupported. */
     static std::uint64_t peakRssKb();
+
+    /** The calling thread's CPU time in ns, 0 where unsupported. */
+    static std::int64_t threadCpuNs();
 
     struct Slice
     {
@@ -134,6 +148,7 @@ class HostProfiler
         std::int64_t startNs;   //!< since the last reset()
         std::int64_t durNs;     //!< inclusive
         std::int64_t selfNs;    //!< minus the slices nested inside
+        std::int64_t cpuNs;     //!< thread CPU time, nested slices' out
         std::uint64_t rssKb;    //!< process peak RSS at close
     };
 
@@ -165,6 +180,7 @@ struct HostProfiler::Snapshot
     {
         std::uint64_t count = 0;
         std::int64_t selfNs = 0;
+        std::int64_t cpuNs = 0;
         std::int64_t maxNs = 0;
     };
 
@@ -181,7 +197,7 @@ struct HostProfiler::Snapshot
 
     /**
      * Merge aggregated host.* stats into @p reg: per-kind phase
-     * count, self time and longest phase, per-leg wall time and peak
+     * count, self time, CPU time and longest phase, per-leg wall time and peak
      * RSS, the pool lanes/window/self time, and the peak RSS. Key set
      * and order depend only on the recorded names.
      */

@@ -34,9 +34,33 @@ unitName(Unit u)
 
 PowerModel::PowerModel(
     const EnergyParams &params,
-    std::array<const ClockDomain *, numDomains> domain_clocks)
+    std::array<ClockDomain *, numDomains> domain_clocks)
     : cfg(params), clocks(domain_clocks)
-{}
+{
+    for (ClockDomain *c : clocks) {
+        c->watchVoltage(this);
+        voltageChanged(*c);
+    }
+}
+
+PowerModel::~PowerModel()
+{
+    for (ClockDomain *c : clocks) {
+        if (c->voltageWatcher() == this)
+            c->watchVoltage(nullptr);
+    }
+}
+
+void
+PowerModel::voltageChanged(const ClockDomain &clock)
+{
+    for (int di = 0; di < numDomains; ++di) {
+        if (clocks[di] == &clock) {
+            double rel = clock.voltage() / cfg.nominalVoltage;
+            vsq[di] = rel * rel;
+        }
+    }
+}
 
 void
 PowerModel::domainCycle(Domain d, bool stopped)
@@ -47,9 +71,9 @@ PowerModel::domainCycle(Domain d, bool stopped)
         activeThisCycle[di] = false;
         return;
     }
-    double e = cfg.clockTreeEnergy[di] * vsq(d);
+    double e = cfg.clockTreeEnergy[di] * vsq[di];
     if (!activeThisCycle[di])
-        e = e * cfg.gatedClockFraction + cfg.idleResidual[di] * vsq(d);
+        e = e * cfg.gatedClockFraction + cfg.idleResidual[di] * vsq[di];
     clockEnergy[di] += e;
     domEnergy[di] += e;
     activeThisCycle[di] = false;

@@ -21,13 +21,19 @@
 namespace mcd {
 
 /**
- * Accumulates energy per domain and per unit.
+ * Accumulates energy per domain and per unit. It watches its clocks'
+ * voltages, so each domain's (V/Vnom)^2 is computed when the voltage
+ * changes, not read back on every charge.
  */
-class PowerModel
+class PowerModel : public VoltageWatcher
 {
   public:
     PowerModel(const EnergyParams &params,
-               std::array<const ClockDomain *, numDomains> domain_clocks);
+               std::array<ClockDomain *, numDomains> domain_clocks);
+    ~PowerModel();
+
+    PowerModel(const PowerModel &) = delete;
+    PowerModel &operator=(const PowerModel &) = delete;
 
     /** Charge @p count accesses to a unit at its domain's voltage. */
     void
@@ -35,7 +41,7 @@ class PowerModel
     {
         int ui = static_cast<int>(u);
         Domain d = unitDomain(u);
-        double e = cfg.accessEnergy[ui] * count * vsq(d);
+        double e = cfg.accessEnergy[ui] * count * vsq[domainIndex(d)];
         unitEnergy[ui] += e;
         domEnergy[domainIndex(d)] += e;
         activeThisCycle[domainIndex(d)] = true;
@@ -63,34 +69,20 @@ class PowerModel
 
     const EnergyParams &params() const { return cfg; }
 
-  private:
-    /**
-     * (V/Vnom)^2 of domain @p d. Voltage changes are rare next to
-     * accesses, so the square is cached per domain and recomputed,
-     * with the same expression, only when the clock's voltage differs
-     * from the one it was computed at.
-     */
-    double
-    vsq(Domain d)
-    {
-        int di = domainIndex(d);
-        Volt v = clocks[di]->voltage();
-        if (v != vsqAt[di]) {
-            double rel = v / cfg.nominalVoltage;
-            vsqCache[di] = rel * rel;
-            vsqAt[di] = v;
-        }
-        return vsqCache[di];
-    }
+    /** The (V/Vnom)^2 that domain @p d's charges are scaled by. */
+    double voltageSquared(Domain d) const { return vsq[domainIndex(d)]; }
 
+    /** Recompute (V/Vnom)^2 of every domain @p clock drives. */
+    void voltageChanged(const ClockDomain &clock) override;
+
+  private:
     EnergyParams cfg;
-    std::array<const ClockDomain *, numDomains> clocks;
+    std::array<ClockDomain *, numDomains> clocks;
     std::array<double, numUnits> unitEnergy{};
     std::array<double, numDomains> domEnergy{};
     std::array<double, numDomains> clockEnergy{};
     std::array<bool, numDomains> activeThisCycle{};
-    std::array<Volt, numDomains> vsqAt{};   //!< voltage vsqCache is for
-    std::array<double, numDomains> vsqCache{};
+    std::array<double, numDomains> vsq{};   //!< (V/Vnom)^2 per domain
 };
 
 } // namespace mcd

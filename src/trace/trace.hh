@@ -18,6 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -66,26 +68,128 @@ struct InstTrace
 inline constexpr std::size_t traceReserveRecords = std::size_t{1} << 18;
 
 /**
+ * The interval of @p length picoseconds that @p t dispatched in. An
+ * interval of a trace is a run of consecutive records with one value
+ * of this (see buildIntervalGraph in analysis/dep_graph.hh).
+ */
+inline Tick
+intervalOf(const InstTrace &t, Tick length)
+{
+    return t.dispatchTime / length;
+}
+
+/**
+ * One closed interval of a streamed profiling trace: a run of
+ * consecutive records in one interval, followed by the
+ * records that committed after it, as many as the sink's lookahead,
+ * or fewer where the run ended.
+ */
+struct IntervalRecords
+{
+    std::size_t index = 0;          //!< position in the run's intervals
+    std::size_t count = 0;          //!< leading records in the interval
+    std::vector<InstTrace> records; //!< the interval's, then lookahead
+};
+
+/** Where a streaming profiling run hands its closed intervals. */
+struct IntervalSink
+{
+    Tick length = 0;            //!< interval length, ps of dispatch time
+    std::size_t lookahead = 0;  //!< records an interval waits for
+    std::function<void(IntervalRecords)> take;
+};
+
+/**
  * Accumulates InstTrace records during a profiling run. A run that
  * collects no trace has no collector: the pipeline's pointer is null.
+ *
+ * By default the collector keeps the whole trace. Once stream() gives
+ * it a sink, it keeps only the records of intervals still open: an
+ * interval closes when a record of another interval and the sink's
+ * lookahead of records past its end have both arrived, and goes to
+ * the sink with them, in interval order. flush() closes the rest when
+ * the run ends, with whatever lookahead the trace still had.
  */
 class TraceCollector
 {
   public:
-    void record(const InstTrace &t) { records.push_back(t); }
+    void
+    record(const InstTrace &t)
+    {
+        records.push_back(t);
+        if (sink.take)
+            cut();
+    }
 
+    /** Stream the records to @p s from now on (before any record). */
+    void stream(IntervalSink s) { sink = std::move(s); }
+    bool streaming() const { return static_cast<bool>(sink.take); }
+
+    /** The run ended: hand every interval still open to the sink. */
+    void
+    flush()
+    {
+        if (!sink.take)
+            return;
+        if (!records.empty())
+            ends.push_back(records.size());
+        while (!ends.empty())
+            emit();
+    }
+
+    /** The records kept: the whole trace unless streaming. */
     const std::vector<InstTrace> &trace() const { return records; }
 
-    /** Move the records out (the collector is left empty). Lets the
-     *  experiment engine keep a profiling trace alive after the
-     *  processor that produced it is destroyed, without a copy. */
+    /** Move the records out (the collector is left empty). Lets a
+     *  caller keep a profiling trace alive after the processor that
+     *  produced it is destroyed, without a copy. */
     std::vector<InstTrace> take() { return std::move(records); }
 
     std::size_t size() const { return records.size(); }
     void reserve(std::size_t n) { records.reserve(n); }
 
   private:
+    /** A record arrived: note where its interval starts, and close
+     *  the oldest interval once its lookahead is in. */
+    void
+    cut()
+    {
+        const Tick k = intervalOf(records.back(), sink.length);
+        if (records.size() > 1 && k != openInterval)
+            ends.push_back(records.size() - 1);
+        openInterval = k;
+        while (!ends.empty() &&
+               ends.front() + sink.lookahead <= records.size())
+            emit();
+    }
+
+    /** Hand the oldest interval, which starts at records[0], to the
+     *  sink with the records after it; keep those records. */
+    void
+    emit()
+    {
+        const std::size_t end = ends.front();
+        IntervalRecords iv;
+        iv.index = emitted++;
+        iv.count = end;
+        std::vector<InstTrace> rest;
+        rest.reserve(records.capacity());
+        rest.assign(records.begin() + static_cast<std::ptrdiff_t>(end),
+                    records.end());
+        iv.records = std::exchange(records, std::move(rest));
+        ends.erase(ends.begin());
+        for (std::size_t &e : ends)
+            e -= end;
+        sink.take(std::move(iv));
+    }
+
     std::vector<InstTrace> records;
+    IntervalSink sink;
+    /** Ends of the intervals whose last record is known, oldest
+     *  first, as indices into records. */
+    std::vector<std::size_t> ends;
+    Tick openInterval = 0;  //!< interval of the newest record
+    std::size_t emitted = 0;
 };
 
 } // namespace mcd

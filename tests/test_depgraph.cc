@@ -355,9 +355,40 @@ expectSameGraph(const IntervalGraph &g, const RefGraph &ref)
     }
 }
 
+/** One interval as the collector streamed it, and how many records
+ *  had been recorded when it was handed over. */
+struct Streamed
+{
+    IntervalRecords iv;
+    std::size_t recorded = 0;
+};
+
+/** Feed @p trace through a streaming collector cut for @p cfg, and
+ *  keep what it hands over, in order. */
+std::vector<Streamed>
+streamIntervals(const std::vector<InstTrace> &trace,
+                const DepGraphConfig &cfg)
+{
+    std::vector<Streamed> out;
+    std::size_t recorded = 0;
+    TraceCollector c;
+    c.stream({cfg.intervalLength, robLookahead(cfg),
+              [&](IntervalRecords iv) {
+                  out.push_back({std::move(iv), recorded});
+              }});
+    for (const InstTrace &t : trace) {
+        ++recorded;
+        c.record(t);
+    }
+    c.flush();
+    EXPECT_EQ(c.size(), 0u);
+    return out;
+}
+
 /**
- * Build @p trace's graphs with the stream and with
- * buildIntervalGraphs, and expect each to match the reference. The
+ * Build @p trace's graphs with the stream, with buildIntervalGraphs
+ * and from a streaming collector's intervals, and expect each to
+ * match the reference. The
  * stream reuses one graph object, as the analyzer does, so nothing of
  * one interval may leak into the next; its builds run under the
  * allocation guard.
@@ -389,6 +420,15 @@ expectMatchesReference(const std::vector<InstTrace> &trace,
     for (std::size_t i = 0; i < all.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "materialized " << i);
         expectSameGraph(all[i], want[i]);
+    }
+
+    std::vector<Streamed> cut = streamIntervals(trace, cfg);
+    ASSERT_EQ(cut.size(), want.size());
+    for (std::size_t i = 0; i < cut.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "streamed " << i);
+        EXPECT_EQ(cut[i].iv.index, i);
+        buildIntervalGraph(cut[i].iv.records, cut[i].iv.count, cfg, g);
+        expectSameGraph(g, want[i]);
     }
 }
 
@@ -590,6 +630,100 @@ TEST_P(WorkloadGraphs, StreamAndBatchMatchTheReferenceBuild)
 INSTANTIATE_TEST_SUITE_P(FourKinds, WorkloadGraphs,
                          ::testing::Values("g721", "mcf", "swim",
                                            "treeadd"));
+
+/** @p n ADDs in interval @p k of @p cfg, seqs from @p seq on. */
+void
+appendRun(std::vector<InstTrace> &tr, const DepGraphConfig &cfg,
+          std::uint64_t k, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const Tick d = k * cfg.intervalLength + 1000 * (i + 1);
+        tr.push_back(mkInst(tr.size() + 1, Opcode::ADD, d, d + 500,
+                            d + 900));
+    }
+}
+
+TEST(IntervalCutter, ShortIntervalsWaitForLookaheadTwoIntervalsAhead)
+{
+    // Interval 1 and 2 hold 10 records each, so the ROB ceilings of
+    // interval 1 read 40 records on, in the run after interval 2; that
+    // run returns to interval 0, with earlier dispatch times, so the
+    // ceilings it gives are visible. The last run, interval 3, is a
+    // partial interval with no lookahead at all.
+    DepGraphConfig cfg;
+    const std::size_t la = robLookahead(cfg);
+    ASSERT_EQ(la, 40u);
+    std::vector<InstTrace> tr;
+    appendRun(tr, cfg, 0, 50);
+    appendRun(tr, cfg, 1, 10);
+    appendRun(tr, cfg, 2, 10);
+    appendRun(tr, cfg, 0, 50);      // interval 0 recurs
+    appendRun(tr, cfg, 3, 20);
+    expectMatchesReference(tr, cfg);
+
+    const std::vector<Streamed> cut = streamIntervals(tr, cfg);
+    ASSERT_EQ(cut.size(), 5u);
+    // Each interval is handed over once its lookahead has arrived,
+    // not sooner; the last two only at flush, with what was left.
+    const std::size_t count[] = {50, 10, 10, 50, 20};
+    const std::size_t size[] = {90, 50, 50, 70, 20};
+    const std::size_t recorded[] = {90, 100, 110, 140, 140};
+    for (std::size_t k = 0; k < cut.size(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "interval " << k);
+        EXPECT_EQ(cut[k].iv.index, k);
+        EXPECT_EQ(cut[k].iv.count, count[k]);
+        EXPECT_EQ(cut[k].iv.records.size(), size[k]);
+        EXPECT_EQ(cut[k].recorded, recorded[k]);
+    }
+
+    // Interval 1's first record has its ceiling in the recurring run,
+    // two intervals ahead: record 50 + 40 is that run's 21st.
+    IntervalGraph g;
+    buildIntervalGraph(cut[1].iv.records, cut[1].iv.count, cfg, g);
+    EXPECT_EQ(g.intervalStart, cfg.intervalLength);
+    EXPECT_EQ(g.outBound[0], tr[90].dispatchTime);
+    EXPECT_LT(g.outBound[0], g.intervalStart);
+    // The recurring run is an interval of its own, at interval 0.
+    buildIntervalGraph(cut[3].iv.records, cut[3].iv.count, cfg, g);
+    EXPECT_EQ(g.intervalStart, 0u);
+    EXPECT_EQ(g.size(), 50u);
+}
+
+TEST(IntervalCutter, FinalPartialIntervalClosesAtFlush)
+{
+    DepGraphConfig cfg;
+    std::vector<InstTrace> tr;
+    appendRun(tr, cfg, 4, 100);
+    appendRun(tr, cfg, 5, 30);      // fewer than the lookahead
+    expectMatchesReference(tr, cfg);
+
+    const std::vector<Streamed> cut = streamIntervals(tr, cfg);
+    ASSERT_EQ(cut.size(), 2u);
+    // The first waits for 30 records only: the trace has no more.
+    EXPECT_EQ(cut[0].recorded, 130u);
+    EXPECT_EQ(cut[0].iv.records.size(), 130u);
+    EXPECT_EQ(cut[1].iv.count, 30u);
+    EXPECT_EQ(cut[1].iv.records.size(), 30u);
+    // Its end is clamped to the work observed, not the full interval.
+    IntervalGraph g;
+    buildIntervalGraph(cut[1].iv.records, cut[1].iv.count, cfg, g);
+    EXPECT_LT(g.intervalEnd, 6 * cfg.intervalLength);
+
+    // A run with no records hands over nothing; one record, one
+    // interval.
+    EXPECT_TRUE(streamIntervals({}, cfg).empty());
+    EXPECT_EQ(streamIntervals({tr[0]}, cfg).size(), 1u);
+}
+
+TEST(IntervalCutter, BuilderRejectsAnEmptyInterval)
+{
+    DepGraphConfig cfg;
+    std::vector<InstTrace> tr;
+    appendRun(tr, cfg, 0, 3);
+    IntervalGraph g;
+    EXPECT_THROW(buildIntervalGraph(tr, 0, cfg, g), PanicError);
+    EXPECT_THROW(buildIntervalGraph(tr, 4, cfg, g), PanicError);
+}
 
 /** A short real trace whose seqs (and the deps naming them) are
  *  rewritten by @p remap. */

@@ -7,6 +7,7 @@
  * job-count-independence of an injected matrix.
  */
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -602,10 +603,25 @@ TEST(FaultMatrix, ShakeFailurePropagatesAsDependencyErrors)
     EXPECT_EQ(matrixExitCode(rows), exitPartialFailure);
 }
 
+/** Every run's error record (site, kind, message, attempts) in @p r. */
+std::vector<std::string>
+errorRecords(const BenchmarkResults &r)
+{
+    std::vector<std::string> out;
+    forEachRun(r, [&](const std::string &leg, const RunResult &run) {
+        out.push_back(run.error
+                          ? leg + ": " + run.error->site + " " +
+                                run.error->kind + " " + run.error->message +
+                                " " + std::to_string(run.error->attempts)
+                          : leg + ": ok");
+    });
+    return out;
+}
+
 /**
  * The adpcm row under fault plan @p plan at jobs=1 and at jobs=4. Every
- * run's error record (site, kind, message, attempts) must be identical
- * at both job counts; returns the jobs=1 row.
+ * run's error record must be identical at both job counts; returns
+ * the jobs=1 row.
  */
 BenchmarkResults
 adpcmRowAtJobs1And4(ExperimentConfig ec, const std::string &plan)
@@ -613,19 +629,104 @@ adpcmRowAtJobs1And4(ExperimentConfig ec, const std::string &plan)
     ec.faults = std::make_shared<const FaultPlan>(FaultPlan::parse(plan));
     std::vector<BenchmarkResults> serial = runMatrix(ec, {"adpcm"}, 1);
     std::vector<BenchmarkResults> par = runMatrix(ec, {"adpcm"}, 4);
-    std::vector<std::string> errors[2];
-    for (int j = 0; j < 2; ++j) {
-        forEachRun((j ? par : serial)[0],
-                   [&](const std::string &leg, const RunResult &r) {
-            errors[j].push_back(
-                r.error ? leg + ": " + r.error->site + " " + r.error->kind +
-                              " " + r.error->message + " " +
-                              std::to_string(r.error->attempts)
-                        : leg + ": ok");
-        });
-    }
-    EXPECT_EQ(errors[0], errors[1]);
+    EXPECT_EQ(errorRecords(serial[0]), errorRecords(par[0]));
     return serial[0];
+}
+
+TEST(FaultMatrix, StreamedShakeFaultsMatchAtJobs1And4)
+{
+    // The profiling run hands each closed interval to a pool task; the
+    // <bench>/shake guard assembles them once the run and every task
+    // are done. Faults on either side of that join give the same
+    // records at every job count.
+    {
+        SCOPED_TRACE("shake=throw");
+        BenchmarkResults r =
+            adpcmRowAtJobs1And4(ExperimentConfig{}, "leg:adpcm/shake=throw");
+        EXPECT_FALSE(r.mcdBaseline.failed());
+        for (const char *leg : {"dyn1", "dyn5", "global"}) {
+            ASSERT_TRUE(r.leg(leg).failed()) << leg;
+            EXPECT_EQ(r.leg(leg).error->message, "shake leg failed");
+        }
+    }
+    {
+        // The retried assembly reads the same shaken intervals.
+        SCOPED_TRACE("shake=flaky:1");
+        BenchmarkResults r = adpcmRowAtJobs1And4(
+            ExperimentConfig{}, "leg:adpcm/shake=flaky:1");
+        EXPECT_EQ(r.failedLegs(), 0u);
+        BenchmarkResults clean = runMatrix(ExperimentConfig{}, {"adpcm"},
+                                           1)[0];
+        for (const char *leg : {"dyn1", "dyn5", "global"})
+            expectRunsIdentical(r.leg(leg), clean.leg(leg), leg);
+    }
+    {
+        SCOPED_TRACE("mcdBaseline=throw");
+        BenchmarkResults r = adpcmRowAtJobs1And4(
+            ExperimentConfig{}, "leg:adpcm/mcdBaseline=throw");
+        EXPECT_EQ(r.leg("dyn5").error->message, "mcdBaseline leg failed");
+    }
+    {
+        // The watchdog trips after about 100K cycles, once interval 0
+        // (50K cycles) has closed and gone to a task: the profiling
+        // run fails with that task in flight, and its shake is never
+        // assembled.
+        SCOPED_TRACE("mcdBaseline=stall");
+        ExperimentConfig ec;
+        ec.watchdogNoProgressEdges = 400'000;
+        ec.faults = std::make_shared<const FaultPlan>(
+            FaultPlan::parse("leg:adpcm/mcdBaseline=stall"));
+        std::vector<std::string> records[2];
+        for (unsigned workers : {0u, 4u}) {
+            ExperimentRunner runner(ec);
+            std::atomic<int> tasks{0};
+            runner.intervalHook = [&](const std::string &, std::size_t) {
+                ++tasks;
+            };
+            ThreadPool pool(workers);
+            BenchmarkResults r = runner.runBenchmark("adpcm", pool);
+            EXPECT_GE(tasks.load(), 1) << workers;
+            ASSERT_TRUE(r.mcdBaseline.failed());
+            EXPECT_EQ(r.mcdBaseline.error->kind, "watchdog");
+            EXPECT_EQ(r.leg("dyn1").error->message,
+                      "mcdBaseline leg failed");
+            records[workers ? 1 : 0] = errorRecords(r);
+        }
+        EXPECT_EQ(records[0], records[1]);
+    }
+}
+
+TEST(FaultMatrix, PanicInAnIntervalTaskFailsTheShakeNotTheProfile)
+{
+    // Intervals 1 and 2 of adpcm's three panic in their tasks. The
+    // profiling run itself succeeded, so the replay legs name the
+    // shake, and the shake reports the first failed interval in
+    // interval order, whichever task failed first.
+    for (unsigned workers : {0u, 4u}) {
+        SCOPED_TRACE(workers);
+        ExperimentRunner runner(ExperimentConfig{});
+        runner.intervalHook = [](const std::string &bench, std::size_t k) {
+            if (bench == "adpcm" && k >= 1)
+                panic("interval " + std::to_string(k) + " broke");
+        };
+        ThreadPool pool(workers);
+        ::testing::internal::CaptureStderr();
+        BenchmarkResults r = runner.runBenchmark("adpcm", pool);
+        const std::string log = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(log.find("leg adpcm/shake failed (panic, attempt 1): "
+                           "interval 1 broke"),
+                  std::string::npos)
+            << log;
+        EXPECT_EQ(log.find("interval 2 broke"), std::string::npos) << log;
+        EXPECT_FALSE(r.mcdBaseline.failed());
+        EXPECT_FALSE(r.leg("online").failed());
+        for (const char *leg : {"dyn1", "dyn5", "global"}) {
+            ASSERT_TRUE(r.leg(leg).failed()) << leg;
+            EXPECT_EQ(r.leg(leg).error->kind, "dependency");
+            EXPECT_EQ(r.leg(leg).error->message, "shake leg failed");
+        }
+        EXPECT_EQ(r.failedLegs(), 3u);
+    }
 }
 
 TEST(FaultMatrix, DependencyFailuresNameTheRootCause)

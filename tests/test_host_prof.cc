@@ -21,6 +21,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "common/thread_pool.hh"
@@ -345,7 +346,7 @@ TEST(HostProfiler, ProfileListsSixPaperLegsPerBenchmarkAndNoShake)
               std::string::npos);
 }
 
-TEST(HostProfiler, ShakeSliceNestsOneDepgraphAndOneShakePerInterval)
+TEST(HostProfiler, EachIntervalIsOneDepgraphThenOneShakeSlice)
 {
     struct Slice
     {
@@ -367,41 +368,102 @@ TEST(HostProfiler, ShakeSliceNestsOneDepgraphAndOneShakePerInterval)
                           std::stod((*it)[3]), std::stod((*it)[4]),
                           (*it)[5]});
 
-    // Inside each <bench>/shake analyze slice, interval k is one
-    // depgraph slice and then one shake slice, on the same lane.
-    std::size_t nested = 0;
-    for (const Slice &outer : slices) {
-        if (outer.name != "analyze" || outer.detail.size() < 6 ||
-            outer.detail.compare(outer.detail.size() - 6, 6, "/shake"))
-            continue;
-        SCOPED_TRACE(outer.detail);
-        std::vector<const Slice *> inner;
+    // Interval k of a benchmark is one pool task, on any lane: a
+    // depgraph slice "<bench> interval k", then on the same lane a
+    // shake slice "<bench> interval k, <n> events, <p> passes". All of
+    // them close before the benchmark's <bench>/shake analyze slice
+    // assembles them. adpcm and mst have three and five intervals.
+    const std::map<std::string, std::size_t> intervals{{"adpcm", 3},
+                                                       {"mst", 5}};
+    std::size_t seen = 0;
+    for (const auto &[bench, count] : intervals) {
+        SCOPED_TRACE(bench);
+        const Slice *assemble = nullptr;
         for (const Slice &s : slices)
-            if ((s.name == "depgraph" || s.name == "shake") &&
-                s.lane == outer.lane && s.ts >= outer.ts &&
-                s.ts + s.dur <= outer.ts + outer.dur + 1.0)
-                inner.push_back(&s);
-        std::sort(inner.begin(), inner.end(),
-                  [](const Slice *a, const Slice *b) { return a->ts < b->ts; });
-        ASSERT_FALSE(inner.empty());
-        ASSERT_EQ(inner.size() % 2, 0u);
-        for (std::size_t k = 0; k < inner.size() / 2; ++k) {
-            const std::string label = "interval " + std::to_string(k);
-            EXPECT_EQ(inner[2 * k]->name, "depgraph");
-            EXPECT_EQ(inner[2 * k]->detail, label);
-            EXPECT_EQ(inner[2 * k + 1]->name, "shake");
-            EXPECT_EQ(inner[2 * k + 1]->detail.rfind(label + ", ", 0), 0u)
-                << inner[2 * k + 1]->detail;
+            if (s.name == "analyze" && s.detail == bench + "/shake")
+                assemble = &s;
+        ASSERT_NE(assemble, nullptr);
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::string label =
+                bench + " interval " + std::to_string(k);
+            SCOPED_TRACE(label);
+            const Slice *build = nullptr;
+            const Slice *shake = nullptr;
+            for (const Slice &s : slices) {
+                if (s.name == "depgraph" && s.detail == label)
+                    build = &s;
+                if (s.name == "shake" && s.detail.rfind(label + ", ", 0) == 0)
+                    shake = &s;
+            }
+            ASSERT_NE(build, nullptr);
+            ASSERT_NE(shake, nullptr);
+            EXPECT_EQ(shake->lane, build->lane);
+            EXPECT_GE(shake->ts + 1.0, build->ts + build->dur);
+            EXPECT_LE(shake->ts + shake->dur, assemble->ts + 1.0);
+            EXPECT_TRUE(std::regex_match(
+                shake->detail,
+                std::regex(label + ", [0-9]+ events, [0-9]+ passes")))
+                << shake->detail;
+            seen += 2;
         }
-        nested += inner.size();
     }
-    // adpcm and mst have three and five intervals; every depgraph and
-    // shake slice sits in one of their shake slices.
-    EXPECT_EQ(nested, 2u * (3 + 5));
-    EXPECT_EQ(nested, static_cast<std::size_t>(std::count_if(
+    // Every depgraph and shake slice is one of those.
+    EXPECT_EQ(seen, static_cast<std::size_t>(std::count_if(
         slices.begin(), slices.end(), [](const Slice &s) {
             return s.name == "depgraph" || s.name == "shake";
         })));
+}
+
+/** Sum of host.phase.*.cpu_ms in a stats document. */
+double
+cpuMsOverAllKinds(const std::string &stats)
+{
+    double sum = 0.0;
+    for (const std::string &v : matches(
+             stats, "\"host\\.phase\\.[a-z.]+\\.cpu_ms\": ([^,\n]+)"))
+        sum += std::stod(v);
+    return sum;
+}
+
+TEST(HostProfiler, CpuTimeCountsWorkNotWaiting)
+{
+    Armed armed;
+    HostProfiler &prof = HostProfiler::instance();
+    {
+        HostProfiler::Scope outer = prof.phase("analyze", "outer");
+        sleepMs(20);
+        HostProfiler::Scope inner = prof.phase("shake", "inner");
+        // Spin until this thread has used 10 ms of CPU.
+        const std::int64_t until = HostProfiler::threadCpuNs() + 10'000'000;
+        while (HostProfiler::threadCpuNs() < until) {
+        }
+    }
+    StatsRegistry reg;
+    prof.snapshot().publish(reg);
+    // The sleep is wall time but no CPU time; the spin is both, and
+    // it is the nested slice's, not its parent's.
+    EXPECT_GE(gauge(reg, "host.phase.analyze.self_ms"), 20.0);
+    EXPECT_LT(gauge(reg, "host.phase.analyze.cpu_ms"), 5.0);
+    EXPECT_GE(gauge(reg, "host.phase.shake.cpu_ms"), 10.0);
+    EXPECT_LE(gauge(reg, "host.phase.shake.cpu_ms"),
+              gauge(reg, "host.phase.shake.self_ms") + 0.1);
+}
+
+TEST(HostProfiler, MatrixCpuTimeFitsProcessCpuTime)
+{
+    // Nested slices' CPU time is subtracted from their parents', so
+    // the per-kind sum counts each CPU nanosecond of a profiled thread
+    // at most once: never more than the process has used so far.
+    const ProfiledDocuments &docs = profiledDocuments();
+    timespec ts{};
+    ASSERT_EQ(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+    const double processMs = ts.tv_sec * 1e3 + ts.tv_nsec / 1e6;
+    const double cpuMs = cpuMsOverAllKinds(docs.stats);
+    EXPECT_GT(cpuMs, 0.0);
+    EXPECT_LE(cpuMs, processMs + roundingMs);
+    // The profile prints the same figures beside each kind's self time.
+    EXPECT_EQ(matches(docs.profile, "\"cpuMs\": ([^,}]+)").size(),
+              matches(docs.profile, "\"selfMs\": ([^,}]+)").size() - 1);
 }
 
 TEST(HostProfiler, StatsAndProfilePrintOneSnapshot)

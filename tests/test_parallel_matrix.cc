@@ -128,9 +128,10 @@ TEST(ParallelMatrix, ParallelRunBitIdenticalToSerial)
 TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
 {
     // With more benchmarks than workers, stages of every benchmark
-    // share the queue. The rows must still match the serial run, and
-    // each shake must run in its profiling leg's task: on that leg's
-    // lane, after its simulate slice closes.
+    // share the queue with the interval tasks. The rows must still
+    // match the serial run, and each benchmark's shake must assemble
+    // only what is done: its analyze slice starts after its profiling
+    // leg's simulate slice and every one of its interval slices close.
     const std::vector<std::string> names{"adpcm", "mst", "g721"};
     ExperimentConfig ec;                // no cache: every leg runs
     auto serial = runMatrix(ec, names, /*jobs=*/1);
@@ -150,16 +151,23 @@ TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
         SCOPED_TRACE(n);
         const obs::HostProfiler::Slice *sim = nullptr;
         const obs::HostProfiler::Slice *shake = nullptr;
+        std::vector<const obs::HostProfiler::Slice *> intervals;
         for (const auto &sl : snap.slices) {
             if (sl.kind == "simulate" && sl.detail == n + "/mcdBaseline")
                 sim = &sl;
             if (sl.kind == "analyze" && sl.detail == n + "/shake")
                 shake = &sl;
+            if ((sl.kind == "depgraph" || sl.kind == "shake") &&
+                sl.detail.rfind(n + " interval ", 0) == 0)
+                intervals.push_back(&sl);
         }
         ASSERT_NE(sim, nullptr);
         ASSERT_NE(shake, nullptr);
-        EXPECT_EQ(shake->lane, sim->lane);
         EXPECT_GE(shake->startNs, sim->startNs + sim->durNs);
+        ASSERT_FALSE(intervals.empty());
+        for (const auto *sl : intervals)
+            EXPECT_GE(shake->startNs, sl->startNs + sl->durNs)
+                << sl->kind << " " << sl->detail;
     }
 }
 

@@ -3,10 +3,20 @@
  * Tests for the activity-based power model.
  */
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "clock/clock_domain.hh"
+#include "clock/dvfs.hh"
+#include "clock/operating_points.hh"
+#include "core/processor.hh"
 #include "power/power_model.hh"
+#include "workloads/workloads.hh"
 
 namespace mcd {
 namespace {
@@ -174,6 +184,86 @@ TEST(Power, BreakdownMentionsEveryUnit)
         EXPECT_NE(s.find(unitName(static_cast<Unit>(i))),
                   std::string::npos);
     EXPECT_NE(s.find("domain total"), std::string::npos);
+}
+
+/** The V^2 of @p v the uncached way. */
+double
+relSquared(Volt v, const EnergyParams &p)
+{
+    double rel = v / p.nominalVoltage;
+    return rel * rel;
+}
+
+TEST(Power, EverySetVoltageCallerRefreshesTheCachedVSquared)
+{
+    // The cached V^2 is recomputed only when a clock's voltage
+    // changes. Every caller of ClockDomain::setVoltage in src/ is
+    // listed here, and each is shown to leave the cache equal to the
+    // uncached expression: a new caller fails the scan below until it
+    // is added to this test.
+    const std::map<std::string, int> callers{
+        {"clock/clock_domain.hh", 1},   // the definition
+        {"clock/dvfs.cc", 2},           // DomainDvfs ctor, applyVoltageLevel
+        {"core/processor.cc", 1},       // initial voltages
+    };
+    std::map<std::string, int> found;
+    const std::filesystem::path src =
+        std::filesystem::path(MCD_SOURCE_DIR) / "src";
+    for (const auto &e :
+         std::filesystem::recursive_directory_iterator(src)) {
+        if (!e.is_regular_file())
+            continue;
+        std::ifstream in(e.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        const std::string body = text.str();
+        int n = 0;
+        for (std::size_t at = body.find("setVoltage(");
+             at != std::string::npos; at = body.find("setVoltage(", at + 1))
+            ++n;
+        if (n)
+            found[e.path().lexically_relative(src).generic_string()] = n;
+    }
+    EXPECT_EQ(found, callers);
+
+    // DomainDvfs: its constructor snaps the voltage to a level, and
+    // every ramp step applies the next level.
+    Rig rig;
+    PowerModel pm = rig.make();
+    DvfsTable table;
+    DomainDvfs dvfs(DvfsParams::forKind(DvfsKind::XScale), table, rig.intc,
+                    7);
+    EXPECT_EQ(pm.voltageSquared(Domain::Integer),
+              relSquared(rig.intc.voltage(), rig.params));
+    dvfs.requestFrequency(0, table.minFrequency());
+    int steps = 0;
+    for (Tick t = dvfs.nextEventTime(); t != neverTick && steps < 1000;
+         t = dvfs.nextEventTime(), ++steps) {
+        dvfs.update(t);
+        ASSERT_EQ(pm.voltageSquared(Domain::Integer),
+                  relSquared(rig.intc.voltage(), rig.params))
+            << "step " << steps;
+    }
+    EXPECT_GT(steps, 1);
+    EXPECT_LT(rig.intc.voltage(), rig.params.nominalVoltage);
+
+    // McdProcessor: the initial voltages are set before its power
+    // model exists, and its DVFS engines set them again after.
+    for (ClockingStyle style : {ClockingStyle::Mcd, ClockingStyle::SingleClock}) {
+        SimConfig sc;
+        sc.clocking = style;
+        sc.dvfs = DvfsKind::XScale;
+        sc.maxInstructions = 2000;
+        McdProcessor proc(sc, workloads::build("adpcm", 1));
+        proc.run();
+        for (int d = 0; d < numDomains; ++d) {
+            const Domain dom = static_cast<Domain>(d);
+            EXPECT_EQ(proc.powerModel().voltageSquared(dom),
+                      relSquared(proc.clock(dom).voltage(),
+                                 proc.powerModel().params()))
+                << domainName(dom);
+        }
+    }
 }
 
 class PowerVoltageSweep : public ::testing::TestWithParam<double>

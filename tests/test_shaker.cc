@@ -828,5 +828,77 @@ TEST_P(ShakeOnce, OneShakeClustersLikeAFreshAnalysisPerTarget)
 INSTANTIATE_TEST_SUITE_P(AdpcmMcf, ShakeOnce,
                          ::testing::Values("adpcm", "mcf"));
 
+/**
+ * The offline tool's shake of @p bench as the experiment engine runs
+ * it: the profiling run streams each interval as it closes, and each
+ * is shaken on its own (here in order, on this thread).
+ */
+ShakenTrace
+streamedShake(const char *bench, const OfflineAnalyzer &analyzer)
+{
+    SimConfig cfg;
+    cfg.collectTrace = true;
+    McdProcessor proc(cfg, workloads::build(bench, 1));
+    const DepGraphConfig &gc = analyzer.cfg().graph;
+    ShakenTrace out;
+    proc.streamTrace({gc.intervalLength, robLookahead(gc),
+                      [&](IntervalRecords iv) {
+                          EXPECT_EQ(iv.index, out.intervals.size());
+                          IntervalGraph g = analyzer.buildInterval(
+                              iv.records, iv.count, "interval");
+                          out.append(analyzer.shakeInterval(g, "interval"));
+                      }});
+    proc.run();
+    // Nothing of the trace is left behind.
+    EXPECT_EQ(proc.trace().size(), 0u);
+    return out;
+}
+
+class StreamedShake : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(StreamedShake, MatchesTheWholeTraceShakeUnderEitherModel)
+{
+    const char *bench = GetParam();
+    // The batch reference: every graph built from the whole trace,
+    // then shaken in order. The shake reads no DVFS model, so one
+    // reference serves both.
+    const AnalyzerConfig ref = OfflineAnalyzer::configFor(0.05,
+                                                          DvfsKind::XScale);
+    std::vector<IntervalGraph> graphs =
+        buildIntervalGraphs(traceOf(bench), ref.graph);
+    std::vector<ShakeResult> want;
+    std::size_t events = 0;
+    double slack = 0.0;
+    for (IntervalGraph &g : graphs) {
+        events += g.size();
+        want.push_back(shake(g, ref.shaker, ref.clustering.fmax,
+                             ref.clustering.fmin));
+        slack += want.back().slackConsumed;
+    }
+
+    for (DvfsKind model : {DvfsKind::XScale, DvfsKind::Transmeta}) {
+        SCOPED_TRACE(dvfsKindName(model));
+        const ShakenTrace got = streamedShake(
+            bench, OfflineAnalyzer(OfflineAnalyzer::configFor(0.05, model)));
+        ASSERT_EQ(got.intervals.size(), graphs.size());
+        for (std::size_t k = 0; k < graphs.size(); ++k) {
+            SCOPED_TRACE(::testing::Message() << "interval " << k);
+            const IntervalHistos &h = got.intervals[k];
+            EXPECT_EQ(h.start, graphs[k].intervalStart);
+            EXPECT_EQ(h.end, graphs[k].intervalEnd);
+            for (int d = 0; d < numDomains; ++d)
+                for (int b = 0; b < DomainHistogram::bins; ++b)
+                    ASSERT_EQ(h.hist[d].work[b], want[k].histogram[d].work[b])
+                        << "domain " << d << " bin " << b;
+        }
+        EXPECT_EQ(got.eventsTotal, events);
+        EXPECT_EQ(got.slackConsumed, slack);    // bit for bit
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, StreamedShake,
+                         ::testing::ValuesIn(allBenchmarks()));
+
 } // namespace
 } // namespace mcd
