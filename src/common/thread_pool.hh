@@ -12,8 +12,10 @@
  *    submit sub-tasks to the same pool and wait() on them without
  *    ever deadlocking, even with a single worker. The experiment
  *    runner no longer nests waits (a stage is submitted once its
- *    inputs finish, and only the calling thread waits), but the
- *    traced matrix replica in perfbench/driver.cc still does.
+ *    inputs finish, and runMatrix blocks on its rows without
+ *    helping, so a pool of N workers keeps at most N threads
+ *    runnable), but the traced matrix replica in perfbench/driver.cc
+ *    still does.
  *  - A pool constructed with zero workers degenerates to inline
  *    execution at submit() time, which makes jobs=1 runs take exactly
  *    the serial code path (useful for bit-identical comparisons).

@@ -1942,9 +1942,11 @@ runMatrix(const ExperimentConfig &cfg,
             std::fprintf(stderr, "  running %s...\n", name.c_str());
         rows.push_back(runner.startBenchmark(name, pool));
     }
-    // Collect in workload order, independent of completion order.
+    // Collect in workload order, independent of completion order. No
+    // stage waits, so the calling thread blocks instead of helping:
+    // jobs=N keeps at most N threads runnable.
     for (std::size_t i = 0; i < names.size(); ++i)
-        out[i] = pool.wait(rows[i]);
+        out[i] = rows[i].get();
     finishMatrix(ecfg, out, runner);
     return out;
 }

@@ -618,9 +618,9 @@ class ExperimentRunner
  * Run the matrix for a list of benchmarks across @p jobs concurrent
  * workers (jobs <= 1 runs strictly serially, inline). The calling
  * thread starts every benchmark's stage table on one pool, then
- * collects the rows in the order of @p names, regardless of
- * completion order, with helping waits (so it runs stages too while it
- * collects). The rows are bit-identical for every jobs value.
+ * blocks, collecting the rows in the order of @p names regardless of
+ * completion order; it runs no stage, so at most @p jobs threads are
+ * runnable. The rows are bit-identical for every jobs value.
  *
  * Configuration (resolved through config::RunSpec, so every knob is
  * reachable as env var, config-file key, or CLI flag), beyond the

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -146,6 +147,21 @@ TEST(ParallelMatrix, MoreBenchmarksThanWorkersMatchSerial)
     fs::remove(prof);
 
     expectMatricesIdentical(serial, par, names);
+
+    // jobs=2 keeps two threads runnable: the calling thread (the lane
+    // of its validate slice) runs no stage while it collects the rows.
+    int caller = -1;
+    std::set<int> stageLanes;
+    for (const auto &sl : snap.slices) {
+        if (sl.kind == "validate")
+            caller = sl.lane;
+        else if (sl.kind == "simulate" || sl.kind == "analyze" ||
+                 sl.kind == "depgraph" || sl.kind == "shake")
+            stageLanes.insert(sl.lane);
+    }
+    ASSERT_NE(caller, -1);
+    EXPECT_EQ(stageLanes.count(caller), 0u);
+    EXPECT_LE(stageLanes.size(), 2u);
 
     for (const std::string &n : names) {
         SCOPED_TRACE(n);
